@@ -23,6 +23,7 @@ from .errors import (
     CycleFound,
     DomainTooSmall,
     GraphError,
+    InconsistentLabels,
     MissingSize,
     MultiplePaths,
     NotPrime,
@@ -51,7 +52,7 @@ from .formats import (
 )
 from .graphs import (
     DistanceTable,
-    InducedSubgraph,
+    LabeledGraph,
     OrientedGraph,
     distance_table,
     find_cycle,
@@ -71,7 +72,6 @@ from .oracles import (
 )
 from .power import (
     ClassParameters,
-    PowerGraph,
     build_power_graph,
     class_parameters,
     is_prime,
@@ -93,7 +93,8 @@ __all__ = [
     "EdgePartition",
     "FareySequence",
     "GraphError",
-    "InducedSubgraph",
+    "InconsistentLabels",
+    "LabeledGraph",
     "MissingSize",
     "MultiplePaths",
     "NotPrime",
@@ -101,7 +102,6 @@ __all__ = [
     "OrderTooLarge",
     "OrientedGraph",
     "PathTooLong",
-    "PowerGraph",
     "PrimeMismatch",
     "ResiduePartition",
     "SizeBudgetExceeded",

@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .coloring import bounded_color, edge_partition
+from .coloring import bounded_color, edge_partition, path_clique
 from .errors import (
     BudgetExceeded,
     CliqueTooLarge,
@@ -30,13 +30,14 @@ from .errors import (
 )
 from .farey import residue_partition
 from .formats import canonical_json, graph_json_dict, read_edgelist, write_dimacs, write_edgelist
-from .graphs import OrientedGraph, induced_subgraph
+from .graphs import LabeledGraph, induced_subgraph
 from .oracles import (
     Budget,
     VerificationReport,
     budget_report,
     exact_chromatic_number,
     max_clique,
+    timed_report,
     verify_no_long_path,
     verify_partition_sums,
     verify_proper,
@@ -69,15 +70,6 @@ class RunConfig:
             "budget_nodes": self.budget_nodes,
             "input_sha256": self.input_sha256,
         }
-
-
-class _FileGraph:
-    """Residue-labeled graph loaded from an edge-list file."""
-
-    def __init__(self, graph: OrientedGraph, labels, p):
-        self.graph = graph
-        self.labels = labels
-        self.p = p
 
 
 def _sha256(data: bytes) -> str:
@@ -117,17 +109,17 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _emit_reports(reports: list[VerificationReport], config: RunConfig, out: str | None) -> int:
+def _emit_reports(reports: list[VerificationReport], config: RunConfig, out: str | None, coloring=None) -> int:
     ordered = sorted(reports, key=lambda r: (r.check, r.instance))
     for r in ordered:
         print(f"[{r.verdict}] {r.check} on {r.instance} ({r.wall_time_ms:.1f} ms)", file=sys.stderr)
-    payload = canonical_json(
-        {
-            "config": config.to_json_dict(),
-            "reports": [r.to_json_dict() for r in ordered],
-        }
-    )
-    _write_text(out, payload)
+    payload = {
+        "config": config.to_json_dict(),
+        "reports": [r.to_json_dict() for r in ordered],
+    }
+    if coloring is not None:
+        payload["coloring"] = coloring.to_json_dict()
+    _write_text(out, canonical_json(payload))
     if any(r.verdict == "fail" for r in ordered):
         return 1
     if any(r.verdict == "budget-exceeded" for r in ordered):
@@ -135,14 +127,8 @@ def _emit_reports(reports: list[VerificationReport], config: RunConfig, out: str
     return 0
 
 
-def _timed_report(check: str, instance: str, passed: bool, witness, started) -> VerificationReport:
-    return VerificationReport(
-        check=check,
-        instance=instance,
-        verdict="pass" if passed else "fail",
-        witness=witness,
-        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-    )
+def _verdict(passed: bool) -> str:
+    return "pass" if passed else "fail"
 
 
 # ----------------------------------------------------------------- construct
@@ -233,39 +219,30 @@ def _chromatic_report(g, expected: int, instance: str, budget: Budget) -> Verifi
     try:
         chi = exact_chromatic_number(g, budget)
     except BudgetExceeded as exc:
-        return budget_report("chromatic-number", instance, exc)
+        return budget_report("chromatic-number", instance, exc, started)
     witness = None if chi == expected else {"measured": chi, "expected": expected}
-    return _timed_report("chromatic-number", instance, chi == expected, witness, started)
+    return timed_report("chromatic-number", instance, _verdict(chi == expected), witness, started)
 
 
-def _verify_base(k: int, budget: Budget, size_cap: int) -> list[VerificationReport]:
-    zg = build_zykov(k, size_cap=size_cap)
-    inst = f"zykov(k={k})"
+def _verify_base(zg, budget: Budget) -> list[VerificationReport]:
+    inst = f"zykov(k={zg.k})"
     return [
         verify_triangle_free(zg, instance=inst),
         verify_unique_paths(zg, instance=inst),
-        _chromatic_report(zg, k, inst, budget),
+        _chromatic_report(zg, zg.k, inst, budget),
     ]
 
 
-def _clique_bound_report(g, p: int, instance: str, budget: Budget) -> VerificationReport:
+def _verify_clique_bound(pg: LabeledGraph, instance: str, budget: Budget):
+    """The clique-bound report of a power graph, and the clique order it
+    measured or the BudgetExceeded that stopped the search."""
     started = time.perf_counter()
     try:
-        omega, clique = max_clique(g, budget)
+        omega, clique = max_clique(pg, budget)
     except BudgetExceeded as exc:
-        return budget_report("clique-bound", instance, exc)
-    witness = {"omega": omega, "clique": list(clique), "p": p}
-    return _timed_report("clique-bound", instance, omega <= p, witness, started)
-
-
-def _verify_clique_bound(k: int, p: int, budget: Budget, size_cap: int) -> list[VerificationReport]:
-    zg = build_zykov(k, size_cap=size_cap)
-    pg = build_power_graph(zg, p)
-    inst = f"power(k={k}, p={p})"
-    reports = [_clique_bound_report(pg, p, inst, budget)]
-    if p == 2:
-        reports.append(verify_triangle_free(pg, instance=inst))
-    return reports
+        return budget_report("clique-bound", instance, exc, started), exc
+    witness = {"omega": omega, "clique": list(clique), "p": pg.p}
+    return timed_report("clique-bound", instance, _verdict(omega <= pg.p), witness, started), omega
 
 
 def _cover_report(part, instance: str) -> VerificationReport:
@@ -281,7 +258,7 @@ def _cover_report(part, instance: str) -> VerificationReport:
     stray = sorted(a for a in seen if not 1 <= a <= part.p - 1)
     ok = not duplicated and not missing and not stray
     witness = None if ok else {"missing": missing, "duplicated": sorted(duplicated), "stray": stray}
-    return _timed_report("partition-cover", instance, ok, witness, started)
+    return timed_report("partition-cover", instance, _verdict(ok), witness, started)
 
 
 def _verify_partition(p: int, n: int) -> list[VerificationReport]:
@@ -298,16 +275,13 @@ def _palette_report(coloring, n: int, phi: int, instance: str) -> VerificationRe
         "order_bound": n**phi,
         "square_bound": n ** (n * n),
     }
-    return _timed_report("palette-bound", instance, ok, witness, started)
+    return timed_report("palette-bound", instance, _verdict(ok), witness, started)
 
 
-def _verify_class_paths(k: int, p: int, n: int | None, budget: Budget, size_cap: int, strict: bool) -> list[VerificationReport]:
+def _verify_class_paths(pg: LabeledGraph, k: int, n: int, strict: bool) -> list[VerificationReport]:
     """Per-class long-path checks plus the product coloring on the full power
     graph; a long path is converted to a clique and re-checked before report."""
-    zg = build_zykov(k, size_cap=size_cap)
-    pg = build_power_graph(zg, p)
-    if n is None:
-        n, _ = max_clique(pg, budget)
+    p = pg.p
     if n >= p:
         msg = f"clique order n={n} is not below p={p}; the coloring bound does not apply"
         if strict:
@@ -319,16 +293,11 @@ def _verify_class_paths(k: int, p: int, n: int | None, budget: Budget, size_cap:
     inst = f"power(k={k}, p={p}, n={n})"
     reports = []
     any_long = False
-    und = pg.graph.und_bits()
     for i in range(len(ep.classes)):
         r = verify_no_long_path(ep.class_graph(i), n, instance=f"{inst} class A_{i + 1:03d}")
         if r.verdict == "fail":
             any_long = True
-            clique = sorted(set(r.witness["path"][: n + 1]))
-            for j, a in enumerate(clique):
-                for b in clique[j + 1 :]:
-                    if not (und[a] >> b) & 1:
-                        raise AssertionError("path-to-clique conversion failed re-check")
+            clique = path_clique(pg.graph, r.witness["path"], n)
             r = VerificationReport(
                 check=r.check,
                 instance=r.instance,
@@ -358,28 +327,34 @@ def cmd_verify(args) -> int:
     for name in need:
         if getattr(args, name) is None:
             raise ValueError(f"verify {target} needs --{name}")
+    k, p, n = args.k, args.p, args.n
+    # each instance is built, and its clique searched, at most once per run
+    zg = build_zykov(k, size_cap=args.size_cap) if target != "lemma24" else None
+    pg = build_power_graph(zg, p) if target in ("lemma22", "claim26", "all") else None
     reports: list[VerificationReport] = []
-    resolved_n = args.n
     if target in ("lemma21", "all"):
-        reports += _verify_base(args.k, budget, args.size_cap)
+        reports += _verify_base(zg, budget)
+    if target in ("lemma22", "all") or (target == "claim26" and n is None):
+        inst = f"power(k={k}, p={p})"
+        clique_report, omega = _verify_clique_bound(pg, inst, budget)
     if target in ("lemma22", "all"):
-        reports += _verify_clique_bound(args.k, args.p, budget, args.size_cap)
+        reports.append(clique_report)
+        if p == 2:
+            reports.append(verify_triangle_free(pg, instance=inst))
     if target in ("claim26", "all"):
-        if resolved_n is None:
-            zg = build_zykov(args.k, size_cap=args.size_cap)
-            pg = build_power_graph(zg, args.p)
-            resolved_n, _ = max_clique(pg, budget)
-        reports += _verify_class_paths(
-            args.k, args.p, resolved_n, budget, args.size_cap, strict=(target == "claim26")
-        )
+        if n is None:
+            if isinstance(omega, BudgetExceeded):
+                raise omega
+            n = omega
+        reports += _verify_class_paths(pg, k, n, strict=(target == "claim26"))
     if target in ("lemma24", "all"):
-        n24 = resolved_n if resolved_n is not None else min(6, args.p - 1)
-        n24 = max(1, min(n24, args.p - 1))
-        reports += _verify_partition(args.p, n24)
+        n24 = n if n is not None else min(6, p - 1)
+        n24 = max(1, min(n24, p - 1))
+        reports += _verify_partition(p, n24)
     config = _make_config(
         args,
         f"verify {target}",
-        {"k": args.k, "p": args.p, "n": resolved_n, "size_cap": args.size_cap},
+        {"k": k, "p": p, "n": n, "size_cap": args.size_cap},
         None,
     )
     return _emit_reports(reports, config, args.out)
@@ -390,7 +365,7 @@ def cmd_verify(args) -> int:
 
 def _load_labeled_input(args):
     """Labeled graph from the input file, or built from --k/--p; returns
-    (graph-like, p, instance description, raw input bytes or None)."""
+    (labeled graph, instance description, raw input bytes or None)."""
     if args.input is not None:
         with open(args.input, "rb") as fh:
             raw = fh.read()
@@ -400,20 +375,20 @@ def _load_labeled_input(args):
             raise ValueError("input file carries no modulus; pass --p")
         if labels is None and graph.m > 0:
             raise ValueError("input graph has unlabeled edges; coloring needs residue labels")
-        return _FileGraph(graph, labels or {}, p), p, f"file({args.input})", raw
+        return LabeledGraph(graph, labels or {}, p), f"file({args.input})", raw
     if args.k is None or args.p is None:
         raise ValueError("need an input file, or --k and --p to build one")
     zg = build_zykov(args.k, size_cap=args.size_cap)
-    pg = build_power_graph(zg, args.p)
-    return pg, args.p, f"power(k={args.k}, p={args.p})", None
+    return build_power_graph(zg, args.p), f"power(k={args.k}, p={args.p})", None
 
 
 def cmd_color(args) -> int:
-    shim, p, inst, raw = _load_labeled_input(args)
+    g, inst, raw = _load_labeled_input(args)
+    p = g.p
     budget = _budget(args)
     n = args.n
     if n is None:
-        n, _ = max_clique(shim, budget)
+        n, _ = max_clique(g, budget)
         n = max(1, n)
     if n >= p:
         raise ValueError(f"clique order n={n} must be below p={p}")
@@ -425,40 +400,30 @@ def cmd_color(args) -> int:
     )
     part = residue_partition(p, n)
     inst = f"{inst} n={n}"
+    started = time.perf_counter()
     try:
-        coloring = bounded_color(shim, n, part)
+        coloring = bounded_color(g, n, part)
     except CliqueTooLarge as exc:
-        report = VerificationReport(
-            check="clique-order",
-            instance=inst,
-            verdict="fail",
-            witness={"claimed": n, "clique": exc.clique},
-            wall_time_ms=0.0,
-        )
+        witness = {"claimed": n, "clique": exc.clique}
+        report = timed_report("clique-order", inst, "fail", witness, started)
         return _emit_reports([report], config, args.out)
     reports = [
         verify_proper(coloring, instance=inst),
         _palette_report(coloring, n, len(part.classes), inst),
     ]
-    ordered = sorted(reports, key=lambda r: (r.check, r.instance))
-    for r in ordered:
-        print(f"[{r.verdict}] {r.check} on {r.instance} ({r.wall_time_ms:.1f} ms)", file=sys.stderr)
-    payload = canonical_json(
-        {
-            "config": config.to_json_dict(),
-            "coloring": coloring.to_json_dict(),
-            "reports": [r.to_json_dict() for r in ordered],
-        }
-    )
-    _write_text(args.out, payload)
-    return 1 if any(r.verdict == "fail" for r in ordered) else 0
+    return _emit_reports(reports, config, args.out, coloring=coloring)
 
 
 # ---------------------------------------------------------- sample-hereditary
 
 
 def cmd_sample_hereditary(args) -> int:
-    shim, p, inst, raw = _load_labeled_input(args)
+    if args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
+    if not 0.0 <= args.density <= 1.0:
+        raise ValueError(f"--density must lie in [0, 1], got {args.density}")
+    g, inst, raw = _load_labeled_input(args)
+    p = g.p
     budget = _budget(args)
     config = _make_config(
         args,
@@ -474,44 +439,31 @@ def cmd_sample_hereditary(args) -> int:
         raw,
     )
     rng = random.Random(args.seed)
-    g_n = shim.graph.n
     reports: list[VerificationReport] = []
     for i in range(args.count):
-        vs = [v for v in range(g_n) if rng.random() < args.density]
-        sub = induced_subgraph(shim, vs)
+        vs = [v for v in range(g.graph.n) if rng.random() < args.density]
+        sub = induced_subgraph(g, vs)
+        back = sub.vertices
         sample_inst = f"{inst} sample {i:04d} (|V|={len(vs)})"
         started = time.perf_counter()
         try:
             omega, clique = max_clique(sub, budget)
         except BudgetExceeded as exc:
-            reports.append(budget_report("clique-bound", sample_inst, exc))
+            reports.append(budget_report("clique-bound", sample_inst, exc, started))
             continue
-        reports.append(
-            _timed_report(
-                "clique-bound",
-                sample_inst,
-                omega <= p,
-                {"omega": omega, "clique": [sub.back(v) for v in clique], "p": p},
-                started,
-            )
-        )
+        witness = {"omega": omega, "clique": [back[v] for v in clique], "p": p}
+        reports.append(timed_report("clique-bound", sample_inst, _verdict(omega <= p), witness, started))
         n_i = max(1, omega)
         if n_i >= p:
             print(f"note: sample {i:04d} has omega={omega} >= p; coloring bound not applicable", file=sys.stderr)
             continue
         part = residue_partition(p, n_i)
+        started = time.perf_counter()
         try:
             coloring = bounded_color(sub, n_i, part)
         except CliqueTooLarge as exc:
-            reports.append(
-                VerificationReport(
-                    check="clique-order",
-                    instance=sample_inst,
-                    verdict="fail",
-                    witness={"claimed": n_i, "clique": [sub.back(v) for v in exc.clique]},
-                    wall_time_ms=0.0,
-                )
-            )
+            witness = {"claimed": n_i, "clique": [back[v] for v in exc.clique]}
+            reports.append(timed_report("clique-order", sample_inst, "fail", witness, started))
             continue
         reports.append(verify_proper(coloring, instance=sample_inst))
         reports.append(_palette_report(coloring, n_i, len(part.classes), sample_inst))

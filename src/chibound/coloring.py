@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (
     CliqueTooLarge,
+    InconsistentLabels,
     MissingSize,
     OrderNotLess,
     PathTooLong,
@@ -21,7 +22,7 @@ from .errors import (
     UnlabeledEdge,
 )
 from .farey import ResiduePartition
-from .graphs import OrientedGraph, labeled_view, topological_order
+from .graphs import OrientedGraph, as_labeled, oriented_view, topological_order
 from .power import ClassParameters, sieve_primes
 
 
@@ -52,7 +53,6 @@ class EdgePartition:
     p: int
     n_vertices: int
     classes: tuple[tuple[tuple[int, int], ...], ...]
-    source: object
 
     def class_graph(self, i: int) -> OrientedGraph:
         return OrientedGraph(self.n_vertices, self.classes[i])
@@ -60,21 +60,18 @@ class EdgePartition:
 
 def edge_partition(g, part: ResiduePartition) -> EdgePartition:
     """Split the edge set by which partition class each residue label lies in."""
-    graph, labels, p = labeled_view(g)
-    if p is not None and p != part.p:
-        raise PrimeMismatch(part.p, p)
+    g = as_labeled(g)
+    graph, labels = g.graph, g.labels
+    if g.p is not None and g.p != part.p:
+        raise PrimeMismatch(part.p, g.p)
     if labels is None and graph.m > 0:
         raise UnlabeledEdge(graph.edges[0])
-    class_of = {}
-    for i, cls in enumerate(part.classes):
-        for a in cls:
-            class_of[a] = i
     buckets: list[list[tuple[int, int]]] = [[] for _ in part.classes]
     for e in graph.edges:
         r = labels.get(e)
         if r is None:
             raise UnlabeledEdge(e)
-        i = class_of.get(r)
+        i = part.class_index.get(r)
         if i is None:
             raise UnlabeledEdge(e, label=r)
         buckets[i].append(e)
@@ -82,7 +79,6 @@ def edge_partition(g, part: ResiduePartition) -> EdgePartition:
         p=part.p,
         n_vertices=graph.n,
         classes=tuple(tuple(b) for b in buckets),
-        source=g,
     )
 
 
@@ -93,7 +89,7 @@ def longest_path_coloring(g, k: int) -> Coloring:
     because an edge u -> v forces color(u) >= color(v) + 1. A longer path is an
     error carrying the path itself, never a silent truncation.
     """
-    graph = g if isinstance(g, OrientedGraph) else labeled_view(g)[0]
+    graph = oriented_view(g)
     order = topological_order(graph)
     height = [0] * graph.n
     successor = [-1] * graph.n
@@ -112,6 +108,21 @@ def longest_path_coloring(g, k: int) -> Coloring:
     return Coloring(assignment=tuple(height), palette=k, target=graph)
 
 
+def path_clique(graph: OrientedGraph, path: list[int], n: int) -> list[int]:
+    """The clique on the first n+1 vertices of a directed path in a class graph.
+
+    In a power graph, vertices joined by a path inside one residue class are
+    pairwise adjacent. Each pair is re-checked against ``graph``; a
+    non-adjacent pair raises InconsistentLabels.
+    """
+    clique = sorted(path[: n + 1])
+    for i, a in enumerate(clique):
+        for b in clique[i + 1 :]:
+            if not graph.has_und_edge(a, b):
+                raise InconsistentLabels(path[: n + 1], (a, b))
+    return clique
+
+
 def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
     """Product coloring over per-class longest-path colorings.
 
@@ -120,27 +131,19 @@ def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
     any class graph certifies a clique of size n+1 in g, which is raised as
     CliqueTooLarge after the clique is re-checked edge by edge.
     """
-    graph, _, p = labeled_view(g)
-    if p is not None and n >= p:
-        raise OrderNotLess(n, p)
+    g = as_labeled(g)
+    graph = g.graph
+    if g.p is not None and n >= g.p:
+        raise OrderNotLess(n, g.p)
     if n < 1:
         raise ValueError(f"clique order must be positive, got {n}")
     ep = edge_partition(g, part)
     per_class: list[tuple[int, ...]] = []
     for i in range(len(ep.classes)):
-        class_graph = ep.class_graph(i)
         try:
-            coloring = longest_path_coloring(class_graph, n)
+            coloring = longest_path_coloring(ep.class_graph(i), n)
         except PathTooLong as exc:
-            clique = sorted(exc.path[: n + 1])
-            for a_idx, a in enumerate(clique):
-                for b in clique[a_idx + 1 :]:
-                    if not graph.has_und_edge(a, b):
-                        raise AssertionError(
-                            f"path-to-clique conversion failed on pair ({a}, {b}); "
-                            "residue labels are inconsistent with the partition"
-                        ) from exc
-            raise CliqueTooLarge(clique, n) from exc
+            raise CliqueTooLarge(path_clique(graph, exc.path, n), n) from exc
         per_class.append(coloring.assignment)
 
     phi = len(ep.classes)

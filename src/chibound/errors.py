@@ -82,6 +82,19 @@ class UnlabeledEdge(ValueError):
         self.label = label
 
 
+class InconsistentLabels(ValueError):
+    """A long path inside one residue class did not close into a clique, so
+    the residue labels break the power-graph contract."""
+
+    def __init__(self, path, pair):
+        super().__init__(
+            f"residue labels break the power-graph contract: class path {list(path)} "
+            f"has non-adjacent vertices {pair[0]} and {pair[1]}"
+        )
+        self.path = list(path)
+        self.pair = tuple(pair)
+
+
 class PathTooLong(GraphError):
     def __init__(self, path, bound):
         super().__init__(

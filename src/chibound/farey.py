@@ -7,7 +7,7 @@ interval membership at boundaries must never go through floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotPrime, OrderTooLarge
@@ -63,23 +63,19 @@ class ResiduePartition:
     p: int
     n: int
     classes: tuple[tuple[int, ...], ...]
+    class_index: dict[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # residue -> 0-based class index, built once with the partition
+        index = {a: i for i, cls in enumerate(self.classes) for a in cls}
+        object.__setattr__(self, "class_index", index)
 
     def class_of(self, residue: int) -> int:
         """0-based class index of a residue in {1..p-1}."""
-        idx = self._lookup().get(residue)
+        idx = self.class_index.get(residue)
         if idx is None:
             raise ValueError(f"residue {residue} not in 1..{self.p - 1}")
         return idx
-
-    def _lookup(self) -> dict[int, int]:
-        lookup = getattr(self, "_cache", None)
-        if lookup is None:
-            lookup = {}
-            for i, cls in enumerate(self.classes):
-                for a in cls:
-                    lookup[a] = i
-            object.__setattr__(self, "_cache", lookup)
-        return lookup
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "n": self.n, "classes": [list(c) for c in self.classes]}

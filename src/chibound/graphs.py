@@ -1,5 +1,5 @@
-"""Oriented-graph core: immutable carrier, DAG utilities, reachability distances,
-and induced subgraphs.
+"""Oriented-graph core: immutable carrier, the labeled graph built on it, DAG
+utilities, reachability distances, and induced subgraphs.
 
 Vertices are dense integer indices ``0..n-1``; every construction in this
 package emits deterministic numbering so repeated runs are bit-for-bit
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import CycleFound, MultiplePaths, UnknownVertex
 
@@ -87,22 +87,33 @@ class OrientedGraph:
         return f"OrientedGraph(n={self.n}, m={self.m})"
 
 
+@dataclass(frozen=True, eq=False)
+class LabeledGraph:
+    """An oriented graph with the optional data of a residue-labeled graph.
+
+    A base graph fills ``graph`` only. A power graph also fills ``labels``
+    (edge -> residue d mod p) and the modulus ``p``. An induced subgraph
+    inherits labels and modulus from its parent and records ``vertices``:
+    ``vertices[i]`` is the parent id of the sub-vertex ``i``.
+    """
+
+    graph: OrientedGraph
+    labels: dict[tuple[int, int], int] | None = None
+    p: int | None = None
+    vertices: tuple[int, ...] | None = None
+
+    def __repr__(self) -> str:
+        return f"LabeledGraph(n={self.graph.n}, m={self.graph.m}, p={self.p})"
+
+
 def oriented_view(obj) -> OrientedGraph:
-    """Return the underlying OrientedGraph of any graph-like object."""
-    if isinstance(obj, OrientedGraph):
-        return obj
-    g = getattr(obj, "graph", None)
-    if isinstance(g, OrientedGraph):
-        return g
-    raise TypeError(f"no oriented graph view for {type(obj).__name__}")
+    """Return the OrientedGraph of a graph or of a labeled graph."""
+    return obj.graph if isinstance(obj, LabeledGraph) else obj
 
 
-def labeled_view(obj) -> tuple[OrientedGraph, Mapping[tuple[int, int], int] | None, int | None]:
-    """Return ``(graph, residue labels, modulus)``; labels/modulus None if absent."""
-    g = oriented_view(obj)
-    labels = getattr(obj, "labels", None)
-    p = getattr(obj, "p", None)
-    return g, labels, p
+def as_labeled(obj) -> LabeledGraph:
+    """Return a labeled graph as is, or wrap a bare graph without labels."""
+    return obj if isinstance(obj, LabeledGraph) else LabeledGraph(obj)
 
 
 def topological_order(g) -> list[int]:
@@ -176,12 +187,6 @@ class DistanceTable:
     def d(self, u: int, v: int) -> int | None:
         return self._rows[u].get(v)
 
-    def leq(self, u: int, v: int) -> bool:
-        return v in self._rows[u]
-
-    def row(self, u: int) -> Mapping[int, int]:
-        return self._rows[u]
-
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, d) over all reachable pairs with u != v, ascending u."""
         for u in range(self.n):
@@ -211,30 +216,10 @@ def distance_table(g) -> DistanceTable:
     return DistanceTable(g.n, rows)
 
 
-@dataclass(frozen=True, eq=False)
-class InducedSubgraph:
-    """An induced subgraph with re-densified indices and a recorded back-map.
-
-    ``vertices[i]`` is the parent id of the sub-vertex ``i``. Residue labels and
-    the modulus are inherited when the parent carries them.
-    """
-
-    parent: object
-    vertices: tuple[int, ...]
-    graph: OrientedGraph
-    labels: dict | None
-    p: int | None
-
-    def back(self, v: int) -> int:
-        return self.vertices[v]
-
-    def __repr__(self) -> str:
-        return f"InducedSubgraph(k={len(self.vertices)}, m={self.graph.m})"
-
-
-def induced_subgraph(parent, vs: Iterable[int]) -> InducedSubgraph:
+def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
     """Induce on a vertex subset, keeping exactly the inherited edges and labels."""
-    g, labels, p = labeled_view(parent)
+    parent = as_labeled(parent)
+    g, labels = parent.graph, parent.labels
     chosen = sorted({int(v) for v in vs})
     for v in chosen:
         if not (0 <= v < g.n):
@@ -248,10 +233,6 @@ def induced_subgraph(parent, vs: Iterable[int]) -> InducedSubgraph:
             edges.append(e)
             if sub_labels is not None:
                 sub_labels[e] = labels[(u, v)]
-    return InducedSubgraph(
-        parent=parent,
-        vertices=tuple(chosen),
-        graph=OrientedGraph(len(chosen), edges),
-        labels=sub_labels,
-        p=p,
+    return LabeledGraph(
+        OrientedGraph(len(chosen), edges), sub_labels, parent.p, tuple(chosen)
     )

@@ -89,7 +89,8 @@ def _describe(g: OrientedGraph) -> str:
     return f"graph(n={g.n}, m={g.m})"
 
 
-def _report(check, instance, verdict, witness, started) -> VerificationReport:
+def timed_report(check: str, instance: str, verdict: str, witness, started: float) -> VerificationReport:
+    """A report whose wall time runs from ``started`` (a perf_counter reading) to now."""
     return VerificationReport(
         check=check,
         instance=instance,
@@ -99,20 +100,15 @@ def _report(check, instance, verdict, witness, started) -> VerificationReport:
     )
 
 
-def budget_report(check: str, instance: str, exc: BudgetExceeded) -> VerificationReport:
-    """Wrap an exceeded search budget as a report instead of a crash."""
+def budget_report(check: str, instance: str, exc: BudgetExceeded, started: float) -> VerificationReport:
+    """Wrap an exceeded search budget, begun at ``started``, as a report
+    instead of a crash."""
     witness = {"nodes": exc.nodes}
     if exc.best_lower is not None:
         witness["best_lower"] = exc.best_lower
     if exc.best_upper is not None:
         witness["best_upper"] = exc.best_upper
-    return VerificationReport(
-        check=check,
-        instance=instance,
-        verdict="budget-exceeded",
-        witness=witness,
-        wall_time_ms=0.0,
-    )
+    return timed_report(check, instance, "budget-exceeded", witness, started)
 
 
 # ---------------------------------------------------------------- chromatic
@@ -388,7 +384,7 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
         placed = set(order)
         cycle = _cycle_witness(graph, set(range(graph.n)) - placed)
         _check_cycle(graph, cycle)
-        return _report("unique-paths", instance, "fail", {"cycle": cycle}, started)
+        return timed_report("unique-paths", instance, "fail", {"cycle": cycle}, started)
     counts: list[dict[int, int] | None] = [None] * graph.n
     for u in reversed(order):
         row = {u: 1}
@@ -406,7 +402,7 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
         if dup:
             break
     if dup is None:
-        return _report("unique-paths", instance, "pass", None, started)
+        return timed_report("unique-paths", instance, "pass", None, started)
     u, v = dup
     paths = _two_paths(graph, u, v)
     if len(paths) != 2 or paths[0] == paths[1]:
@@ -416,7 +412,7 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
             graph.has_edge(a, b) for a, b in zip(p, p[1:])
         ):
             raise AssertionError("duplicate-path witness failed edge re-check")
-    return _report(
+    return timed_report(
         "unique-paths",
         instance,
         "fail",
@@ -440,10 +436,10 @@ def verify_triangle_free(g, instance: str | None = None) -> VerificationReport:
                 for b in tri[i + 1 :]:
                     if not (und[a] >> b) & 1:
                         raise AssertionError("triangle witness failed re-check")
-            return _report(
+            return timed_report(
                 "triangle-free", instance, "fail", {"triangle": tri}, started
             )
-    return _report("triangle-free", instance, "pass", None, started)
+    return timed_report("triangle-free", instance, "pass", None, started)
 
 
 def verify_partition_sums(part, instance: str | None = None) -> VerificationReport:
@@ -483,14 +479,14 @@ def verify_partition_sums(part, instance: str | None = None) -> VerificationRepo
             )
             if not ok:
                 raise AssertionError("zero-sum witness failed re-check")
-            return _report(
+            return timed_report(
                 "partition-sums",
                 instance,
                 "fail",
                 {"class_index": i + 1, "multiset": witness},
                 started,
             )
-    return _report("partition-sums", instance, "pass", None, started)
+    return timed_report("partition-sums", instance, "pass", None, started)
 
 
 def verify_no_long_path(g, n: int, instance: str | None = None) -> VerificationReport:
@@ -521,14 +517,14 @@ def verify_no_long_path(g, n: int, instance: str | None = None) -> VerificationR
             )
             if not ok:
                 raise AssertionError("long-path witness failed re-check")
-            return _report(
+            return timed_report(
                 "no-long-path",
                 instance,
                 "fail",
                 {"path": path, "bound": n},
                 started,
             )
-    return _report("no-long-path", instance, "pass", None, started)
+    return timed_report("no-long-path", instance, "pass", None, started)
 
 
 def verify_proper(coloring, instance: str | None = None) -> VerificationReport:
@@ -541,7 +537,7 @@ def verify_proper(coloring, instance: str | None = None) -> VerificationReport:
     for v in range(graph.n):
         c = assignment[v]
         if not (0 <= c < coloring.palette):
-            return _report(
+            return timed_report(
                 "proper-coloring",
                 instance,
                 "fail",
@@ -550,11 +546,11 @@ def verify_proper(coloring, instance: str | None = None) -> VerificationReport:
             )
     for u, v in graph.edges:
         if assignment[u] == assignment[v]:
-            return _report(
+            return timed_report(
                 "proper-coloring",
                 instance,
                 "fail",
                 {"edge": [u, v], "color": assignment[u]},
                 started,
             )
-    return _report("proper-coloring", instance, "pass", None, started)
+    return timed_report("proper-coloring", instance, "pass", None, started)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import DomainTooSmall, NotPrime
-from .graphs import DistanceTable, OrientedGraph, distance_table, oriented_view
+from .graphs import DistanceTable, LabeledGraph, OrientedGraph, distance_table, oriented_view
 
 
 def is_prime(n: int) -> bool:
@@ -57,26 +57,12 @@ def primes_through_first_exceeding(n_max: int) -> list[int]:
     raise AssertionError("sieve limit too small")
 
 
-@dataclass(frozen=True, eq=False)
-class PowerGraph:
-    """Residue-labeled comparability-style graph over a unique-path base.
+def build_power_graph(base, p: int, distances: DistanceTable | None = None) -> LabeledGraph:
+    """Build the power graph of a verified unique-path base for prime p.
 
     Edges are exactly the pairs (u, v) with u below v in the base reachability
     order and path length d(u, v) not divisible by p; the label is d mod p.
     The base is a subgraph: its edges all carry label 1.
-    """
-
-    p: int
-    base: OrientedGraph
-    graph: OrientedGraph
-    labels: dict
-
-    def __repr__(self) -> str:
-        return f"PowerGraph(p={self.p}, n={self.graph.n}, m={self.graph.m})"
-
-
-def build_power_graph(base, p: int, distances: DistanceTable | None = None) -> PowerGraph:
-    """Build the power graph of a verified unique-path base for prime p.
 
     Propagates CycleFound/MultiplePaths from the distance computation when the
     base breaks the unique-path contract.
@@ -93,7 +79,7 @@ def build_power_graph(base, p: int, distances: DistanceTable | None = None) -> P
         if r != 0:
             edges.append((u, v))
             labels[(u, v)] = r
-    return PowerGraph(p=p, base=g, graph=OrientedGraph(g.n, edges), labels=labels)
+    return LabeledGraph(OrientedGraph(g.n, edges), labels, p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import SizeBudgetExceeded
-from .graphs import OrientedGraph
+from .graphs import LabeledGraph, OrientedGraph
 
 DEFAULT_SIZE_CAP = 10**6
 
@@ -42,10 +42,11 @@ class VertexTag:
         return {"level": self.level, "copy": self.copy, "transversal": self.transversal}
 
 
-@dataclass(frozen=True, eq=False)
-class ZykovGraph:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ZykovGraph(LabeledGraph):
+    """A tower graph: an unlabeled LabeledGraph with its level and provenance."""
+
     k: int
-    graph: OrientedGraph
     provenance: tuple[VertexTag, ...]
 
     def copy_vertices(self, j: int) -> list[int]:
@@ -94,7 +95,7 @@ def build_zykov(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> ZykovGraph:
         raise SizeBudgetExceeded(predicted_v, size_cap)
 
     levels: list[ZykovGraph] = [
-        ZykovGraph(1, OrientedGraph(1), (VertexTag(1, None, None),))
+        ZykovGraph(OrientedGraph(1), k=1, provenance=(VertexTag(1, None, None),))
     ]
     while len(levels) < k:
         levels.append(_compose(levels))
@@ -127,7 +128,7 @@ def _compose(levels: list[ZykovGraph]) -> ZykovGraph:
         tags.append(VertexTag(new_level, None, t_index))
         apex += 1
 
-    return ZykovGraph(new_level, OrientedGraph(apex, edges), tuple(tags))
+    return ZykovGraph(OrientedGraph(apex, edges), k=new_level, provenance=tuple(tags))
 
 
 def provenance_json_dict(zg: ZykovGraph) -> dict:

@@ -259,15 +259,26 @@ def test_criterion_7_oracles_agree_with_naive_enumeration():
         assert max_clique(g)[0] == _omega_naive(g), f"seed {seed}"
 
 
+# Each criterion-8 command with the sha256 of its --out file. An intended
+# change to report bytes updates the digest here and is declared in CHANGES.md.
+CRITERION_8_RUNS = [
+    (["construct", "zykov", "--k", "4"],
+     "5026b4232159204aeb9f59794a4a8691b9b8cd34301244a1bb2f06ec105ae2f6"),
+    (["construct", "power", "--k", "4", "--p", "5", "--format", "json"],
+     "c23eb13a185e7ca734c1c2fb8bd70212b4f94ad6825cab3bd6136ad1361bd78f"),
+    (["verify", "all", "--k", "3", "--p", "5"],
+     "6a459df00c4e724f139c28db20f9da8ca9a7c99d80024765d044a6d7db3eac34"),
+    (["verify", "lemma24", "--p", "31", "--n", "6"],
+     "35040770145798f0e644515f53996e03b690215db943e91aa75e623141461901"),
+    (["color", "--k", "4", "--p", "5"],
+     "fc4dd357f66df97ba0eae0063d5022008a2ff24c9368e84d30b89c78ee86ed23"),
+    (["sample-hereditary", "--k", "4", "--p", "3", "--count", "50", "--seed", "11"],
+     "c6e6c5917089c1d81e52d9e6307b35283ea554d103d55f10e25331c069f6fc01"),
+]
+
+
 def test_criterion_8_reruns_are_byte_identical(tmp_path):
-    commands = [
-        ["construct", "zykov", "--k", "4"],
-        ["construct", "power", "--k", "4", "--p", "5", "--format", "json"],
-        ["verify", "all", "--k", "3", "--p", "5"],
-        ["verify", "lemma24", "--p", "31", "--n", "6"],
-        ["color", "--k", "4", "--p", "5"],
-        ["sample-hereditary", "--k", "4", "--p", "3", "--count", "50", "--seed", "11"],
-    ]
+    commands = [argv for argv, _ in CRITERION_8_RUNS]
     for idx, argv in enumerate(commands):
         digests = set()
         for attempt in range(2):
@@ -276,3 +287,10 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
             assert code == 0, argv
             digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
         assert len(digests) == 1, argv
+
+
+def test_criterion_8_outputs_match_pinned_digests(tmp_path):
+    for idx, (argv, digest) in enumerate(CRITERION_8_RUNS):
+        out = tmp_path / f"{idx}.out"
+        assert main(argv + ["--out", str(out)]) == 0, argv
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv

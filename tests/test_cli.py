@@ -7,7 +7,11 @@ modulus, or an exceeded search budget.
 
 import hashlib
 import json
+import re
 
+import pytest
+
+import chibound.cli as cli
 from chibound import build_power_graph, build_zykov, write_edgelist
 from chibound.cli import main
 
@@ -191,6 +195,38 @@ def test_verify_budget_exceeded_exit_code(capsys):
     assert by_check["chromatic-number"]["witness"]["best_upper"] >= 4
 
 
+def test_verify_budget_exceeded_report_has_wall_time(capsys):
+    code, _, err = run(capsys, "verify", "lemma21", "--k", "5", "--budget-nodes", "300")
+    assert code == OPERATIONAL
+    line = re.search(r"\[budget-exceeded\] chromatic-number on zykov\(k=5\) \(([0-9.]+) ms\)", err)
+    assert line and float(line.group(1)) > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all", "--k", "3", "--p", "5"],
+        ["verify", "all", "--k", "3", "--p", "5", "--n", "2"],
+        ["verify", "claim26", "--k", "3", "--p", "5"],
+        ["verify", "lemma22", "--k", "3", "--p", "5"],
+        ["verify", "lemma21", "--k", "3"],
+    ],
+)
+def test_verify_builds_each_instance_once(monkeypatch, capsys, argv):
+    calls = {"build_zykov": 0, "build_power_graph": 0, "max_clique": 0}
+    for name in calls:
+        real = getattr(cli, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    code, _, _ = run(capsys, *argv)
+    assert code in (PASS, FAIL)
+    assert all(count <= 1 for count in calls.values()), calls
+
+
 def test_verify_report_file_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
@@ -259,6 +295,18 @@ def test_color_operational_errors(tmp_path, capsys):
     assert code == OPERATIONAL and "must be below" in err
 
 
+def test_color_and_sample_reject_labels_that_break_the_contract(tmp_path, capsys):
+    # the label-1 path 0 -> 1 -> 2 lacks the edge 0 -> 2 that a power graph has
+    path = tmp_path / "bad.edges"
+    path.write_text("# p: 5\nn 3 2\n0 1 1\n1 2 1\n")
+    for command in ("color", "sample-hereditary"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == OPERATIONAL, command
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "non-adjacent vertices 0 and 2" in err
+
+
 # ---------------------------------------------------------- sample-hereditary
 
 
@@ -279,6 +327,17 @@ def test_sample_hereditary_zero_count(capsys):
         capsys, "sample-hereditary", "--k", "3", "--p", "2", "--count", "0"
     )
     assert code == PASS and doc["reports"] == []
+
+
+def test_sample_hereditary_rejects_negative_count(capsys):
+    code, out, err = run(capsys, "sample-hereditary", "--k", "3", "--p", "2", "--count", "-3")
+    assert code == OPERATIONAL and out == "" and "--count" in err
+
+
+def test_sample_hereditary_rejects_density_outside_unit_interval(capsys):
+    for density in ("7", "-0.1"):
+        code, out, err = run(capsys, "sample-hereditary", "--k", "3", "--p", "2", "--density", density)
+        assert code == OPERATIONAL and out == "" and "--density" in err
 
 
 def test_sample_hereditary_deterministic(capsys):

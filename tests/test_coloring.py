@@ -1,10 +1,9 @@
-import types
-
 import pytest
 
 from chibound import (
     CliqueTooLarge,
     CycleFound,
+    LabeledGraph,
     MissingSize,
     OrderNotLess,
     OrientedGraph,
@@ -27,11 +26,11 @@ from chibound import (
 
 
 def labeled(n, labeled_edges, p):
-    """Ad-hoc residue-labeled graph; enough shape for the coloring pipeline."""
-    return types.SimpleNamespace(
-        graph=OrientedGraph(n, [e for e, _ in labeled_edges]),
-        labels={e: r for e, r in labeled_edges},
-        p=p,
+    """Ad-hoc residue-labeled graph for the coloring pipeline."""
+    return LabeledGraph(
+        OrientedGraph(n, [e for e, _ in labeled_edges]),
+        {e: r for e, r in labeled_edges},
+        p,
     )
 
 

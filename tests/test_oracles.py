@@ -3,6 +3,7 @@ hand or by enumeration, witness integrity, and determinism of reports."""
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -204,6 +205,6 @@ def test_report_serialization_excludes_timing_by_default():
 
 def test_budget_report_shape():
     exc = BudgetExceeded("chromatic-number", 42, best_lower=3, best_upper=5)
-    r = budget_report("chromatic-number", "x", exc)
+    r = budget_report("chromatic-number", "x", exc, time.perf_counter())
     assert r.verdict == "budget-exceeded"
     assert r.witness == {"nodes": 42, "best_lower": 3, "best_upper": 5}
