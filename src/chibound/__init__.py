@@ -9,11 +9,9 @@ brute-force oracles certify each property on desk-scale instances.
 """
 
 from .coloring import (
-    ChiBoundResult,
     Coloring,
     EdgePartition,
     bounded_color,
-    chi_bound,
     edge_partition,
     longest_path_coloring,
 )
@@ -24,7 +22,6 @@ from .errors import (
     DomainTooSmall,
     GraphError,
     InconsistentLabels,
-    MissingSize,
     MultiplePaths,
     NotPrime,
     OrderNotLess,
@@ -83,7 +80,6 @@ from .zykov import VertexTag, ZykovGraph, build_zykov, predict_size
 __all__ = [
     "Budget",
     "BudgetExceeded",
-    "ChiBoundResult",
     "ClassParameters",
     "CliqueTooLarge",
     "Coloring",
@@ -95,7 +91,6 @@ __all__ = [
     "GraphError",
     "InconsistentLabels",
     "LabeledGraph",
-    "MissingSize",
     "MultiplePaths",
     "NotPrime",
     "OrderNotLess",
@@ -115,7 +110,6 @@ __all__ = [
     "build_power_graph",
     "build_zykov",
     "canonical_json",
-    "chi_bound",
     "class_parameters",
     "distance_table",
     "edge_partition",

@@ -278,6 +278,25 @@ def _palette_report(coloring, n: int, phi: int, instance: str) -> VerificationRe
     return timed_report("palette-bound", instance, _verdict(ok), witness, started)
 
 
+def _color_reports(g: LabeledGraph, n: int, part, instance: str):
+    """The reports of the product coloring of g at clique order n, and the
+    coloring. A refuted order is one clique-order fail report, with the
+    clique in the parent's vertex ids when g is an induced subgraph, and no
+    coloring."""
+    started = time.perf_counter()
+    try:
+        coloring = bounded_color(g, n, part)
+    except CliqueTooLarge as exc:
+        clique = exc.clique if g.vertices is None else [g.vertices[v] for v in exc.clique]
+        witness = {"claimed": n, "clique": clique}
+        return [timed_report("clique-order", instance, "fail", witness, started)], None
+    reports = [
+        verify_proper(coloring, instance=instance),
+        _palette_report(coloring, n, len(part.classes), instance),
+    ]
+    return reports, coloring
+
+
 def _verify_class_paths(pg: LabeledGraph, k: int, n: int, strict: bool) -> list[VerificationReport]:
     """Per-class long-path checks plus the product coloring on the full power
     graph; a long path is converted to a clique and re-checked before report."""
@@ -308,10 +327,7 @@ def _verify_class_paths(pg: LabeledGraph, k: int, n: int, strict: bool) -> list[
         reports.append(r)
     if any_long:
         return reports
-    coloring = bounded_color(pg, n, part)
-    reports.append(verify_proper(coloring, instance=inst))
-    reports.append(_palette_report(coloring, n, len(part.classes), inst))
-    return reports
+    return reports + _color_reports(pg, n, part, inst)[0]
 
 
 def cmd_verify(args) -> int:
@@ -375,7 +391,7 @@ def _load_labeled_input(args):
             raise ValueError("input file carries no modulus; pass --p")
         if labels is None and graph.m > 0:
             raise ValueError("input graph has unlabeled edges; coloring needs residue labels")
-        return LabeledGraph(graph, labels or {}, p), f"file({args.input})", raw
+        return LabeledGraph(graph, labels or (), p), f"file({args.input})", raw
     if args.k is None or args.p is None:
         raise ValueError("need an input file, or --k and --p to build one")
     zg = build_zykov(args.k, size_cap=args.size_cap)
@@ -398,19 +414,7 @@ def cmd_color(args) -> int:
         {"k": args.k, "p": p, "n": n, "input": args.input, "size_cap": args.size_cap},
         raw,
     )
-    part = residue_partition(p, n)
-    inst = f"{inst} n={n}"
-    started = time.perf_counter()
-    try:
-        coloring = bounded_color(g, n, part)
-    except CliqueTooLarge as exc:
-        witness = {"claimed": n, "clique": exc.clique}
-        report = timed_report("clique-order", inst, "fail", witness, started)
-        return _emit_reports([report], config, args.out)
-    reports = [
-        verify_proper(coloring, instance=inst),
-        _palette_report(coloring, n, len(part.classes), inst),
-    ]
+    reports, coloring = _color_reports(g, n, residue_partition(p, n), f"{inst} n={n}")
     return _emit_reports(reports, config, args.out, coloring=coloring)
 
 
@@ -443,7 +447,6 @@ def cmd_sample_hereditary(args) -> int:
     for i in range(args.count):
         vs = [v for v in range(g.graph.n) if rng.random() < args.density]
         sub = induced_subgraph(g, vs)
-        back = sub.vertices
         sample_inst = f"{inst} sample {i:04d} (|V|={len(vs)})"
         started = time.perf_counter()
         try:
@@ -451,22 +454,13 @@ def cmd_sample_hereditary(args) -> int:
         except BudgetExceeded as exc:
             reports.append(budget_report("clique-bound", sample_inst, exc, started))
             continue
-        witness = {"omega": omega, "clique": [back[v] for v in clique], "p": p}
+        witness = {"omega": omega, "clique": [sub.vertices[v] for v in clique], "p": p}
         reports.append(timed_report("clique-bound", sample_inst, _verdict(omega <= p), witness, started))
         n_i = max(1, omega)
         if n_i >= p:
             print(f"note: sample {i:04d} has omega={omega} >= p; coloring bound not applicable", file=sys.stderr)
             continue
-        part = residue_partition(p, n_i)
-        started = time.perf_counter()
-        try:
-            coloring = bounded_color(sub, n_i, part)
-        except CliqueTooLarge as exc:
-            witness = {"claimed": n_i, "clique": [back[v] for v in exc.clique]}
-            reports.append(timed_report("clique-order", sample_inst, "fail", witness, started))
-            continue
-        reports.append(verify_proper(coloring, instance=sample_inst))
-        reports.append(_palette_report(coloring, n_i, len(part.classes), sample_inst))
+        reports += _color_reports(sub, n_i, residue_partition(p, n_i), sample_inst)[0]
     return _emit_reports(reports, config, args.out)
 
 

@@ -2,7 +2,7 @@
 coloring that bounds the chromatic number of any power-graph subgraph by a
 function of its clique number alone.
 
-The pipeline distrusts its caller: if a class graph turns out to contain a
+The pipeline distrusts its caller: if a residue class turns out to contain a
 directed path of the forbidden length, the path converts into an explicit
 clique one larger than the claimed clique number, and that witness is
 re-checked against the graph before it is surfaced.
@@ -11,19 +11,18 @@ re-checked against the graph before it is surfaced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     CliqueTooLarge,
     InconsistentLabels,
-    MissingSize,
     OrderNotLess,
     PathTooLong,
     PrimeMismatch,
     UnlabeledEdge,
 )
 from .farey import ResiduePartition
-from .graphs import OrientedGraph, as_labeled, oriented_view, topological_order
-from .power import ClassParameters, sieve_primes
+from .graphs import LabeledGraph, OrientedGraph, as_labeled, oriented_view, topological_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,28 +57,63 @@ class EdgePartition:
         return OrientedGraph(self.n_vertices, self.classes[i])
 
 
-def edge_partition(g, part: ResiduePartition) -> EdgePartition:
-    """Split the edge set by which partition class each residue label lies in."""
-    g = as_labeled(g)
+def _edge_classes(g: LabeledGraph, part: ResiduePartition) -> list[int]:
+    """The partition class of each edge's residue label, parallel to
+    ``g.graph.edges``."""
     graph, labels = g.graph, g.labels
     if g.p is not None and g.p != part.p:
         raise PrimeMismatch(part.p, g.p)
     if labels is None and graph.m > 0:
         raise UnlabeledEdge(graph.edges[0])
+    classes = list(map(part.class_index.get, labels or ()))
+    if None in classes:
+        j = classes.index(None)
+        raise UnlabeledEdge(graph.edges[j], label=labels[j])
+    return classes
+
+
+def edge_partition(g, part: ResiduePartition) -> EdgePartition:
+    """Split the edge set by which partition class each residue label lies in."""
+    g = as_labeled(g)
     buckets: list[list[tuple[int, int]]] = [[] for _ in part.classes]
-    for e in graph.edges:
-        r = labels.get(e)
-        if r is None:
-            raise UnlabeledEdge(e)
-        i = part.class_index.get(r)
-        if i is None:
-            raise UnlabeledEdge(e, label=r)
+    for e, i in zip(g.graph.edges, _edge_classes(g, part)):
         buckets[i].append(e)
     return EdgePartition(
         p=part.p,
-        n_vertices=graph.n,
+        n_vertices=g.graph.n,
         classes=tuple(tuple(b) for b in buckets),
     )
+
+
+def _longest_paths(graph: OrientedGraph, edge_class: list[int], phi: int, k: int) -> list[list[int]]:
+    """Per class c < phi, the length of the longest directed path of class-c
+    edges leaving each vertex; ``edge_class[j]`` is the class of
+    ``graph.edges[j]``.
+
+    One topological order of the whole graph serves every class. A class
+    whose longest path reaches length k raises PathTooLong, the first such
+    class in class order: the path starts at the lowest-indexed vertex of
+    greatest height and takes the lowest-indexed successor of greatest height
+    at each step.
+    """
+    order = topological_order(graph)
+    out = [graph.out_neighbors(u) for u in range(graph.n)]
+    first = list(accumulate(map(len, out), initial=0))  # edges of u: first[u]..first[u+1]
+    height = [[0] * graph.n for _ in range(phi)]
+    successor = [[-1] * graph.n for _ in range(phi)]
+    for u in reversed(order):
+        for v, c in zip(out[u], edge_class[first[u] : first[u + 1]]):
+            h = height[c]
+            if h[v] + 1 > h[u]:
+                h[u] = h[v] + 1
+                successor[c][u] = v
+    for h, succ in zip(height, successor):
+        if h and max(h) >= k:
+            path = [h.index(max(h))]
+            while succ[path[-1]] != -1:
+                path.append(succ[path[-1]])
+            raise PathTooLong(path, k)
+    return height
 
 
 def longest_path_coloring(g, k: int) -> Coloring:
@@ -90,21 +124,7 @@ def longest_path_coloring(g, k: int) -> Coloring:
     error carrying the path itself, never a silent truncation.
     """
     graph = oriented_view(g)
-    order = topological_order(graph)
-    height = [0] * graph.n
-    successor = [-1] * graph.n
-    for u in reversed(order):
-        for v in graph.out_neighbors(u):
-            if height[v] + 1 > height[u]:
-                height[u] = height[v] + 1
-                successor[u] = v
-    if graph.n > 0:
-        top = max(range(graph.n), key=lambda v: (height[v], -v))
-        if height[top] >= k:
-            path = [top]
-            while successor[path[-1]] != -1:
-                path.append(successor[path[-1]])
-            raise PathTooLong(path, k)
+    (height,) = _longest_paths(graph, [0] * graph.m, 1, k)
     return Coloring(assignment=tuple(height), palette=k, target=graph)
 
 
@@ -127,9 +147,10 @@ def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
     """Product coloring over per-class longest-path colorings.
 
     ``n`` is the caller's clique number for g and must be below the modulus.
-    Each class graph is colored with bound n; a directed path of length n in
-    any class graph certifies a clique of size n+1 in g, which is raised as
-    CliqueTooLarge after the clique is re-checked edge by edge.
+    Each residue class is colored with bound n in one pass over the labeled
+    edges; a directed path of length n inside any class certifies a clique of
+    size n+1 in g, which is raised as CliqueTooLarge after the clique is
+    re-checked edge by edge. A directed cycle in g raises CycleFound.
     """
     g = as_labeled(g)
     graph = g.graph
@@ -137,20 +158,16 @@ def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
         raise OrderNotLess(n, g.p)
     if n < 1:
         raise ValueError(f"clique order must be positive, got {n}")
-    ep = edge_partition(g, part)
-    per_class: list[tuple[int, ...]] = []
-    for i in range(len(ep.classes)):
-        try:
-            coloring = longest_path_coloring(ep.class_graph(i), n)
-        except PathTooLong as exc:
-            raise CliqueTooLarge(path_clique(graph, exc.path, n), n) from exc
-        per_class.append(coloring.assignment)
+    edge_class = _edge_classes(g, part)
+    phi = len(part.classes)
+    try:
+        per_class = _longest_paths(graph, edge_class, phi, n)
+    except PathTooLong as exc:
+        raise CliqueTooLarge(path_clique(graph, exc.path, n), n) from exc
 
-    phi = len(ep.classes)
     mixed = []
     tuples = []
-    for v in range(graph.n):
-        coords = tuple(per_class[i][v] for i in range(phi))
+    for coords in zip(*per_class):
         code = 0
         for c in reversed(coords):
             code = code * n + c
@@ -161,61 +178,4 @@ def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
         palette=n**phi,
         target=graph,
         tuples=tuple(tuples),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class ChiBoundResult:
-    """The bounding value at clique order n, with every term's provenance.
-
-    ``prime_terms`` maps each prime q <= n to (value, kind) where kind is
-    "exact" when an exact chromatic number was supplied and "vertex-count"
-    for the always-valid fallback upper bound; the substitution is flagged,
-    never silent.
-    """
-
-    n: int
-    bound: int
-    polynomial_term: int
-    prime_terms: tuple[tuple[int, int, str], ...]
-
-    @property
-    def substituted(self) -> bool:
-        return any(kind == "vertex-count" for _, _, kind in self.prime_terms)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "bound": self.bound,
-            "polynomial_term": self.polynomial_term,
-            "prime_terms": [
-                {"prime": q, "value": v, "kind": kind} for q, v, kind in self.prime_terms
-            ],
-            "substituted": self.substituted,
-        }
-
-
-def chi_bound(
-    n: int,
-    params: ClassParameters,
-    sizes: dict[int, int],
-    exact_chi: dict[int, int] | None = None,
-) -> ChiBoundResult:
-    """Bounding function value at n: max of n^(n^2) and a per-prime term for
-    every prime q <= n, preferring exact chromatic numbers over vertex counts."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    exact_chi = exact_chi or {}
-    poly = n ** (n * n)
-    terms = []
-    for q in sieve_primes(n):
-        if q in exact_chi:
-            terms.append((q, int(exact_chi[q]), "exact"))
-        elif q in sizes:
-            terms.append((q, int(sizes[q]), "vertex-count"))
-        else:
-            raise MissingSize(q)
-    bound = max([poly] + [v for _, v, _ in terms])
-    return ChiBoundResult(
-        n=n, bound=bound, polynomial_term=poly, prime_terms=tuple(terms)
     )

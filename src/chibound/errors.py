@@ -122,12 +122,6 @@ class CliqueTooLarge(GraphError):
         self.claimed = claimed
 
 
-class MissingSize(ValueError):
-    def __init__(self, prime):
-        super().__init__(f"no size or exact value available for prime {prime}")
-        self.prime = prime
-
-
 class BudgetExceeded(GraphError):
     """A search ran out of its node or time budget; never a silent approximation."""
 

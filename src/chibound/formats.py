@@ -20,7 +20,8 @@ def canonical_json(obj) -> str:
 
 
 def write_edgelist(g: OrientedGraph, labels=None, metadata=None) -> str:
-    """Serialize a graph (optionally residue-labeled) to edge-list text."""
+    """Serialize a graph to edge-list text, with ``labels[j]`` as the residue
+    of ``g.edges[j]`` when labels are given."""
     lines = []
     if metadata:
         for key in metadata:
@@ -29,11 +30,10 @@ def write_edgelist(g: OrientedGraph, labels=None, metadata=None) -> str:
                 value = json.dumps(value, sort_keys=True)
             lines.append(f"# {key}: {value}")
     lines.append(f"n {g.n} {g.m}")
-    for u, v in g.edges:
-        if labels is None:
-            lines.append(f"{u} {v}")
-        else:
-            lines.append(f"{u} {v} {labels[(u, v)]}")
+    if labels is None:
+        lines.extend(f"{u} {v}" for u, v in g.edges)
+    else:
+        lines.extend(f"{u} {v} {r}" for (u, v), r in zip(g.edges, labels))
     return "\n".join(lines) + "\n"
 
 
@@ -41,12 +41,15 @@ def read_edgelist(text: str):
     """Parse edge-list text.
 
     Returns ``(graph, labels, metadata)`` where ``labels`` is None for an
-    unlabeled file and ``metadata`` maps comment keys to their string values.
+    unlabeled file and otherwise a tuple parallel to ``graph.edges`` (whatever
+    order the file lists the edges in), and ``metadata`` maps comment keys to
+    their string values. An edge listed twice is an error.
     """
     metadata: dict[str, str] = {}
     header = None
     edges: list[tuple[int, int]] = []
-    labels: dict[tuple[int, int], int] = {}
+    seen: set[tuple[int, int]] = set()
+    labels: list[int] = []
     labeled = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -74,17 +77,24 @@ def read_edgelist(text: str):
             labeled = this_labeled
         elif labeled != this_labeled:
             raise ValueError(f"line {lineno}: mixed labeled and unlabeled edges")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
+        e = (int(parts[0]), int(parts[1]))
+        if e in seen:
+            raise ValueError(f"line {lineno}: duplicate edge {e[0]} {e[1]}")
+        seen.add(e)
+        edges.append(e)
         if this_labeled:
-            labels[(u, v)] = int(parts[2])
+            labels.append(int(parts[2]))
     if header is None:
         raise ValueError("missing header line 'n <vertices> <edges>'")
     n, m = header
     if len(edges) != m:
         raise ValueError(f"header declares {m} edges, found {len(edges)}")
     g = OrientedGraph(n, edges)
-    return g, (labels if labeled else None), metadata
+    if not labeled:
+        return g, None, metadata
+    # the graph keeps its edges sorted; sort the labels the same way
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    return g, tuple(labels[j] for j in order), metadata
 
 
 def write_dimacs(g: OrientedGraph) -> str:
@@ -97,11 +107,12 @@ def write_dimacs(g: OrientedGraph) -> str:
 
 
 def graph_json_dict(g: OrientedGraph, labels=None, p=None) -> dict:
-    """JSON-ready dict view of a graph, with residue labels when present."""
+    """JSON-ready dict view of a graph, with residue labels (parallel to
+    ``g.edges``) when present."""
     if labels is None:
         edges = [[u, v] for u, v in g.edges]
     else:
-        edges = [[u, v, labels[(u, v)]] for u, v in g.edges]
+        edges = [[u, v, r] for (u, v), r in zip(g.edges, labels)]
     out = {"n": g.n, "edges": edges}
     if p is not None:
         out["p"] = p

@@ -92,15 +92,20 @@ class LabeledGraph:
     """An oriented graph with the optional data of a residue-labeled graph.
 
     A base graph fills ``graph`` only. A power graph also fills ``labels``
-    (edge -> residue d mod p) and the modulus ``p``. An induced subgraph
-    inherits labels and modulus from its parent and records ``vertices``:
-    ``vertices[i]`` is the parent id of the sub-vertex ``i``.
+    and the modulus ``p``: ``labels[j]`` is the residue d mod p of
+    ``graph.edges[j]``. An induced subgraph inherits labels and modulus from
+    its parent and records ``vertices``: ``vertices[i]`` is the parent id of
+    the sub-vertex ``i``.
     """
 
     graph: OrientedGraph
-    labels: dict[tuple[int, int], int] | None = None
+    labels: tuple[int, ...] | None = None
     p: int | None = None
     vertices: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.labels is not None and len(self.labels) != self.graph.m:
+            raise ValueError(f"{len(self.labels)} residue labels for {self.graph.m} edges")
 
     def __repr__(self) -> str:
         return f"LabeledGraph(n={self.graph.n}, m={self.graph.m}, p={self.p})"
@@ -225,14 +230,15 @@ def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
         if not (0 <= v < g.n):
             raise UnknownVertex(v, g.n)
     index = {old: new for new, old in enumerate(chosen)}
+    # the renumbering is monotone, so kept edges stay in canonical order and
+    # their labels stay parallel to them
     edges = []
-    sub_labels: dict[tuple[int, int], int] | None = {} if labels is not None else None
-    for u, v in g.edges:
+    kept = []
+    for j, (u, v) in enumerate(g.edges):
         if u in index and v in index:
-            e = (index[u], index[v])
-            edges.append(e)
-            if sub_labels is not None:
-                sub_labels[e] = labels[(u, v)]
+            edges.append((index[u], index[v]))
+            kept.append(j)
+    sub_labels = None if labels is None else tuple(labels[j] for j in kept)
     return LabeledGraph(
         OrientedGraph(len(chosen), edges), sub_labels, parent.p, tuple(chosen)
     )

@@ -72,14 +72,15 @@ def build_power_graph(base, p: int, distances: DistanceTable | None = None) -> L
     g = oriented_view(base)
     if distances is None:
         distances = distance_table(g)
+    # pairs() ascends, so the labels come out parallel to the canonical edges
     edges = []
-    labels = {}
+    labels = []
     for u, v, d in distances.pairs():
         r = d % p
         if r != 0:
             edges.append((u, v))
-            labels[(u, v)] = r
-    return LabeledGraph(OrientedGraph(g.n, edges), labels, p)
+            labels.append(r)
+    return LabeledGraph(OrientedGraph(g.n, edges), tuple(labels), p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -307,6 +307,20 @@ def test_color_and_sample_reject_labels_that_break_the_contract(tmp_path, capsys
         assert "non-adjacent vertices 0 and 2" in err
 
 
+def test_color_rejects_duplicate_edges_and_directed_cycles(tmp_path, capsys):
+    duplicated = tmp_path / "dup.edges"
+    duplicated.write_text("# p: 5\nn 3 2\n0 1 1\n0 1 2\n")
+    code, out, err = run(capsys, "color", str(duplicated))
+    assert code == OPERATIONAL and out == ""
+    assert "line 4: duplicate edge 0 1" in err
+    # each residue class is acyclic, the graph is not
+    cyclic = tmp_path / "cycle.edges"
+    cyclic.write_text("# p: 5\nn 2 2\n0 1 1\n1 0 4\n")
+    code, out, err = run(capsys, "color", str(cyclic), "--n", "2")
+    assert code == OPERATIONAL and out == ""
+    assert "directed cycle" in err
+
+
 # ---------------------------------------------------------- sample-hereditary
 
 

@@ -1,10 +1,11 @@
+import random
+
 import pytest
 
 from chibound import (
     CliqueTooLarge,
     CycleFound,
     LabeledGraph,
-    MissingSize,
     OrderNotLess,
     OrientedGraph,
     PathTooLong,
@@ -13,25 +14,21 @@ from chibound import (
     bounded_color,
     build_power_graph,
     build_zykov,
-    chi_bound,
-    class_parameters,
     edge_partition,
     exact_chromatic_number,
+    induced_subgraph,
     longest_path_coloring,
     max_clique,
     residue_partition,
-    tabulate_f,
     verify_proper,
 )
 
 
 def labeled(n, labeled_edges, p):
     """Ad-hoc residue-labeled graph for the coloring pipeline."""
-    return LabeledGraph(
-        OrientedGraph(n, [e for e, _ in labeled_edges]),
-        {e: r for e, r in labeled_edges},
-        p,
-    )
+    label_of = dict(labeled_edges)
+    graph = OrientedGraph(n, label_of)
+    return LabeledGraph(graph, tuple(label_of[e] for e in graph.edges), p)
 
 
 def test_longest_path_coloring_on_a_path():
@@ -59,6 +56,11 @@ def test_longest_path_coloring_rejects_long_paths_with_witness():
     assert exc.value.path == [0, 1, 2]
     with pytest.raises(PathTooLong):
         longest_path_coloring(OrientedGraph(2, [(0, 1)]), 1)
+    # ties: the lowest-indexed top vertex, then the lowest-indexed successor
+    tied = OrientedGraph(7, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (5, 6)])
+    with pytest.raises(PathTooLong) as exc:
+        longest_path_coloring(tied, 2)
+    assert exc.value.path == [0, 1, 3]
 
 
 def test_longest_path_coloring_rejects_cycles():
@@ -134,10 +136,47 @@ def test_bounded_color_full_power_graph():
         for c in col.tuples[v]:
             assert code % n == c
             code //= n
-    for e, r in pg.labels.items():
+    for (u, v), r in zip(pg.graph.edges, pg.labels):
         i = part.class_of(r)
-        u, v = e
         assert col.tuples[u][i] != col.tuples[v][i]
+
+
+def test_bounded_color_tuples_are_the_class_colorings():
+    pg = build_power_graph(build_zykov(4), 5)
+    rng = random.Random(4)
+    for _ in range(20):
+        sub = induced_subgraph(pg, [v for v in range(pg.graph.n) if rng.random() < rng.random()])
+        n = max(1, max_clique(sub)[0])
+        part = residue_partition(5, n)
+        col = bounded_color(sub, n, part)
+        ep = edge_partition(sub, part)
+        for i in range(len(part.classes)):
+            assignment = longest_path_coloring(ep.class_graph(i), n).assignment
+            assert tuple(t[i] for t in col.tuples) == assignment
+
+
+def test_bounded_color_builds_no_graph(monkeypatch):
+    pg = build_power_graph(build_zykov(4), 5)
+    part = residue_partition(5, 4)
+    built = []
+    init = OrientedGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrientedGraph, "__init__", counting_init)
+    assert verify_proper(bounded_color(pg, 4, part)).passed
+    assert built == []
+    edge_partition(pg, part).class_graph(0)
+    assert len(built) == 1
+
+
+def test_bounded_color_rejects_a_cycle_across_acyclic_classes():
+    # 0 -> 1 lies in class A_1 = {1, 2} and 1 -> 0 in A_2 = {3, 4}
+    g = labeled(2, [((0, 1), 1), ((1, 0), 4)], 5)
+    with pytest.raises(CycleFound):
+        bounded_color(g, 2, residue_partition(5, 2))
 
 
 def test_bounded_color_converts_long_path_to_clique():
@@ -152,6 +191,15 @@ def test_bounded_color_converts_long_path_to_clique():
     for i, a in enumerate(clique):
         for b in clique[i + 1 :]:
             assert pg.graph.has_und_edge(a, b)
+    # both classes hold a long path; the first class in class order is reported
+    g = labeled(
+        6,
+        [((0, 1), 3), ((1, 2), 3), ((0, 2), 1), ((3, 4), 1), ((4, 5), 1), ((3, 5), 3)],
+        5,
+    )
+    with pytest.raises(CliqueTooLarge) as exc:
+        bounded_color(g, 2, residue_partition(5, 2))
+    assert exc.value.clique == [3, 4, 5]
 
 
 def test_bounded_color_beats_exact_chi_on_small_instances():
@@ -159,32 +207,3 @@ def test_bounded_color_beats_exact_chi_on_small_instances():
     n, _ = max_clique(pg)
     col = bounded_color(pg, n, residue_partition(5, n))
     assert exact_chromatic_number(pg) <= col.palette
-
-
-def test_chi_bound_trivial_order():
-    res = chi_bound(1, class_parameters(tabulate_f("n^2", 2), 2), {})
-    assert res.bound == 1 and res.prime_terms == ()
-
-
-def test_chi_bound_substitutes_vertex_counts():
-    params = class_parameters(tabulate_f("n^2", 2), 2)
-    res = chi_bound(2, params, {2: 18})
-    assert res.bound == 18  # max(2^4, 18)
-    assert res.substituted
-    assert res.prime_terms == ((2, 18, "vertex-count"),)
-
-
-def test_chi_bound_prefers_exact_values():
-    params = class_parameters(tabulate_f("n^2", 2), 2)
-    res = chi_bound(2, params, {2: 18}, exact_chi={2: 4})
-    assert res.bound == 16  # max(2^4, 4)
-    assert not res.substituted
-    assert res.to_json_dict()["prime_terms"] == [
-        {"prime": 2, "value": 4, "kind": "exact"}
-    ]
-
-
-def test_chi_bound_missing_prime_data():
-    params = class_parameters(tabulate_f("n^2", 3), 3)
-    with pytest.raises(MissingSize):
-        chi_bound(3, params, {2: 18})

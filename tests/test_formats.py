@@ -24,13 +24,19 @@ def test_edgelist_roundtrip_unlabeled():
 
 def test_edgelist_roundtrip_labeled_with_metadata():
     g = OrientedGraph(3, [(0, 1), (1, 2)])
-    labels = {(0, 1): 1, (1, 2): 2}
+    labels = (1, 2)
     text = write_edgelist(g, labels=labels, metadata={"p": 3, "note": "x: y"})
     back, back_labels, metadata = read_edgelist(text)
     assert back == g
     assert back_labels == labels
     # metadata values come back as strings; colons in values survive
     assert metadata == {"p": "3", "note": "x: y"}
+
+
+def test_edgelist_labels_follow_the_canonical_edge_order():
+    back, labels, _ = read_edgelist("n 3 3\n1 2 3\n0 2 2\n0 1 4\n")
+    assert back.edges == ((0, 1), (0, 2), (1, 2))
+    assert labels == (4, 2, 3)
 
 
 def test_edgelist_skips_blank_lines():
@@ -49,6 +55,10 @@ def test_edgelist_errors():
         read_edgelist("n 3 2\n0 1 1\n1 2\n")
     with pytest.raises(ValueError, match="expected 'u v' or 'u v r'"):
         read_edgelist("n 2 1\n0 1 2 3\n")
+    with pytest.raises(ValueError, match="line 4: duplicate edge 0 1"):
+        read_edgelist("# p: 5\nn 3 2\n0 1 1\n0 1 2\n")
+    with pytest.raises(ValueError, match="line 3: duplicate edge 0 1"):
+        read_edgelist("n 2 2\n0 1\n0 1\n")
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():
@@ -72,7 +82,7 @@ def test_dimacs_collapses_antiparallel_pairs():
 def test_graph_json_dict_shapes():
     g = OrientedGraph(2, [(0, 1)])
     assert graph_json_dict(g) == {"n": 2, "edges": [[0, 1]]}
-    assert graph_json_dict(g, labels={(0, 1): 4}, p=5) == {
+    assert graph_json_dict(g, labels=(4,), p=5) == {
         "n": 2,
         "edges": [[0, 1, 4]],
         "p": 5,
@@ -85,7 +95,7 @@ def test_edgelist_roundtrip_random(seed, with_labels):
     g = random_dag(rng, max_n=30)
     labels = None
     if with_labels and g.m:
-        labels = {e: rng.randrange(1, 7) for e in g.edges}
+        labels = tuple(rng.randrange(1, 7) for _ in g.edges)
     back, back_labels, _ = read_edgelist(write_edgelist(g, labels=labels))
     assert back == g
     assert back_labels == labels

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from chibound import (
     CycleFound,
+    LabeledGraph,
     MultiplePaths,
     OrientedGraph,
     UnknownVertex,
@@ -134,12 +135,21 @@ def test_induced_subgraph_unknown_vertex():
         induced_subgraph(OrientedGraph(2), [0, 5])
 
 
+def test_labeled_graph_needs_one_label_per_edge():
+    g = OrientedGraph(3, [(0, 1), (1, 2)])
+    assert LabeledGraph(g, (1, 2), 3).labels == (1, 2)
+    for labels in ((1,), (1, 2, 1)):
+        with pytest.raises(ValueError, match="labels for 2 edges"):
+            LabeledGraph(g, labels, 3)
+
+
 def test_induced_subgraph_inherits_residue_labels():
     pg = build_power_graph(build_zykov(3), 3)
     sub = induced_subgraph(pg, [1, 2, 4])
     assert sub.p == 3
-    for (u, v), r in sub.labels.items():
-        assert pg.labels[(sub.vertices[u], sub.vertices[v])] == r
+    label_of = dict(zip(pg.graph.edges, pg.labels))
+    for (u, v), r in zip(sub.graph.edges, sub.labels):
+        assert label_of[(sub.vertices[u], sub.vertices[v])] == r
     assert len(sub.labels) == sub.graph.m
 
 
