@@ -45,7 +45,7 @@ from .oracles import (
     verify_unique_paths,
 )
 from .power import BUILTIN_F, build_power_graph, class_parameters, tabulate_f
-from .zykov import DEFAULT_SIZE_CAP, build_zykov, predict_size, provenance_json_dict
+from .zykov import DEFAULT_SIZE_CAP, build_zykov, capped_size, provenance_json_dict
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -166,7 +166,7 @@ def cmd_construct(args) -> int:
         config = _make_config(
             args, "construct zykov", {"k": args.k, "size_cap": args.size_cap, "format": args.format}, None
         )
-        pv, pe = predict_size(args.k)
+        pv, pe = capped_size(args.k, args.size_cap)
         print(f"predicted size: {pv} vertices, {pe} edges", file=sys.stderr)
         zg = build_zykov(args.k, size_cap=args.size_cap)
         if (zg.graph.n, zg.graph.m) != (pv, pe):
@@ -181,7 +181,7 @@ def cmd_construct(args) -> int:
             {"k": k, "p": p, "f": args.f, "n": args.n, "size_cap": args.size_cap, "format": args.format},
             None,
         )
-        pv, pe = predict_size(k)
+        pv, pe = capped_size(k, args.size_cap)
         print(f"predicted base size: {pv} vertices, {pe} edges", file=sys.stderr)
         zg = build_zykov(k, size_cap=args.size_cap)
         pg = build_power_graph(zg, p)
@@ -386,9 +386,14 @@ def _load_labeled_input(args):
         with open(args.input, "rb") as fh:
             raw = fh.read()
         graph, labels, meta = read_edgelist(raw.decode())
-        p = args.p if args.p is not None else (int(meta["p"]) if "p" in meta else None)
+        p = args.p
         if p is None:
-            raise ValueError("input file carries no modulus; pass --p")
+            if "p" not in meta:
+                raise ValueError("input file carries no modulus; pass --p")
+            try:
+                p = int(meta["p"])
+            except ValueError:
+                raise ValueError(f"input file's modulus '# p: {meta['p']}' is not an integer") from None
         if labels is None and graph.m > 0:
             raise ValueError("input graph has unlabeled edges; coloring needs residue labels")
         return LabeledGraph(graph, labels or (), p), f"file({args.input})", raw

@@ -37,10 +37,21 @@ class MultiplePaths(UniquePathViolation):
         self.paths = list(paths) if paths is not None else None
 
 
+def _count_text(x: int) -> str:
+    """``x`` in decimal, or the power of ten below it once it is too long to
+    read (str() refuses integers of more than 4,300 digits)."""
+    if x < 10**18:
+        return str(x)
+    digits = int(x.bit_length() * 0.30102999566398120) + 1  # exact or one too many
+    if 10 ** (digits - 1) > x:
+        digits -= 1
+    return f"at least 10^{digits - 1}"
+
+
 class SizeBudgetExceeded(GraphError):
     def __init__(self, predicted_vertices, cap):
         super().__init__(
-            f"predicted size {predicted_vertices} vertices exceeds cap {cap}"
+            f"predicted size {_count_text(predicted_vertices)} vertices exceeds cap {cap}"
         )
         self.predicted_vertices = predicted_vertices
         self.cap = cap

@@ -65,7 +65,10 @@ def read_edgelist(text: str):
         if header is None:
             if parts[0] != "n" or len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected header 'n <vertices> <edges>'")
-            header = (int(parts[1]), int(parts[2]))
+            try:
+                header = (int(parts[1]), int(parts[2]))
+            except ValueError:
+                raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
             continue
         if len(parts) == 2:
             this_labeled = False
@@ -77,13 +80,16 @@ def read_edgelist(text: str):
             labeled = this_labeled
         elif labeled != this_labeled:
             raise ValueError(f"line {lineno}: mixed labeled and unlabeled edges")
-        e = (int(parts[0]), int(parts[1]))
+        try:
+            e = (int(parts[0]), int(parts[1]))
+            if this_labeled:
+                labels.append(int(parts[2]))
+        except ValueError:
+            raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
         if e in seen:
             raise ValueError(f"line {lineno}: duplicate edge {e[0]} {e[1]}")
         seen.add(e)
         edges.append(e)
-        if this_labeled:
-            labels.append(int(parts[2]))
     if header is None:
         raise ValueError("missing header line 'n <vertices> <edges>'")
     n, m = header

@@ -133,73 +133,113 @@ def _greedy_clique(und, n: int) -> list[int]:
     return clique
 
 
-def _dsatur_greedy(und, n: int) -> tuple[int, list[int]]:
+def _neighbour_lists(graph: OrientedGraph) -> list[list[int]]:
+    """Neighbour list of every vertex of the undirected view, ascending since
+    the undirected edges come sorted."""
+    nbrs = [[] for _ in range(graph.n)]
+    for u, v in graph.undirected_edges():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+def _select(heap: list, colors: list[int], nsat: list[int]) -> int:
+    """The uncolored vertex of greatest (saturation, degree, -index), read
+    from the top of a lazy heap of (-saturation, -degree, vertex) entries.
+    Entries of colored vertices and stale counts are discarded on the way;
+    the chosen entry stays, since a refuted vertex is chosen again. A heap
+    grown past four entries per vertex is cut back to its live entries,
+    which bounds its memory on long searches."""
+    if len(heap) > 4 * len(colors) + 16:
+        heap[:] = {e for e in heap if colors[e[2]] < 0 and nsat[e[2]] == -e[0]}
+        heapq.heapify(heap)
+    while True:
+        s, _, v = heap[0]
+        if colors[v] < 0 and nsat[v] == -s:
+            return v
+        heapq.heappop(heap)
+
+
+def _dsatur_greedy(nbrs: list[list[int]]) -> tuple[int, list[int]]:
     """Greedy coloring in saturation order; returns (colors used, assignment)."""
+    n = len(nbrs)
     colors = [-1] * n
     sat = [0] * n
-    deg = [und[v].bit_count() for v in range(n)]
+    nsat = [0] * n
+    heap = [(0, -len(nbrs[v]), v) for v in range(n)]
+    heapq.heapify(heap)
     used = 0
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (sat[u].bit_count(), deg[u], -u),
-        )
+        v = _select(heap, colors, nsat)
         c = 0
         while (sat[v] >> c) & 1:
             c += 1
         colors[v] = c
         used = max(used, c + 1)
-        m = und[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            sat[w] |= 1 << c
+        bit = 1 << c
+        for w in nbrs[v]:
+            if colors[w] < 0 and not sat[w] & bit:
+                sat[w] |= bit
+                nsat[w] += 1
+                heapq.heappush(heap, (-nsat[w], -len(nbrs[w]), w))
     return used, colors
 
 
-def _k_colorable(und, n: int, k: int, tracker: _Tracker) -> list[int] | None:
+def _k_colorable(nbrs: list[list[int]], k: int, tracker: _Tracker) -> list[int] | None:
     """Backtracking k-colorability with dynamic saturation ordering and the
-    new-color symmetry break (a vertex may open at most one fresh color)."""
+    new-color symmetry break (a vertex may open at most one fresh color).
+
+    The search runs on an explicit stack of (vertex, next color, used)
+    frames, one per colored vertex, and ticks the tracker once per node
+    entered, the final all-colored node included.
+    """
+    n = len(nbrs)
+    negdeg = [-len(row) for row in nbrs]
     colors = [-1] * n
-    deg = [und[v].bit_count() for v in range(n)]
-    cnt = [[0] * k for _ in range(n)]
-    sat = [0] * n
-    full = (1 << k) - 1
+    cnt = [0] * (n * k)  # cnt[w * k + c]: neighbours of w colored c
+    sat = [0] * n  # bit c set iff cnt[w * k + c] > 0
+    nsat = [0] * n
+    heap = [(0, negdeg[v], v) for v in range(n)]
+    heapq.heapify(heap)
+    push = heapq.heappush
 
     def flip(v: int, c: int, delta: int):
         colors[v] = c if delta > 0 else -1
+        if delta < 0:
+            push(heap, (-nsat[v], negdeg[v], v))
         bit = 1 << c
-        m = und[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            cnt[w][c] += delta
-            if cnt[w][c] > 0:
-                sat[w] |= bit
-            else:
-                sat[w] &= ~bit
+        edge = 1 if delta > 0 else 0  # the count at which bit c of sat[w] flips
+        for w in nbrs[v]:
+            i = w * k + c
+            cnt[i] += delta
+            if cnt[i] == edge:
+                sat[w] ^= bit
+                nsat[w] += delta
+                if colors[w] < 0:
+                    push(heap, (-nsat[w], negdeg[w], w))
 
-    def bt(colored: int, used: int) -> bool:
+    stack: list[tuple[int, int, int]] = []
+    used = 0
+    while True:
         tracker.tick()
-        if colored == n:
-            return True
-        v, best_key = -1, None
-        for u in range(n):
-            if colors[u] == -1:
-                key = (sat[u].bit_count(), deg[u], -u)
-                if best_key is None or key > best_key:
-                    best_key, v = key, u
-        if sat[v] == full:
-            return False
-        for c in range(min(used + 1, k)):
-            if not (sat[v] >> c) & 1:
+        if len(stack) == n:
+            return colors
+        stack.append((_select(heap, colors, nsat), 0, used))
+        while stack:
+            v, c, used = stack[-1]
+            if colors[v] >= 0:
+                flip(v, colors[v], -1)
+            limit = min(used + 1, k)
+            while c < limit and (sat[v] >> c) & 1:
+                c += 1
+            if c < limit:
+                stack[-1] = (v, c + 1, used)
                 flip(v, c, +1)
-                if bt(colored + 1, max(used, c + 1)):
-                    return True
-                flip(v, c, -1)
-        return False
-
-    return colors if bt(0, 0) else None
+                used = max(used, c + 1)
+                break
+            stack.pop()
+        else:
+            return None
 
 
 def exact_chromatic_number(g, budget: Budget | None = None) -> int:
@@ -214,13 +254,13 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
     n = graph.n
     if n == 0:
         return 0
-    und = graph.und_bits()
+    nbrs = _neighbour_lists(graph)
     tracker = _Tracker("chromatic-number", budget)
-    lb = max(1, len(_greedy_clique(und, n)))
-    ub, _ = _dsatur_greedy(und, n)
+    lb = max(1, len(_greedy_clique(graph.und_bits(), n)))
+    ub, _ = _dsatur_greedy(nbrs)
     for k in range(lb, ub):
         try:
-            if _k_colorable(und, n, k, tracker) is not None:
+            if _k_colorable(nbrs, k, tracker) is not None:
                 return k
         except BudgetExceeded as exc:
             raise BudgetExceeded(

@@ -86,13 +86,18 @@ def predict_size(k: int) -> tuple[int, int]:
     return sizes[k - 1]
 
 
+def capped_size(k: int, size_cap: int) -> tuple[int, int]:
+    """predict_size(k), refused with SizeBudgetExceeded when its vertex count
+    is above size_cap."""
+    pv, pe = predict_size(k)
+    if pv > size_cap:
+        raise SizeBudgetExceeded(pv, size_cap)
+    return pv, pe
+
+
 def build_zykov(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> ZykovGraph:
     """Build the level-k tower graph with its acyclic orientation and provenance."""
-    if k < 1:
-        raise ValueError(f"level must be positive, got {k}")
-    predicted_v, _ = predict_size(k)
-    if predicted_v > size_cap:
-        raise SizeBudgetExceeded(predicted_v, size_cap)
+    capped_size(k, size_cap)
 
     levels: list[ZykovGraph] = [
         ZykovGraph(OrientedGraph(1), k=1, provenance=(VertexTag(1, None, None),))

@@ -107,6 +107,14 @@ def test_construct_errors(capsys):
     assert code == OPERATIONAL and "error:" in err
 
 
+def test_construct_refuses_a_huge_tower_before_printing_its_size(capsys):
+    # --f n^2 --n 4 asks for level g(3) = 16, whose vertex count has 4,681 digits
+    for argv in (("power", "--f", "n^2", "--n", "4"), ("zykov", "--k", "16")):
+        code, out, err = run(capsys, "construct", *argv)
+        assert code == OPERATIONAL and out == ""
+        assert err == "error: predicted size at least 10^4680 vertices exceeds cap 1000000\n"
+
+
 # -------------------------------------------------------------------- verify
 
 
@@ -293,6 +301,19 @@ def test_color_operational_errors(tmp_path, capsys):
 
     code, _, err = run(capsys, "color", "--k", "3", "--p", "3")
     assert code == OPERATIONAL and "must be below" in err
+
+
+def test_color_names_the_line_or_modulus_that_is_not_an_integer(tmp_path, capsys):
+    token = tmp_path / "token.edges"
+    token.write_text("# p: 5\nn 3 1\n0 x 1\n")
+    code, out, err = run(capsys, "color", str(token), "--n", "2")
+    assert code == OPERATIONAL and out == ""
+    assert err == "error: line 3: expected integers, got '0 x 1'\n"
+    modulus = tmp_path / "modulus.edges"
+    modulus.write_text("# p: x\nn 3 1\n0 1 1\n")
+    code, out, err = run(capsys, "color", str(modulus), "--n", "2")
+    assert code == OPERATIONAL and out == ""
+    assert err == "error: input file's modulus '# p: x' is not an integer\n"
 
 
 def test_color_and_sample_reject_labels_that_break_the_contract(tmp_path, capsys):

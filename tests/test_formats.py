@@ -59,6 +59,10 @@ def test_edgelist_errors():
         read_edgelist("# p: 5\nn 3 2\n0 1 1\n0 1 2\n")
     with pytest.raises(ValueError, match="line 3: duplicate edge 0 1"):
         read_edgelist("n 2 2\n0 1\n0 1\n")
+    with pytest.raises(ValueError, match="line 3: expected integers, got '0 x 1'"):
+        read_edgelist("# p: 5\nn 3 1\n0 x 1\n")
+    with pytest.raises(ValueError, match="line 1: expected integers, got 'n 3 x'"):
+        read_edgelist("n 3 x\n0 1\n")
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():

@@ -1,6 +1,7 @@
 """The verifier suite itself: exact values on graphs small enough to check by
 hand or by enumeration, witness integrity, and determinism of reports."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -16,6 +17,7 @@ from chibound import (
     ResiduePartition,
     build_zykov,
     exact_chromatic_number,
+    induced_subgraph,
     longest_path_coloring,
     max_clique,
     residue_partition,
@@ -25,7 +27,9 @@ from chibound import (
     verify_triangle_free,
     verify_unique_paths,
 )
+from chibound import oracles
 from chibound.coloring import Coloring
+from chibound.graphs import oriented_view
 from chibound.oracles import budget_report
 from helpers import random_dag, random_oriented_graph
 
@@ -64,6 +68,90 @@ def test_chromatic_number_budget_carries_bounds():
         exact_chromatic_number(C5, Budget(max_nodes=1))
     assert exc.value.best_lower == 2
     assert exc.value.best_upper == 3
+
+
+def test_chromatic_search_needs_no_recursion():
+    n = 2001
+    path = [(i, i + 1) for i in range(n - 1)]
+    assert exact_chromatic_number(OrientedGraph(n, path + [(0, n - 1)])) == 3
+    assert exact_chromatic_number(OrientedGraph(n, path)) == 2
+
+
+def test_chromatic_budget_stops_cleanly_on_level_six():
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_chromatic_number(build_zykov(6), Budget(max_nodes=3000))
+    assert (exc.value.nodes, exc.value.best_lower, exc.value.best_upper) == (3001, 3, 6)
+
+
+def _pinned_graphs():
+    """zykov(1..4), 16 seeded dense induced subgraphs of zykov(5) and 10
+    seeded random graphs whose degrees do not follow the vertex order."""
+    graphs = [build_zykov(k) for k in range(1, 5)]
+    z5 = build_zykov(5)
+    for seed in range(16):
+        rng = random.Random(seed)
+        density = rng.uniform(0.5, 0.9)
+        graphs.append(induced_subgraph(z5, [v for v in range(z5.graph.n) if rng.random() < density]))
+    for seed in range(10):
+        rng = random.Random(seed)
+        n, density = rng.randint(25, 45), rng.uniform(0.1, 0.4)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        graphs.append(OrientedGraph(n, edges))
+    return graphs
+
+
+# (n, m, chi, search nodes, greedy colors) per graph, and a digest of every
+# greedy and k-colorable coloring, recorded from the recursive search
+PINNED_SEARCHES = [
+    (1, 0, 1, 0, 1), (2, 1, 2, 0, 2), (5, 5, 3, 5, 3), (18, 36, 4, 51, 4),
+    (170, 579, 4, 198, 4), (121, 209, 3, 5, 3), (177, 474, 4, 178, 4), (117, 283, 3, 6, 3),
+    (118, 318, 3, 5, 3), (145, 323, 3, 155, 4), (169, 466, 4, 177, 4), (136, 402, 4, 217, 4),
+    (127, 240, 4, 94, 4), (151, 423, 4, 321, 4), (159, 486, 4, 469, 4), (137, 392, 4, 234, 4),
+    (145, 448, 4, 378, 4), (132, 175, 3, 7, 3), (115, 123, 3, 5, 3), (177, 597, 4, 360, 4),
+    (37, 209, 6, 121, 6), (29, 106, 5, 31, 5), (26, 40, 4, 0, 4), (32, 137, 5, 67, 6),
+    (32, 83, 4, 12, 4), (44, 179, 5, 67, 5), (43, 312, 7, 470, 7), (35, 228, 6, 207, 7),
+    (32, 116, 4, 63, 5), (39, 226, 6, 414, 7),
+]
+PINNED_COLORINGS_SHA256 = "5cec4ccf7a54e26e4096518d5301bd06b1a65ed46ad6db277a611a6ae413d12d"
+
+
+def test_chromatic_search_visits_the_pinned_nodes(monkeypatch):
+    k_colorable, dsatur_greedy = oracles._k_colorable, oracles._dsatur_greedy
+    record = {}
+
+    def recording_k_colorable(*args):
+        tracker = args[-1]
+        result = k_colorable(*args)
+        record["nodes"] = tracker.nodes
+        record["colorings"].append(result)
+        return result
+
+    def recording_dsatur_greedy(*args):
+        record["greedy"] = dsatur_greedy(*args)
+        return record["greedy"]
+
+    monkeypatch.setattr(oracles, "_k_colorable", recording_k_colorable)
+    monkeypatch.setattr(oracles, "_dsatur_greedy", recording_dsatur_greedy)
+    rows, digest = [], hashlib.sha256()
+    for g in _pinned_graphs():
+        record.update(nodes=0, colorings=[], greedy=None)
+        chi = exact_chromatic_number(g)
+        graph = oriented_view(g)
+        rows.append((graph.n, graph.m, chi, record["nodes"], record["greedy"][0]))
+        digest.update(repr((record["greedy"], record["colorings"])).encode())
+    assert rows == PINNED_SEARCHES
+    assert digest.hexdigest() == PINNED_COLORINGS_SHA256
+
+
+@pytest.mark.parametrize(
+    "max_nodes, bracket",
+    [(5, (3, 5)), (50, (3, 5)), (500, (4, 5)), (2000, (4, 5)), (20_000, (4, 5))],
+)
+def test_chromatic_budget_stops_on_level_five_are_pinned(max_nodes, bracket):
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_chromatic_number(build_zykov(5), Budget(max_nodes=max_nodes))
+    assert exc.value.nodes == max_nodes + 1
+    assert (exc.value.best_lower, exc.value.best_upper) == bracket
 
 
 def test_max_clique_triangle():

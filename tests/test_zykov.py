@@ -111,6 +111,9 @@ def test_size_cap_blocks_oversized_builds():
     assert exc.value.predicted_vertices == 18
     with pytest.raises(SizeBudgetExceeded):
         build_zykov(7)  # ~1.4e9 vertices, beyond the default cap
+    # str() refuses the 4,681 digits of this vertex count
+    with pytest.raises(SizeBudgetExceeded, match=r"predicted size at least 10\^4680 vertices exceeds cap 1000000"):
+        build_zykov(16)
 
 
 def test_level_six_still_matches_prediction():
