@@ -37,11 +37,12 @@ class MultiplePaths(UniquePathViolation):
         self.paths = list(paths) if paths is not None else None
 
 
-def _count_text(x: int) -> str:
-    """``x`` in decimal, or the power of ten below it once it is too long to
-    read (str() refuses integers of more than 4,300 digits)."""
+def _count_text(x: int, exact: bool) -> str:
+    """``x`` in decimal, prefixed "at least" when it is a lower bound, or the
+    power of ten below it once it is too long to read (str() refuses
+    integers of more than 4,300 digits)."""
     if x < 10**18:
-        return str(x)
+        return str(x) if exact else f"at least {x}"
     digits = int(x.bit_length() * 0.30102999566398120) + 1  # exact or one too many
     if 10 ** (digits - 1) > x:
         digits -= 1
@@ -49,12 +50,16 @@ def _count_text(x: int) -> str:
 
 
 class SizeBudgetExceeded(GraphError):
-    def __init__(self, predicted_vertices, cap):
+    """A predicted vertex count above the cap. ``predicted_vertices`` is the
+    size asked for when ``exact``, else a lower bound on it."""
+
+    def __init__(self, predicted_vertices, cap, exact=True):
         super().__init__(
-            f"predicted size {_count_text(predicted_vertices)} vertices exceeds cap {cap}"
+            f"predicted size {_count_text(predicted_vertices, exact)} vertices exceeds cap {cap}"
         )
         self.predicted_vertices = predicted_vertices
         self.cap = cap
+        self.exact = exact
 
 
 class NotPrime(ValueError):

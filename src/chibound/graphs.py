@@ -31,7 +31,10 @@ class OrientedGraph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         self.n = int(n)
-        canon = sorted({(int(u), int(v)) for u, v in edges})
+        # builders pass ascending edges, on which the sort is linear (a set would
+        # hand it hash order); duplicates end up adjacent and are dropped
+        pairs = sorted([(int(u), int(v)) for u, v in edges])
+        canon = [e for e, nxt in zip(pairs, pairs[1:]) if e != nxt] + pairs[-1:]
         out = [[] for _ in range(self.n)]
         inn = [[] for _ in range(self.n)]
         out_bits = [0] * self.n

@@ -269,11 +269,31 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
     return ub
 
 
+def _fits_in_classes(und, p_mask: int, room: int) -> bool:
+    """Whether greedy coloring splits the vertices of ``p_mask`` into at most
+    ``room`` independent sets, each taking the lowest remaining vertex that
+    has no neighbour in it yet. A clique has one vertex in each set."""
+    classes = 0
+    while p_mask:
+        classes += 1
+        if classes > room:
+            return False
+        q = p_mask
+        while q:
+            bit = q & -q
+            p_mask ^= bit
+            q &= ~(und[bit.bit_length() - 1] | bit)
+    return True
+
+
 def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact maximum clique of the undirected view, with one witness clique.
 
     Bron-Kerbosch with greatest-cover pivoting on bitset rows; candidates are
-    consumed in ascending vertex order, so the returned witness is canonical.
+    consumed in ascending vertex order, and the witness is the first maximum
+    clique met in that order. A branch is cut when a greedy coloring of its
+    candidates (Tomita and Seki's MCQ bound) shows it cannot hold a larger
+    clique, so the cut never changes the witness, only the node count.
     """
     graph = oriented_view(g)
     n = graph.n
@@ -289,7 +309,8 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
             if len(r) > len(best):
                 best[:] = r
             return
-        if len(r) + p_mask.bit_count() <= len(best):
+        room = len(best) - len(r)
+        if p_mask.bit_count() <= room or _fits_in_classes(und, p_mask, room):
             return
         pivot, cover = -1, -1
         m = p_mask | x_mask

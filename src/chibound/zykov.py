@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import SizeBudgetExceeded
 from .graphs import LabeledGraph, OrientedGraph
@@ -65,33 +66,40 @@ class ZykovGraph(LabeledGraph):
         return f"ZykovGraph(k={self.k}, n={self.graph.n}, m={self.graph.m})"
 
 
-def predict_size(k: int) -> tuple[int, int]:
-    """Exact (vertices, edges) of build_zykov(k) from the size recurrence.
+def _level_sizes(k: int) -> Iterator[tuple[int, int]]:
+    """(vertices, edges) of levels 1..k from the size recurrence
 
-    v_{k+1} = sum(v_1..v_k) + prod(v_1..v_k);
-    e_{k+1} = sum(e_1..e_k) + k * prod(v_1..v_k).
-    Pure big-integer arithmetic; grows superexponentially.
+    v_{j+1} = sum(v_1..v_j) + prod(v_1..v_j);
+    e_{j+1} = sum(e_1..e_j) + j * prod(v_1..v_j),
+
+    walked with a running sum and product. The vertex counts strictly grow.
     """
     if k < 1:
         raise ValueError(f"level must be positive, got {k}")
-    sizes = [(1, 0)]
-    while len(sizes) < k:
-        j = len(sizes)
-        vsum = sum(v for v, _ in sizes)
-        esum = sum(e for _, e in sizes)
-        vprod = 1
-        for v, _ in sizes:
-            vprod *= v
-        sizes.append((vsum + vprod, esum + j * vprod))
-    return sizes[k - 1]
+    v, e = 1, 0
+    vsum, esum, vprod = 0, 0, 1
+    yield v, e
+    for j in range(1, k):
+        vsum, esum, vprod = vsum + v, esum + e, vprod * v
+        v, e = vsum + vprod, esum + j * vprod
+        yield v, e
+
+
+def predict_size(k: int) -> tuple[int, int]:
+    """Exact (vertices, edges) of build_zykov(k) from the size recurrence.
+    Pure big-integer arithmetic; grows superexponentially."""
+    *_, size = _level_sizes(k)
+    return size
 
 
 def capped_size(k: int, size_cap: int) -> tuple[int, int]:
-    """predict_size(k), refused with SizeBudgetExceeded when its vertex count
-    is above size_cap."""
-    pv, pe = predict_size(k)
-    if pv > size_cap:
-        raise SizeBudgetExceeded(pv, size_cap)
+    """predict_size(k), refused with SizeBudgetExceeded at the first level
+    whose vertex count is above size_cap, so a tower far above the cap is
+    refused without computing its size. Below level k that count is a lower
+    bound, and the message says "at least"."""
+    for level, (pv, pe) in enumerate(_level_sizes(k), start=1):
+        if pv > size_cap:
+            raise SizeBudgetExceeded(pv, size_cap, exact=level == k)
     return pv, pe
 
 

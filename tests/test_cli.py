@@ -8,6 +8,7 @@ modulus, or an exceeded search budget.
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
@@ -108,11 +109,15 @@ def test_construct_errors(capsys):
 
 
 def test_construct_refuses_a_huge_tower_before_printing_its_size(capsys):
-    # --f n^2 --n 4 asks for level g(3) = 16, whose vertex count has 4,681 digits
-    for argv in (("power", "--f", "n^2", "--n", "4"), ("zykov", "--k", "16")):
+    # --f n^2 --n 4 asks for level g(3) = 16, whose vertex count has 4,681
+    # digits, and --n 6 for level g(5) = 36; each is refused at level 7, the
+    # first above the cap, without computing its own size
+    started = time.perf_counter()
+    for argv in (("power", "--f", "n^2", "--n", "4"), ("power", "--f", "n^2", "--n", "6"), ("zykov", "--k", "16")):
         code, out, err = run(capsys, "construct", *argv)
         assert code == OPERATIONAL and out == ""
-        assert err == "error: predicted size at least 10^4680 vertices exceeds cap 1000000\n"
+        assert err == "error: predicted size at least 1383566504 vertices exceeds cap 1000000\n"
+    assert time.perf_counter() - started < 5
 
 
 # -------------------------------------------------------------------- verify

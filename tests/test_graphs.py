@@ -34,6 +34,24 @@ def test_edges_are_canonical_and_deduplicated():
     assert g.m == 2
 
 
+@given(st.data())
+def test_shuffled_repeated_edges_give_the_canonical_graph(data):
+    n = data.draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = data.draw(st.lists(pair, max_size=40)) if n > 1 else []
+    noisy = data.draw(st.permutations(edges + edges[: data.draw(st.integers(0, len(edges)))]))
+    g = OrientedGraph(n, iter(noisy))
+    canon = sorted(set(edges))
+    assert g.edges == tuple(canon) and g == OrientedGraph(n, canon)
+    assert g.undirected_edges() == tuple(sorted({(min(e), max(e)) for e in canon}))
+    for u in range(n):
+        assert g.out_neighbors(u) == tuple(v for a, v in canon if a == u)
+        assert g.in_neighbors(u) == tuple(a for a, v in canon if v == u)
+        assert g.und_bits()[u] == sum(1 << v for v in range(n) if (u, v) in canon or (v, u) in canon)
+        for v in range(n):
+            assert g.has_edge(u, v) == ((u, v) in canon)
+
+
 def test_neighbor_and_bitset_views_agree():
     g = OrientedGraph(4, [(0, 1), (0, 2), (3, 1)])
     assert g.out_neighbors(0) == (1, 2)

@@ -15,6 +15,7 @@ from chibound import (
     CycleFound,
     OrientedGraph,
     ResiduePartition,
+    build_power_graph,
     build_zykov,
     exact_chromatic_number,
     induced_subgraph,
@@ -171,6 +172,47 @@ def test_max_clique_budget():
     with pytest.raises(BudgetExceeded) as exc:
         max_clique(K(6), Budget(max_nodes=2))
     assert exc.value.what == "max-clique"
+
+
+def _clique_corpus():
+    """power(k, p) for k <= 5, 40 seeded induced subgraphs of power(5, 7) and
+    120 seeded random graphs of up to 35 vertices whose vertex order is
+    shuffled, so degrees do not follow it."""
+    graphs = [build_power_graph(build_zykov(k), p) for k in range(1, 6) for p in (2, 3, 5, 7)]
+    p57 = graphs[-1]
+    for seed in range(40):
+        rng = random.Random(seed)
+        density = rng.uniform(0.2, 0.9)
+        graphs.append(induced_subgraph(p57, [v for v in range(p57.graph.n) if rng.random() < density]))
+    for seed in range(120):
+        rng = random.Random(seed)
+        n, density = rng.randint(1, 35), rng.random()
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[u], perm[v]) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        graphs.append(OrientedGraph(n, edges))
+    return graphs
+
+
+# sha256 of repr([(n, m, omega, witness), ...]) over _clique_corpus(), recorded
+# from the search without a coloring bound
+PINNED_CLIQUES_SHA256 = "10f54f35c9cdec0cc3ea789961f48bf1f6a2a0a3635c4b7c1099bce983d1f3e9"
+
+
+def test_max_clique_witnesses_are_pinned():
+    rows = []
+    for g in _clique_corpus():
+        graph = oriented_view(g)
+        rows.append((graph.n, graph.m, *max_clique(g)))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_CLIQUES_SHA256
+
+
+def test_max_clique_bound_finishes_within_a_small_budget():
+    # the search without a coloring bound needs 1,540 nodes here
+    assert max_clique(build_power_graph(build_zykov(5), 7), Budget(max_nodes=700)) == (
+        5,
+        (12, 13, 15, 20, 38),
+    )
 
 
 @given(st.integers(0, 5_000))

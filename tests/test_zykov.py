@@ -108,12 +108,16 @@ def test_lower_levels_embed_via_provenance():
 def test_size_cap_blocks_oversized_builds():
     with pytest.raises(SizeBudgetExceeded) as exc:
         build_zykov(4, size_cap=10)
-    assert exc.value.predicted_vertices == 18
+    assert (exc.value.predicted_vertices, exc.value.exact) == (18, True)
     with pytest.raises(SizeBudgetExceeded):
         build_zykov(7)  # ~1.4e9 vertices, beyond the default cap
-    # str() refuses the 4,681 digits of this vertex count
-    with pytest.raises(SizeBudgetExceeded, match=r"predicted size at least 10\^4680 vertices exceeds cap 1000000"):
+    # level 16 (4,681 digits) is refused at level 7, the first above the cap
+    with pytest.raises(SizeBudgetExceeded, match=r"^predicted size at least 1383566504 vertices exceeds cap 1000000$") as exc:
         build_zykov(16)
+    assert (exc.value.predicted_vertices, exc.value.exact) == (predict_size(7)[0], False)
+    # a lower bound too long to read is printed as a power of ten
+    with pytest.raises(SizeBudgetExceeded, match=r"^predicted size at least 10\^36 vertices exceeds cap 10{30}$"):
+        build_zykov(16, size_cap=10**30)
 
 
 def test_level_six_still_matches_prediction():
