@@ -96,6 +96,9 @@ def _make_config(args, command: str, parameters: dict, input_bytes: bytes | None
 def _budget(args) -> Budget:
     ms = getattr(args, "budget_ms", None)
     nodes = getattr(args, "budget_nodes", None)
+    for flag, value in (("--budget-ms", ms), ("--budget-nodes", nodes)):
+        if value is not None and value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     if ms is None and nodes is None:
         return Budget(max_nodes=DEFAULT_NODE_BUDGET)
     return Budget(max_nodes=nodes, max_millis=ms)
@@ -139,7 +142,13 @@ def _load_f_table(source: str, n_max: int) -> dict[int, int]:
         return tabulate_f(source, n_max)
     with open(source) as fh:
         raw = json.load(fh)
-    return {int(k): int(v) for k, v in raw.items()}
+    bad = ValueError(f"growth table {source} is not a JSON object of integers {{order: value}}")
+    if not isinstance(raw, dict):
+        raise bad
+    try:
+        return {int(k): int(v) for k, v in raw.items()}
+    except (TypeError, ValueError):
+        raise bad from None
 
 
 def _resolve_power_params(args):
@@ -344,6 +353,8 @@ def cmd_verify(args) -> int:
         if getattr(args, name) is None:
             raise ValueError(f"verify {target} needs --{name}")
     k, p, n = args.k, args.p, args.n
+    if n is not None and n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     # each instance is built, and its clique searched, at most once per run
     zg = build_zykov(k, size_cap=args.size_cap) if target != "lemma24" else None
     pg = build_power_graph(zg, p) if target in ("lemma22", "claim26", "all") else None
@@ -364,9 +375,7 @@ def cmd_verify(args) -> int:
             n = omega
         reports += _verify_class_paths(pg, k, n, strict=(target == "claim26"))
     if target in ("lemma24", "all"):
-        n24 = n if n is not None else min(6, p - 1)
-        n24 = max(1, min(n24, p - 1))
-        reports += _verify_partition(p, n24)
+        reports += _verify_partition(p, min(n if n is not None else 6, p - 1))
     config = _make_config(
         args,
         f"verify {target}",

@@ -10,7 +10,9 @@ and as bitset rows (for the adjacency-query-bound oracles).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .errors import CycleFound, MultiplePaths, UnknownVertex
@@ -76,7 +78,15 @@ class OrientedGraph:
         return self._und_bits
 
     def undirected_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted({(u, v) if u < v else (v, u) for u, v in self.edges}))
+        """Sorted pairs (u, v), u < v, of the undirected view. Each vertex's
+        out- and in-row above it are two sorted runs, which the sort merges
+        in linear time; an anti-parallel pair shows up in both and is kept once."""
+        pairs: list[tuple[int, int]] = []
+        for u in range(self.n):
+            out, inn = self._out[u], self._in[u]
+            row = sorted(out[bisect_right(out, u) :] + inn[bisect_right(inn, u) :])
+            pairs += zip(repeat(u), dict.fromkeys(row))
+        return tuple(pairs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrientedGraph):

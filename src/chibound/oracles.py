@@ -286,14 +286,88 @@ def _fits_in_classes(und, p_mask: int, room: int) -> bool:
     return True
 
 
+def _path_heights(graph: OrientedGraph) -> tuple[list[int], list[int]] | None:
+    """(h, d): h[v] counts the vertices of the longest directed path leaving
+    v, d[v] those of the longest path entering v; None on a cyclic
+    orientation. h falls and d rises along every edge, so both are proper
+    colorings of the undirected view."""
+    order = _kahn(graph)
+    if len(order) < graph.n:
+        return None
+    h = [1] * graph.n
+    d = [1] * graph.n
+    for u in order:
+        du = d[u] + 1
+        for v in graph.out_neighbors(u):
+            if d[v] < du:
+                d[v] = du
+    for u in reversed(order):
+        hu = h[u]
+        for v in graph.out_neighbors(u):
+            if h[v] >= hu:
+                hu = h[v] + 1
+        h[u] = hu
+    return h, d
+
+
+class _Split:
+    """The split bound on the candidates after branching on w, from the
+    class bitsets of the colorings h and d. Every candidate is adjacent to
+    w, so it lies below w (an out-neighbour: h < h(w)) or above it (an
+    in-neighbour: h > h(w) and d < d(w)). A clique among the candidates has
+    distinct h below and distinct d above, so it has at most as many
+    vertices as the h-classes below h(w) that meet the candidates plus the
+    d-classes below d(w) that meet those above. That takes at most t bitset
+    ANDs, t = max h."""
+
+    __slots__ = ("h", "d", "hmasks", "dmasks")
+
+    def __init__(self, h: list[int], d: list[int]):
+        self.h, self.d = h, d
+        # bitsets of the classes, at the index of their color; the longest
+        # path has max(h) = max(d) vertices
+        hmasks = [0] * (max(h) + 1)
+        dmasks = hmasks[:]
+        for v in range(len(h)):
+            bit = 1 << v
+            hmasks[h[v]] |= bit
+            dmasks[d[v]] |= bit
+        self.hmasks, self.dmasks = hmasks, dmasks
+
+    def bound(self, p_mask: int, w: int) -> int:
+        count = 0
+        below = 0
+        for mask in self.hmasks[1 : self.h[w]]:
+            meet = mask & p_mask
+            if meet:
+                count += 1
+                below |= meet
+        above = p_mask ^ below
+        for mask in self.dmasks[1 : self.d[w]]:
+            if mask & above:
+                count += 1
+        return count
+
+
 def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact maximum clique of the undirected view, with one witness clique.
 
-    Bron-Kerbosch with greatest-cover pivoting on bitset rows; candidates are
-    consumed in ascending vertex order, and the witness is the first maximum
-    clique met in that order. A branch is cut when a greedy coloring of its
-    candidates (Tomita and Seki's MCQ bound) shows it cannot hold a larger
-    clique, so the cut never changes the witness, only the node count.
+    Bron-Kerbosch with greatest-cover pivoting on bitset rows, run on an
+    explicit stack; candidates are consumed in ascending vertex order, and
+    the witness is the first maximum clique met in that order.
+
+    On an acyclic orientation the longest-path heights h color the undirected
+    view, so ω is at most t = max h; Mirsky's theorem makes that tight when
+    the graph is the comparability graph of its reachability order. The
+    search descends over targets from t. Each level looks for a clique of t
+    vertices and cuts a branch when its candidates cannot complete one: by
+    their count, then by the split bound (see ``_Split``), then by a greedy
+    coloring of them (Tomita and Seki's MCQ bound). So the first clique of t
+    vertices a level meets is the first maximum clique in pivot order, and a
+    level that ends without one proves ω < t. A budget stop reports the
+    bracket [largest clique met, t]. On a cyclic orientation one pass grows
+    the best clique instead, cutting what cannot beat it, and a budget stop
+    has no upper bound.
     """
     graph = oriented_view(g)
     n = graph.n
@@ -301,42 +375,72 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
         return 0, ()
     und = graph.und_bits()
     tracker = _Tracker("max-clique", budget)
+    heights = _path_heights(graph)
+    split = None if heights is None else _Split(*heights)
     best: list[int] = []
+    # the root's frame once a level has branched from it; every lower level
+    # then branches from it too, since its room only shrinks
+    root = None
 
-    def bk(r: list[int], p_mask: int, x_mask: int):
-        tracker.tick()
-        if p_mask == 0 and x_mask == 0:
+    def level(t: int | None) -> bool:
+        """Search for a clique of t vertices (t None: for any clique larger
+        than ``best``); True at the first one, which is then ``best``. A
+        frame (candidates, excluded, candidates left to branch on) is kept
+        for each open node, and ``r`` is the clique of the open path."""
+        nonlocal root
+        r: list[int] = []
+        frames: list[tuple[int, int, int]] = []
+        p, x = (1 << n) - 1, 0
+        while True:
+            tracker.tick()
+            if len(r) == t:
+                best[:] = r
+                return True
             if len(r) > len(best):
                 best[:] = r
-            return
-        room = len(best) - len(r)
-        if p_mask.bit_count() <= room or _fits_in_classes(und, p_mask, room):
-            return
-        pivot, cover = -1, -1
-        m = p_mask | x_mask
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            c = (und[u] & p_mask).bit_count()
-            if c > cover:
-                cover, pivot = c, u
-        p, x = p_mask, x_mask
-        m = p_mask & ~und[pivot]
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            bit = 1 << v
-            r.append(v)
-            bk(r, p & und[v], x & und[v])
-            r.pop()
-            p &= ~bit
-            x |= bit
+            room = (len(best) if t is None else t - 1) - len(r)
+            if not r and root is not None:
+                frames.append(root)
+            elif not (
+                p.bit_count() <= room
+                or (split is not None and r and split.bound(p, r[-1]) <= room)
+                or _fits_in_classes(und, p, room)
+            ):
+                pivot, cover = -1, -1
+                m = p | x
+                while m:
+                    u = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    c = (und[u] & p).bit_count()
+                    if c > cover:
+                        cover, pivot = c, u
+                frames.append((p, x, p & ~und[pivot]))
+                if not r:
+                    root = frames[0]
+            while frames:
+                p, x, cand = frames[-1]
+                del r[len(frames) - 1 :]
+                if cand:
+                    bit = cand & -cand
+                    frames[-1] = (p ^ bit, x | bit, cand ^ bit)
+                    v = bit.bit_length() - 1
+                    r.append(v)
+                    p, x = p & und[v], x & und[v]
+                    break
+                frames.pop()
+            else:
+                return False
 
+    t = None if heights is None else max(heights[0])
     try:
-        bk([], (1 << n) - 1, 0)
+        if t is None:
+            level(None)
+        else:
+            while not level(t):
+                t -= 1
     except BudgetExceeded as exc:
         raise BudgetExceeded(
-            "max-clique", exc.nodes, best_lower=len(best), witness=tuple(sorted(best))
+            "max-clique", exc.nodes, best_lower=len(best), best_upper=t, witness=tuple(sorted(best))
         ) from None
     clique = tuple(sorted(best))
     for i, a in enumerate(clique):
@@ -350,20 +454,15 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
 
 
 def _kahn(graph: OrientedGraph) -> list[int]:
-    """Own topological sort (smallest-index-first); short list means a cycle."""
-    indeg = [0] * graph.n
-    for _, v in graph.edges:
-        indeg[v] += 1
-    heap = [v for v in range(graph.n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
+    """Own topological sort; a short list means a cycle. Every caller's
+    result is the same for any topological order."""
+    indeg = [len(graph.in_neighbors(v)) for v in range(graph.n)]
+    order = [v for v in range(graph.n) if indeg[v] == 0]
+    for u in order:  # the list grows while it is walked
         for v in graph.out_neighbors(u):
             indeg[v] -= 1
             if indeg[v] == 0:
-                heapq.heappush(heap, v)
+                order.append(v)
     return order
 
 
@@ -412,24 +511,21 @@ def _two_paths(graph: OrientedGraph, u: int, v: int) -> list[list[int]]:
             if w not in canreach:
                 canreach.add(w)
                 stack.append(w)
+    # depth-first on an explicit stack of out-neighbour iterators, one per
+    # vertex of the path but its end, so paths come in lexicographic order
     found: list[list[int]] = []
     path = [u]
-
-    def dfs(x: int):
-        if len(found) >= 2:
-            return
-        if x == v:
-            found.append(list(path))
-            return
-        for y in graph.out_neighbors(x):
-            if y in canreach:
-                path.append(y)
-                dfs(y)
-                path.pop()
-                if len(found) >= 2:
-                    return
-
-    dfs(u)
+    stack = [iter(graph.out_neighbors(u))]
+    while stack and len(found) < 2:
+        y = next((y for y in stack[-1] if y in canreach), None)
+        if y is None:
+            stack.pop()
+            path.pop()
+        elif y == v:
+            found.append(path + [y])
+        else:
+            path.append(y)
+            stack.append(iter(graph.out_neighbors(y)))
     return found
 
 

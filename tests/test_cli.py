@@ -88,6 +88,15 @@ def test_construct_power_f_from_json_file(tmp_path, capsys):
     assert doc["graph"]["n"] == 5
 
 
+@pytest.mark.parametrize("text", ["[1, 2]", "null", '{"2": [3]}'])
+def test_construct_refuses_a_growth_table_that_is_not_an_object_of_integers(tmp_path, capsys, text):
+    table = tmp_path / "f.json"
+    table.write_text(text)
+    code, out, err = run(capsys, "construct", "power", "--f", str(table), "--n", "3")
+    assert code == OPERATIONAL and out == ""
+    assert err == f"error: growth table {table} is not a JSON object of integers {{order: value}}\n"
+
+
 def test_construct_dimacs(capsys):
     code, out, _ = run(capsys, "construct", "zykov", "--k", "3", "--format", "dimacs")
     assert code == PASS
@@ -146,6 +155,20 @@ def test_verify_lemma24_defaults_order(capsys):
     assert code == PASS
     assert [r["check"] for r in doc["reports"]] == ["partition-cover", "partition-sums"]
     assert all("n=6" in r["instance"] for r in doc["reports"])
+
+
+@pytest.mark.parametrize("order", ["-3", "0"])
+def test_verify_lemma24_refuses_an_order_below_one(capsys, order):
+    code, out, err = run(capsys, "verify", "lemma24", "--p", "7", "--n", order)
+    assert code == OPERATIONAL and out == ""
+    assert err == f"error: --n must be at least 1, got {order}\n"
+
+
+@pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-ms"])
+def test_negative_budget_is_refused(capsys, flag):
+    code, out, err = run(capsys, "verify", "lemma21", "--k", "3", flag, "-1")
+    assert code == OPERATIONAL and out == ""
+    assert err.startswith(f"error: {flag} must be nonnegative") and err.count("\n") == 1
 
 
 def test_verify_claim26_passes_with_measured_clique(capsys):

@@ -52,6 +52,16 @@ def test_shuffled_repeated_edges_give_the_canonical_graph(data):
             assert g.has_edge(u, v) == ((u, v) in canon)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_undirected_edges_match_the_sorted_set_of_pairs(seed):
+    # both directions of a pair may be present; the undirected view keeps it once
+    rng = random.Random(seed)
+    n = rng.randint(1, 40)
+    edges = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.15]
+    g = OrientedGraph(n, edges)
+    assert g.undirected_edges() == tuple(sorted({(min(e), max(e)) for e in edges}))
+
+
 def test_neighbor_and_bitset_views_agree():
     g = OrientedGraph(4, [(0, 1), (0, 2), (3, 1)])
     assert g.out_neighbors(0) == (1, 2)

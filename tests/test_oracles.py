@@ -7,7 +7,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from chibound import (
     Budget,
@@ -215,6 +215,65 @@ def test_max_clique_bound_finishes_within_a_small_budget():
     )
 
 
+@pytest.mark.parametrize(
+    "p, nodes, bracket, witness",
+    [
+        (3, 57, (2, 3), (1, 2, 116)),
+        (5, 17, (4, 5), (12, 13, 15, 20, 38)),
+        (7, 17, (4, 5), (12, 13, 15, 20, 38)),
+    ],
+)
+def test_max_clique_nodes_and_budget_brackets_are_pinned(p, nodes, bracket, witness):
+    # the search finishes within exactly `nodes` nodes; one fewer stops it
+    # with the largest clique met and the target of the level it was in
+    pg = build_power_graph(build_zykov(5), p)
+    assert max_clique(pg, Budget(max_nodes=nodes)) == (len(witness), witness)
+    with pytest.raises(BudgetExceeded) as exc:
+        max_clique(pg, Budget(max_nodes=nodes - 1))
+    assert exc.value.nodes == nodes
+    assert (exc.value.best_lower, exc.value.best_upper) == bracket
+    assert exc.value.witness == witness[: bracket[0]]
+
+
+@pytest.fixture(scope="module")
+def k1100():
+    return K(1100)
+
+
+def test_max_clique_of_a_large_clique_needs_no_recursion(k1100):
+    assert max_clique(k1100) == (1100, tuple(range(1100)))
+
+
+def test_max_clique_budget_stop_on_a_large_clique_has_an_upper_bound(k1100):
+    with pytest.raises(BudgetExceeded) as exc:
+        max_clique(k1100, Budget(max_nodes=500))
+    assert exc.value.nodes == 501
+    assert (exc.value.best_lower, exc.value.best_upper) == (499, 1100)
+    assert exc.value.witness == tuple(range(499))
+
+
+def _omega_by_enumeration(g: OrientedGraph) -> int:
+    for size in range(g.n, 0, -1):
+        for vs in itertools.combinations(range(g.n), size):
+            if all(g.has_und_edge(a, b) for a, b in itertools.combinations(vs, 2)):
+                return size
+    return 0
+
+
+@given(st.integers(0, 5_000))
+def test_max_clique_on_cyclic_orientations_matches_enumeration(seed):
+    # no longest-path heights exist here, so the search runs without a target
+    rng = random.Random(seed)
+    n, density = rng.randint(3, 10), rng.uniform(0.3, 1.0)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    g = OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs])
+    assume(oracles._path_heights(g) is None)
+    size, clique = max_clique(g)
+    assert size == len(clique) == _omega_by_enumeration(g)
+    for a, b in itertools.combinations(clique, 2):
+        assert g.has_und_edge(a, b)
+
+
 @given(st.integers(0, 5_000))
 def test_max_clique_witness_is_a_clique_of_stated_size(seed):
     g = random_oriented_graph(random.Random(seed), max_n=10)
@@ -227,6 +286,13 @@ def test_max_clique_witness_is_a_clique_of_stated_size(seed):
 def test_unique_paths_pass_cases():
     assert verify_unique_paths(OrientedGraph(2, [(0, 1)])).passed
     assert verify_unique_paths(build_zykov(4)).passed
+
+
+def test_unique_paths_witness_on_a_long_path_needs_no_recursion():
+    n = 3000
+    r = verify_unique_paths(OrientedGraph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]))
+    assert r.verdict == "fail"
+    assert r.witness == {"pair": [0, n - 1], "paths": [list(range(n)), [0, n - 1]]}
 
 
 def test_unique_paths_diamond_fails_with_two_paths():
