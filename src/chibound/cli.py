@@ -18,7 +18,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .coloring import bounded_color, edge_partition, path_clique
 from .errors import (
@@ -26,6 +26,7 @@ from .errors import (
     CliqueTooLarge,
     CycleFound,
     MultiplePaths,
+    NotPrime,
     SizeBudgetExceeded,
 )
 from .farey import residue_partition
@@ -44,7 +45,7 @@ from .oracles import (
     verify_triangle_free,
     verify_unique_paths,
 )
-from .power import BUILTIN_F, build_power_graph, class_parameters, tabulate_f
+from .power import BUILTIN_F, build_power_graph, class_parameters, is_prime, tabulate_f
 from .zykov import DEFAULT_SIZE_CAP, build_zykov, capped_size, provenance_json_dict
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -243,14 +244,15 @@ def _verify_base(zg, budget: Budget) -> list[VerificationReport]:
 
 
 def _verify_clique_bound(pg: LabeledGraph, instance: str, budget: Budget):
-    """The clique-bound report of a power graph, and the clique order it
-    measured or the BudgetExceeded that stopped the search."""
+    """The clique-bound report of a power graph, its clique in the parent's ids
+    for a subgraph, and the clique order or the BudgetExceeded that stopped it."""
     started = time.perf_counter()
     try:
         omega, clique = max_clique(pg, budget)
     except BudgetExceeded as exc:
         return budget_report("clique-bound", instance, exc, started), exc
-    witness = {"omega": omega, "clique": list(clique), "p": pg.p}
+    clique = list(clique) if pg.vertices is None else [pg.vertices[v] for v in clique]
+    witness = {"omega": omega, "clique": clique, "p": pg.p}
     return timed_report("clique-bound", instance, _verdict(omega <= pg.p), witness, started), omega
 
 
@@ -326,13 +328,7 @@ def _verify_class_paths(pg: LabeledGraph, k: int, n: int, strict: bool) -> list[
         if r.verdict == "fail":
             any_long = True
             clique = path_clique(pg.graph, r.witness["path"], n)
-            r = VerificationReport(
-                check=r.check,
-                instance=r.instance,
-                verdict="fail",
-                witness={**r.witness, "clique": clique},
-                wall_time_ms=r.wall_time_ms,
-            )
+            r = replace(r, witness={**r.witness, "clique": clique})
         reports.append(r)
     if any_long:
         return reports
@@ -375,7 +371,8 @@ def cmd_verify(args) -> int:
             n = omega
         reports += _verify_class_paths(pg, k, n, strict=(target == "claim26"))
     if target in ("lemma24", "all"):
-        reports += _verify_partition(p, min(n if n is not None else 6, p - 1))
+        # verify all takes n from ω, which may reach p; lemma24 checks n as given
+        reports += _verify_partition(p, min(n, p - 1) if target == "all" else (min(6, p - 1) if n is None else n))
     config = _make_config(
         args,
         f"verify {target}",
@@ -395,14 +392,19 @@ def _load_labeled_input(args):
         with open(args.input, "rb") as fh:
             raw = fh.read()
         graph, labels, meta = read_edgelist(raw.decode())
-        p = args.p
-        if p is None:
-            if "p" not in meta:
-                raise ValueError("input file carries no modulus; pass --p")
+        file_p = None
+        if "p" in meta:
             try:
-                p = int(meta["p"])
+                file_p = int(meta["p"])
             except ValueError:
                 raise ValueError(f"input file's modulus '# p: {meta['p']}' is not an integer") from None
+        p = file_p if args.p is None else args.p
+        if p is None:
+            raise ValueError("input file carries no modulus; pass --p")
+        if not is_prime(p):
+            raise NotPrime(p)
+        if file_p is not None and p != file_p:
+            raise ValueError(f"--p {p} disagrees with the input file's modulus '# p: {file_p}'")
         if labels is None and graph.m > 0:
             raise ValueError("input graph has unlabeled edges; coloring needs residue labels")
         return LabeledGraph(graph, labels or (), p), f"file({args.input})", raw
@@ -462,14 +464,10 @@ def cmd_sample_hereditary(args) -> int:
         vs = [v for v in range(g.graph.n) if rng.random() < args.density]
         sub = induced_subgraph(g, vs)
         sample_inst = f"{inst} sample {i:04d} (|V|={len(vs)})"
-        started = time.perf_counter()
-        try:
-            omega, clique = max_clique(sub, budget)
-        except BudgetExceeded as exc:
-            reports.append(budget_report("clique-bound", sample_inst, exc, started))
+        report, omega = _verify_clique_bound(sub, sample_inst, budget)
+        reports.append(report)
+        if isinstance(omega, BudgetExceeded):
             continue
-        witness = {"omega": omega, "clique": [sub.vertices[v] for v in clique], "p": p}
-        reports.append(timed_report("clique-bound", sample_inst, _verdict(omega <= p), witness, started))
         n_i = max(1, omega)
         if n_i >= p:
             print(f"note: sample {i:04d} has omega={omega} >= p; coloring bound not applicable", file=sys.stderr)

@@ -38,9 +38,9 @@ class Coloring:
     def colors_used(self) -> int:
         return len(set(self.assignment))
 
-    def to_json_dict(self, include_tuples: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         out = {"palette": self.palette, "assignment": list(self.assignment)}
-        if include_tuples and self.tuples is not None:
+        if self.tuples is not None:
             out["tuple_view"] = [list(t) for t in self.tuples]
         return out
 

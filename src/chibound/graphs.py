@@ -3,14 +3,14 @@ utilities, reachability distances, and induced subgraphs.
 
 Vertices are dense integer indices ``0..n-1``; every construction in this
 package emits deterministic numbering so repeated runs are bit-for-bit
-reproducible. Adjacency is kept both as sorted neighbor tuples (for DP loops)
-and as bitset rows (for the adjacency-query-bound oracles).
+reproducible. Adjacency is kept as sorted neighbor tuples; the oracles build
+their own bitset rows from the edge list.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator
@@ -27,7 +27,7 @@ class OrientedGraph:
     Instances are immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("n", "edges", "_out", "_in", "_out_bits", "_und_bits")
+    __slots__ = ("n", "edges", "_out", "_in")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -39,8 +39,6 @@ class OrientedGraph:
         canon = [e for e, nxt in zip(pairs, pairs[1:]) if e != nxt] + pairs[-1:]
         out = [[] for _ in range(self.n)]
         inn = [[] for _ in range(self.n)]
-        out_bits = [0] * self.n
-        und_bits = [0] * self.n
         for u, v in canon:
             if not (0 <= u < self.n) or not (0 <= v < self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
@@ -48,14 +46,9 @@ class OrientedGraph:
                 raise ValueError(f"self-loop at vertex {u}")
             out[u].append(v)
             inn[v].append(u)
-            out_bits[u] |= 1 << v
-            und_bits[u] |= 1 << v
-            und_bits[v] |= 1 << u
         self.edges = tuple(canon)
         self._out = tuple(tuple(x) for x in out)
         self._in = tuple(tuple(x) for x in inn)
-        self._out_bits = tuple(out_bits)
-        self._und_bits = tuple(und_bits)
 
     @property
     def m(self) -> int:
@@ -68,14 +61,12 @@ class OrientedGraph:
         return self._in[u]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (self._out_bits[u] >> v) & 1 == 1
+        out = self._out[u]
+        i = bisect_left(out, v)
+        return i < len(out) and out[i] == v
 
     def has_und_edge(self, u: int, v: int) -> bool:
-        return (self._und_bits[u] >> v) & 1 == 1
-
-    def und_bits(self) -> tuple[int, ...]:
-        """Bitset adjacency rows of the undirected view."""
-        return self._und_bits
+        return self.has_edge(u, v) or self.has_edge(v, u)
 
     def undirected_edges(self) -> tuple[tuple[int, int], ...]:
         """Sorted pairs (u, v), u < v, of the undirected view. Each vertex's

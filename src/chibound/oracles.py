@@ -2,13 +2,13 @@
 uniqueness, triangle-freeness, zero-sum freeness, long-path absence, and
 coloring properness.
 
-Everything in this module is written against the raw edge list and bitset
-adjacency accessors only; none of it reuses the pipeline's distance or
-coloring code, so a pipeline bug and an oracle bug would have to coincide to
-slip through. Every fail verdict carries a witness that is re-checked by a
-few lines of direct arithmetic before it is reported. Searches are
-single-threaded with fixed tie-breaking by vertex index, so verdicts and
-witnesses are byte-stable across runs.
+Everything in this module is written against the raw edge list and neighbour
+tuples only; the searches build their own bitset rows from the edge list. None
+of it reuses the pipeline's distance or coloring code, so a pipeline bug and
+an oracle bug would have to coincide to slip through. Every fail verdict
+carries a witness that is re-checked by a few lines of direct arithmetic
+before it is reported. Searches are single-threaded with fixed tie-breaking by
+vertex index, so verdicts and witnesses are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -109,6 +109,15 @@ def budget_report(check: str, instance: str, exc: BudgetExceeded, started: float
     if exc.best_upper is not None:
         witness["best_upper"] = exc.best_upper
     return timed_report(check, instance, "budget-exceeded", witness, started)
+
+
+def _und_rows(graph: OrientedGraph) -> list[int]:
+    """Bitset rows of the undirected view: bit v of row u is set iff u -> v or v -> u."""
+    rows = [0] * graph.n
+    for u, v in graph.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return rows
 
 
 # ---------------------------------------------------------------- chromatic
@@ -255,8 +264,9 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
     if n == 0:
         return 0
     nbrs = _neighbour_lists(graph)
+    und = _und_rows(graph)
     tracker = _Tracker("chromatic-number", budget)
-    lb = max(1, len(_greedy_clique(graph.und_bits(), n)))
+    lb = max(1, len(_greedy_clique(und, n)))
     ub, _ = _dsatur_greedy(nbrs)
     for k in range(lb, ub):
         try:
@@ -373,7 +383,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     n = graph.n
     if n == 0:
         return 0, ()
-    und = graph.und_bits()
+    und = _und_rows(graph)
     tracker = _Tracker("max-clique", budget)
     heights = _path_heights(graph)
     split = None if heights is None else _Split(*heights)
@@ -583,7 +593,7 @@ def verify_triangle_free(g, instance: str | None = None) -> VerificationReport:
     started = time.perf_counter()
     graph = oriented_view(g)
     instance = instance or _describe(graph)
-    und = graph.und_bits()
+    und = _und_rows(graph)
     for u, v in graph.undirected_edges():
         common = und[u] & und[v]
         if common:

@@ -164,6 +164,15 @@ def test_verify_lemma24_refuses_an_order_below_one(capsys, order):
     assert err == f"error: --n must be at least 1, got {order}\n"
 
 
+def test_verify_lemma24_refuses_an_order_at_or_above_the_modulus(capsys):
+    code, out, err = run(capsys, "verify", "lemma24", "--p", "7", "--n", "9")
+    assert code == OPERATIONAL and out == ""
+    assert err == "error: order n=9 must satisfy 1 <= n <= p-1 for p=7\n"
+    code, doc, _ = run_json(capsys, "verify", "lemma24", "--p", "7", "--n", "6")
+    assert code == PASS and doc["config"]["parameters"]["n"] == 6
+    assert all("n=6" in r["instance"] for r in doc["reports"])
+
+
 @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-ms"])
 def test_negative_budget_is_refused(capsys, flag):
     code, out, err = run(capsys, "verify", "lemma21", "--k", "3", flag, "-1")
@@ -329,6 +338,33 @@ def test_color_operational_errors(tmp_path, capsys):
 
     code, _, err = run(capsys, "color", "--k", "3", "--p", "3")
     assert code == OPERATIONAL and "must be below" in err
+
+
+@pytest.mark.parametrize("header", ["", "# p: 5\n"], ids=["no-header", "header-p5"])
+@pytest.mark.parametrize("modulus", ["0", "4", "-5"])
+def test_color_refuses_a_modulus_that_is_not_a_prime(tmp_path, capsys, header, modulus):
+    path = tmp_path / "g.edges"
+    path.write_text(header + "n 3 1\n0 1 1\n")
+    code, out, err = run(capsys, "color", str(path), "--p", modulus)
+    assert code == OPERATIONAL and out == ""
+    assert err == f"error: {modulus} is not a prime\n"
+    # a header that is not a prime is refused the same way
+    path.write_text(f"# p: {modulus}\nn 3 1\n0 1 1\n")
+    code, out, err = run(capsys, "color", str(path))
+    assert code == OPERATIONAL and out == ""
+    assert err == f"error: {modulus} is not a prime\n"
+
+
+def test_color_refuses_a_modulus_that_disagrees_with_the_file(tmp_path, capsys):
+    pg = build_power_graph(build_zykov(3), 5)
+    path = tmp_path / "small.edges"
+    path.write_text(write_edgelist(pg.graph, pg.labels, metadata={"p": 5}))
+    for command in ("color", "sample-hereditary"):
+        code, out, err = run(capsys, command, str(path), "--p", "3")
+        assert code == OPERATIONAL and out == "", command
+        assert err == "error: --p 3 disagrees with the input file's modulus '# p: 5'\n"
+    code, doc, _ = run_json(capsys, "color", str(path), "--p", "5")
+    assert code == PASS and doc["config"]["parameters"]["p"] == 5
 
 
 def test_color_names_the_line_or_modulus_that_is_not_an_integer(tmp_path, capsys):

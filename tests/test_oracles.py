@@ -314,6 +314,23 @@ def test_unique_paths_cycle_fails_with_cycle():
     assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_undirected_rows_match_the_set_of_pairs(seed):
+    # seeds 0 and 1 give the empty and an edgeless graph; the rest have
+    # anti-parallel pairs, (0, 1) and (1, 0) at least, each a single row bit
+    rng = random.Random(seed)
+    if seed < 2:
+        n, edges = [0, 7][seed], set()
+    else:
+        n = rng.randint(2, 40)
+        edges = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.15}
+        edges |= {(0, 1), (1, 0)}
+    rows = oracles._und_rows(OrientedGraph(n, edges))
+    assert rows == [
+        sum(1 << v for v in range(n) if (u, v) in edges or (v, u) in edges) for u in range(n)
+    ]
+
+
 def test_triangle_free_pass_and_fail():
     assert verify_triangle_free(OrientedGraph(0)).passed
     assert verify_triangle_free(C5).passed
