@@ -47,14 +47,15 @@ class Coloring:
 
 @dataclass(frozen=True, eq=False)
 class EdgePartition:
-    """Edges of a labeled graph split by the residue class of their label."""
+    """Edges of a labeled graph split by the residue class of their label; each
+    class is a subsequence of canonical edges, as ``edge_partition`` builds it."""
 
     p: int
     n_vertices: int
     classes: tuple[tuple[tuple[int, int], ...], ...]
 
     def class_graph(self, i: int) -> OrientedGraph:
-        return OrientedGraph(self.n_vertices, self.classes[i])
+        return OrientedGraph._canonical(self.n_vertices, self.classes[i])
 
 
 def _edge_classes(g: LabeledGraph, part: ResiduePartition) -> list[int]:

@@ -48,7 +48,6 @@ def read_edgelist(text: str):
     metadata: dict[str, str] = {}
     header = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
     labels: list[int] = []
     labeled = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -70,32 +69,33 @@ def read_edgelist(text: str):
             except ValueError:
                 raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
             continue
-        if len(parts) == 2:
-            this_labeled = False
-        elif len(parts) == 3:
-            this_labeled = True
-        else:
+        if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v' or 'u v r'")
+        this_labeled = len(parts) == 3
         if labeled is None:
             labeled = this_labeled
         elif labeled != this_labeled:
             raise ValueError(f"line {lineno}: mixed labeled and unlabeled edges")
         try:
-            e = (int(parts[0]), int(parts[1]))
+            edges.append((int(parts[0]), int(parts[1])))
             if this_labeled:
                 labels.append(int(parts[2]))
         except ValueError:
             raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
-        if e in seen:
-            raise ValueError(f"line {lineno}: duplicate edge {e[0]} {e[1]}")
-        seen.add(e)
-        edges.append(e)
     if header is None:
         raise ValueError("missing header line 'n <vertices> <edges>'")
     n, m = header
     if len(edges) != m:
         raise ValueError(f"header declares {m} edges, found {len(edges)}")
     g = OrientedGraph(n, edges)
+    if g.m < len(edges):  # the graph dropped a repeated edge; find its line
+        data = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), start=1)]
+        data = [(i, parts) for i, parts in data if parts and not parts[0].startswith("#")]
+        seen = set()
+        for lineno, (u, v, *_) in data[1:]:  # data[0] is the header
+            if (e := (int(u), int(v))) in seen:
+                raise ValueError(f"line {lineno}: duplicate edge {e[0]} {e[1]}")
+            seen.add(e)
     if not labeled:
         return g, None, metadata
     # the graph keeps its edges sorted; sort the labels the same way

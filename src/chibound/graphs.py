@@ -5,6 +5,10 @@ Vertices are dense integer indices ``0..n-1``; every construction in this
 package emits deterministic numbering so repeated runs are bit-for-bit
 reproducible. Adjacency is kept as sorted neighbor tuples; the oracles build
 their own bitset rows from the edge list.
+
+``OrientedGraph(n, edges)`` validates and canonicalizes external input. The
+package's builders call ``OrientedGraph._canonical``, which checks nothing: their
+edges must be canonical (ascending, unique, in ``0..n-1``, no self-loops).
 """
 
 from __future__ import annotations
@@ -32,23 +36,32 @@ class OrientedGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        self.n = int(n)
-        # builders pass ascending edges, on which the sort is linear (a set would
-        # hand it hash order); duplicates end up adjacent and are dropped
+        n = int(n)
+        # ascending input sorts in linear time (a set would hand it hash order);
+        # duplicates end up adjacent, and rebinding drops the sorted copy
         pairs = sorted([(int(u), int(v)) for u, v in edges])
-        canon = [e for e, nxt in zip(pairs, pairs[1:]) if e != nxt] + pairs[-1:]
-        out = [[] for _ in range(self.n)]
-        inn = [[] for _ in range(self.n)]
-        for u, v in canon:
-            if not (0 <= u < self.n) or not (0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+        pairs = [e for e, nxt in zip(pairs, pairs[1:]) if e != nxt] + pairs[-1:]
+        for u, v in pairs:
+            if not (0 <= u < n) or not (0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
+        self._fill(n, pairs)
+
+    @classmethod
+    def _canonical(cls, n: int, edges) -> OrientedGraph:
+        """The builders' trusted path: ``edges`` must be canonical (module docstring)."""
+        (g := cls.__new__(cls))._fill(n, edges)
+        return g
+
+    def _fill(self, n: int, edges) -> None:
+        """The one row builder, for canonical edges."""
+        out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
+        for u, v in edges:
             out[u].append(v)
             inn[v].append(u)
-        self.edges = tuple(canon)
-        self._out = tuple(tuple(x) for x in out)
-        self._in = tuple(tuple(x) for x in inn)
+        self.n, self.edges = n, tuple(edges)
+        self._out, self._in = tuple(map(tuple, out)), tuple(map(tuple, inn))
 
     @property
     def m(self) -> int:
@@ -244,5 +257,5 @@ def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
             kept.append(j)
     sub_labels = None if labels is None else tuple(labels[j] for j in kept)
     return LabeledGraph(
-        OrientedGraph(len(chosen), edges), sub_labels, parent.p, tuple(chosen)
+        OrientedGraph._canonical(len(chosen), edges), sub_labels, parent.p, tuple(chosen)
     )

@@ -72,7 +72,7 @@ def build_power_graph(base, p: int, distances: DistanceTable | None = None) -> L
     g = oriented_view(base)
     if distances is None:
         distances = distance_table(g)
-    # pairs() ascends, so the labels come out parallel to the canonical edges
+    # pairs() ascends, so the edges come out canonical with the labels parallel
     edges = []
     labels = []
     for u, v, d in distances.pairs():
@@ -80,7 +80,7 @@ def build_power_graph(base, p: int, distances: DistanceTable | None = None) -> L
         if r != 0:
             edges.append((u, v))
             labels.append(r)
-    return LabeledGraph(OrientedGraph(g.n, edges), tuple(labels), p)
+    return LabeledGraph(OrientedGraph._canonical(g.n, edges), tuple(labels), p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,7 +108,7 @@ def build_zykov(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> ZykovGraph:
     capped_size(k, size_cap)
 
     levels: list[ZykovGraph] = [
-        ZykovGraph(OrientedGraph(1), k=1, provenance=(VertexTag(1, None, None),))
+        ZykovGraph(OrientedGraph._canonical(1, ()), k=1, provenance=(VertexTag(1, None, None),))
     ]
     while len(levels) < k:
         levels.append(_compose(levels))
@@ -116,7 +116,8 @@ def build_zykov(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> ZykovGraph:
 
 
 def _compose(levels: list[ZykovGraph]) -> ZykovGraph:
-    """One tower step: copies of every built level, plus one apex per transversal."""
+    """One tower step: copies of every built level, plus one apex per transversal.
+    Copies in level order, then apexes in order, emit the edges canonically."""
     new_level = len(levels) + 1
     offsets = []
     total = 0
@@ -141,7 +142,7 @@ def _compose(levels: list[ZykovGraph]) -> ZykovGraph:
         tags.append(VertexTag(new_level, None, t_index))
         apex += 1
 
-    return ZykovGraph(OrientedGraph(apex, edges), k=new_level, provenance=tuple(tags))
+    return ZykovGraph(OrientedGraph._canonical(apex, edges), k=new_level, provenance=tuple(tags))
 
 
 def provenance_json_dict(zg: ZykovGraph) -> dict:

@@ -160,12 +160,18 @@ def test_bounded_color_builds_no_graph(monkeypatch):
     part = residue_partition(5, 4)
     built = []
     init = OrientedGraph.__init__
+    canonical = OrientedGraph._canonical
 
     def counting_init(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counting_canonical(cls, *args):
+        built.append(args)
+        return canonical(*args)
+
     monkeypatch.setattr(OrientedGraph, "__init__", counting_init)
+    monkeypatch.setattr(OrientedGraph, "_canonical", classmethod(counting_canonical))
     assert verify_proper(bounded_color(pg, 4, part)).passed
     assert built == []
     edge_partition(pg, part).class_graph(0)

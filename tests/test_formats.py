@@ -65,6 +65,15 @@ def test_edgelist_errors():
         read_edgelist("n 3 x\n0 1\n")
 
 
+def test_duplicate_edge_line_counts_comments_and_blank_lines():
+    text = "# p: 5\nn 4 3\n 0 1 1\n\n# note: x\n  1 2 2\n0  1 3\n"
+    with pytest.raises(ValueError, match="line 7: duplicate edge 0 1"):
+        read_edgelist(text)
+    # the graph is built before the rescan, so its own checks come first
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range for n=3"):
+        read_edgelist("n 3 3\n0 1\n0 1\n0 5\n")
+
+
 def test_canonical_json_is_sorted_and_newline_terminated():
     text = canonical_json({"b": 1, "a": [2, {"z": 0, "y": 1}]})
     assert text.endswith("\n")

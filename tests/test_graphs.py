@@ -12,8 +12,12 @@ from chibound import (
     build_power_graph,
     build_zykov,
     distance_table,
+    edge_partition,
     induced_subgraph,
+    read_edgelist,
+    residue_partition,
     topological_order,
+    write_edgelist,
 )
 from helpers import random_dag
 
@@ -203,3 +207,70 @@ def test_graph_equality_is_structural(seed):
     g = random_dag(random.Random(seed), max_n=12)
     h = OrientedGraph(g.n, list(g.edges))
     assert g == h and hash(g) == hash(h)
+
+
+def assert_matches_validated(g):
+    """A graph from a trusted builder equals the validating constructor's
+    graph on the same edges, and its rows match rows rebuilt here."""
+    ref = OrientedGraph(g.n, list(g.edges))
+    assert g.n == ref.n and g.edges == ref.edges
+    out = [[] for _ in range(g.n)]
+    inn = [[] for _ in range(g.n)]
+    for u, v in ref.edges:
+        out[u].append(v)
+        inn[v].append(u)
+    edge_set = set(ref.edges)
+    for u in range(g.n):
+        assert g.out_neighbors(u) == ref.out_neighbors(u) == tuple(out[u])
+        assert g.in_neighbors(u) == ref.in_neighbors(u) == tuple(inn[u])
+        for v in range(g.n):
+            assert g.has_edge(u, v) == ref.has_edge(u, v) == ((u, v) in edge_set)
+    und = tuple(sorted({(min(e), max(e)) for e in edge_set}))
+    assert g.undirected_edges() == ref.undirected_edges() == und
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_trusted_builders_match_the_validating_constructor(k):
+    zg = build_zykov(k)
+    assert_matches_validated(zg.graph)
+    for p in (2, 3, 5, 7):
+        assert_matches_validated(build_power_graph(zg, p).graph)
+
+
+def test_trusted_induced_subgraphs_match_the_validating_constructor():
+    pg = build_power_graph(build_zykov(5), 7)
+    rng = random.Random(8)
+    for _ in range(40):
+        vs = rng.sample(range(pg.graph.n), rng.randint(0, 60))
+        assert_matches_validated(induced_subgraph(pg, vs).graph)
+
+
+@pytest.mark.parametrize("n", (2, 4, 6))
+def test_trusted_class_graphs_match_the_validating_constructor(n):
+    ep = edge_partition(build_power_graph(build_zykov(5), 7), residue_partition(7, n))
+    for i in range(len(ep.classes)):  # classes with no edges included
+        assert_matches_validated(ep.class_graph(i))
+
+
+def test_builders_skip_validation_and_the_reader_keeps_it(monkeypatch):
+    calls = []
+    init = OrientedGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrientedGraph, "__init__", counting_init)
+    pg = build_power_graph(build_zykov(4), 5)
+    induced_subgraph(pg, range(0, pg.graph.n, 2))
+    ep = edge_partition(pg, residue_partition(5, 4))
+    for i in range(len(ep.classes)):
+        ep.class_graph(i)
+    assert calls == []
+    back, labels, _ = read_edgelist(write_edgelist(pg.graph, pg.labels))
+    assert len(calls) == 1
+    assert back == pg.graph and labels == pg.labels
+    with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range for n=2"):
+        read_edgelist("n 2 1\n0 2\n")
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        read_edgelist("n 2 1\n1 1\n")
