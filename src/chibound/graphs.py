@@ -55,12 +55,16 @@ class OrientedGraph:
         return g
 
     def _fill(self, n: int, edges) -> None:
-        """The one row builder, for canonical edges."""
+        """The one row builder, for canonical edges. Without edges every row
+        is the one empty tuple, and no per-vertex list is built."""
+        self.n, self.edges = n, tuple(edges)
+        if not self.edges:
+            self._out = self._in = ((),) * n
+            return
         out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
-        for u, v in edges:
+        for u, v in self.edges:
             out[u].append(v)
             inn[v].append(u)
-        self.n, self.edges = n, tuple(edges)
         self._out, self._in = tuple(map(tuple, out)), tuple(map(tuple, inn))
 
     @property

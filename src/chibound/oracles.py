@@ -13,7 +13,6 @@ vertex index, so verdicts and witnesses are byte-stable across runs.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
 
@@ -142,111 +141,108 @@ def _greedy_clique(und, n: int) -> list[int]:
     return clique
 
 
-def _neighbour_lists(graph: OrientedGraph) -> list[list[int]]:
-    """Neighbour list of every vertex of the undirected view, ascending since
-    the undirected edges come sorted."""
-    nbrs = [[] for _ in range(graph.n)]
-    for u, v in graph.undirected_edges():
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return nbrs
+def _ranked_rows(graph: OrientedGraph, und: list[int]) -> tuple[list[int], list[int]]:
+    """(order, rows): the vertices by descending degree, ties by index, and
+    the undirected bitset rows built from the edge list with bit r standing
+    for order[r]. The lowest bit of a vertex set is then its vertex of
+    greatest degree, then lowest index."""
+    order = sorted(range(graph.n), key=lambda v: -und[v].bit_count())
+    rank = {v: r for r, v in enumerate(order)}
+    rows = [0] * graph.n
+    for u, v in graph.edges:
+        rows[rank[u]] |= 1 << rank[v]
+        rows[rank[v]] |= 1 << rank[u]
+    return order, rows
 
 
-def _select(heap: list, colors: list[int], nsat: list[int]) -> int:
-    """The uncolored vertex of greatest (saturation, degree, -index), read
-    from the top of a lazy heap of (-saturation, -degree, vertex) entries.
-    Entries of colored vertices and stale counts are discarded on the way;
-    the chosen entry stays, since a refuted vertex is chosen again. A heap
-    grown past four entries per vertex is cut back to its live entries,
-    which bounds its memory on long searches."""
-    if len(heap) > 4 * len(colors) + 16:
-        heap[:] = {e for e in heap if colors[e[2]] < 0 and nsat[e[2]] == -e[0]}
-        heapq.heapify(heap)
-    while True:
-        s, _, v = heap[0]
-        if colors[v] < 0 and nsat[v] == -s:
-            return v
-        heapq.heappop(heap)
+def _shift(levels: list[int], new: int, span: range, step: int) -> None:
+    """Move the members of ``new`` in ``levels[s]`` to ``levels[s + step]``
+    for each s in ``span``, which runs against ``step`` so none moves twice."""
+    for s in span:
+        moved = levels[s] & new
+        if moved:
+            levels[s] ^= moved
+            levels[s + step] |= moved
 
 
-def _dsatur_greedy(nbrs: list[list[int]]) -> tuple[int, list[int]]:
-    """Greedy coloring in saturation order; returns (colors used, assignment)."""
-    n = len(nbrs)
-    colors = [-1] * n
-    sat = [0] * n
-    nsat = [0] * n
-    heap = [(0, -len(nbrs[v]), v) for v in range(n)]
-    heapq.heapify(heap)
-    used = 0
-    for _ in range(n):
-        v = _select(heap, colors, nsat)
+def _dsatur_greedy(rows: list[int], order: list[int]) -> tuple[int, list[int]]:
+    """Greedy coloring in saturation order on the rows of ``_ranked_rows``;
+    returns (colors used, assignment by vertex). ``levels[s]`` holds the
+    uncolored vertices with s distinct neighbour colors, ``adj[c]`` those
+    next to color c; each pick is the lowest vertex of the top level."""
+    colors = [0] * len(rows)
+    levels = [0] * (len(rows) + 1)
+    levels[0] = (1 << len(rows)) - 1
+    adj = [0] * len(rows)
+    top = used = 0
+    for _ in rows:
+        while not levels[top]:
+            top -= 1
+        lv = levels[top]
+        low = lv & -lv
+        levels[top] = lv ^ low
         c = 0
-        while (sat[v] >> c) & 1:
+        while adj[c] & low:
             c += 1
-        colors[v] = c
         used = max(used, c + 1)
-        bit = 1 << c
-        for w in nbrs[v]:
-            if colors[w] < 0 and not sat[w] & bit:
-                sat[w] |= bit
-                nsat[w] += 1
-                heapq.heappush(heap, (-nsat[w], -len(nbrs[w]), w))
+        v = low.bit_length() - 1
+        colors[order[v]] = c
+        new = rows[v] ^ (rows[v] & adj[c])  # rows[v] minus adj[c], with no negative int
+        adj[c] |= new
+        _shift(levels, new, range(top, -1, -1), 1)
+        if levels[top + 1]:
+            top += 1
     return used, colors
 
 
-def _k_colorable(nbrs: list[list[int]], k: int, tracker: _Tracker) -> list[int] | None:
+def _k_colorable(rows: list[int], order: list[int], k: int, tracker: _Tracker) -> list[int] | None:
     """Backtracking k-colorability with dynamic saturation ordering and the
-    new-color symmetry break (a vertex may open at most one fresh color).
+    new-color symmetry break (a vertex may open at most one fresh color), on
+    the bitsets of ``_dsatur_greedy``; returns the assignment by vertex, or None.
 
-    The search runs on an explicit stack of (vertex, next color, used)
-    frames, one per colored vertex, and ticks the tracker once per node
-    entered, the final all-colored node included.
+    No level above ``used``, the count of colors in use, has a member. The
+    search runs on an explicit stack of frames (vertex, its level, next color,
+    ``used`` before it, the bits its color added to ``adj``), one per selected
+    vertex, which stays out of the levels until its frame is popped. A frame
+    keeps the vertex, not its one-bit mask, which is as wide as its index. The
+    tracker ticks once per node entered, the final all-colored node included.
     """
-    n = len(nbrs)
-    negdeg = [-len(row) for row in nbrs]
-    colors = [-1] * n
-    cnt = [0] * (n * k)  # cnt[w * k + c]: neighbours of w colored c
-    sat = [0] * n  # bit c set iff cnt[w * k + c] > 0
-    nsat = [0] * n
-    heap = [(0, negdeg[v], v) for v in range(n)]
-    heapq.heapify(heap)
-    push = heapq.heappush
-
-    def flip(v: int, c: int, delta: int):
-        colors[v] = c if delta > 0 else -1
-        if delta < 0:
-            push(heap, (-nsat[v], negdeg[v], v))
-        bit = 1 << c
-        edge = 1 if delta > 0 else 0  # the count at which bit c of sat[w] flips
-        for w in nbrs[v]:
-            i = w * k + c
-            cnt[i] += delta
-            if cnt[i] == edge:
-                sat[w] ^= bit
-                nsat[w] += delta
-                if colors[w] < 0:
-                    push(heap, (-nsat[w], negdeg[w], w))
-
-    stack: list[tuple[int, int, int]] = []
+    levels = [0] * (k + 1)
+    levels[0] = (1 << len(rows)) - 1
+    adj = [0] * k
+    stack: list[tuple[int, int, int, int, int]] = []
     used = 0
     while True:
         tracker.tick()
-        if len(stack) == n:
+        if len(stack) == len(rows):
+            colors = [0] * len(rows)
+            for v, _, c, _, _ in stack:
+                colors[order[v]] = c - 1
             return colors
-        stack.append((_select(heap, colors, nsat), 0, used))
+        s = used
+        while not levels[s]:
+            s -= 1
+        lv = levels[s]
+        low = lv & -lv
+        levels[s] = lv ^ low
+        stack.append((low.bit_length() - 1, s, 0, used, 0))
         while stack:
-            v, c, used = stack[-1]
-            if colors[v] >= 0:
-                flip(v, colors[v], -1)
+            v, s, c, used, new = stack[-1]
+            if c:  # colored c - 1: take its bits back and move them down a level
+                adj[c - 1] ^= new
+                _shift(levels, new, range(1, max(used, c) + 1), -1)
             limit = min(used + 1, k)
-            while c < limit and (sat[v] >> c) & 1:
+            while c < limit and adj[c] >> v & 1:
                 c += 1
             if c < limit:
-                stack[-1] = (v, c + 1, used)
-                flip(v, c, +1)
+                new = rows[v] ^ (rows[v] & adj[c])
+                adj[c] |= new
+                _shift(levels, new, range(used, -1, -1), 1)
+                stack[-1] = (v, s, c + 1, used, new)
                 used = max(used, c + 1)
                 break
             stack.pop()
+            levels[s] |= 1 << v
         else:
             return None
 
@@ -254,23 +250,23 @@ def _k_colorable(nbrs: list[list[int]], k: int, tracker: _Tracker) -> list[int] 
 def exact_chromatic_number(g, budget: Budget | None = None) -> int:
     """Exact chromatic number of the undirected view.
 
-    Iterative deepening on k starting from a greedy clique lower bound, each
-    step a saturation-ordered backtracking search; the greedy coloring bounds
-    the deepening from above. BudgetExceeded carries the bracketing bounds
-    proven so far.
+    Iterative deepening on k from a greedy clique lower bound, each step a
+    DSATUR backtracking search on bitset saturation levels in degree-rank
+    order; a greedy DSATUR coloring bounds the deepening from above.
+    BudgetExceeded carries the bracketing bounds proven so far.
     """
     graph = oriented_view(g)
     n = graph.n
     if n == 0:
         return 0
-    nbrs = _neighbour_lists(graph)
     und = _und_rows(graph)
     tracker = _Tracker("chromatic-number", budget)
     lb = max(1, len(_greedy_clique(und, n)))
-    ub, _ = _dsatur_greedy(nbrs)
+    order, rows = _ranked_rows(graph, und)
+    ub, _ = _dsatur_greedy(rows, order)
     for k in range(lb, ub):
         try:
-            if _k_colorable(nbrs, k, tracker) is not None:
+            if _k_colorable(rows, order, k, tracker) is not None:
                 return k
         except BudgetExceeded as exc:
             raise BudgetExceeded(
@@ -674,7 +670,7 @@ def verify_no_long_path(g, n: int, instance: str | None = None) -> VerificationR
                 height[u] = height[v] + 1
                 succ[u] = v
     if graph.n > 0:
-        top = max(range(graph.n), key=lambda v: (height[v], -v))
+        top = height.index(max(height))
         if height[top] >= n:
             path = [top]
             while succ[path[-1]] != -1:

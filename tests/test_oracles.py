@@ -155,6 +155,71 @@ def test_chromatic_budget_stops_on_level_five_are_pinned(max_nodes, bracket):
     assert (exc.value.best_lower, exc.value.best_upper) == bracket
 
 
+def _chi_by_subsets(n: int, pairs) -> int:
+    """χ by enumerating vertex subsets: fewest[s] is the fewest independent
+    sets covering s, tried over each independent subset of s that holds the
+    lowest vertex of s."""
+    nbr = [0] * n
+    for u, v in pairs:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    full = (1 << n) - 1
+    indep = [True] * (full + 1)
+    fewest = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        indep[s] = indep[s ^ low] and not nbr[low.bit_length() - 1] & s
+        fewest[s], sub = n, s
+        while sub:
+            if sub & low and indep[sub]:
+                fewest[s] = min(fewest[s], fewest[s ^ sub] + 1)
+            sub = (sub - 1) & s
+    return fewest[full]
+
+
+def _differential_graphs():
+    """200 seeded graphs of at most 9 vertices under shuffled labels, so
+    degree order disagrees with index order and often has ties, some with
+    anti-parallel pairs, which count once in a degree."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        n, density = rng.randint(1, 9), rng.random()
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pairs = [(perm[u], perm[v]) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        edges = pairs + [(v, u) for u, v in pairs if rng.random() < 0.1]
+        yield n, pairs, OrientedGraph(n, edges)
+
+
+def _proper(colors, palette: int, n: int, pairs) -> bool:
+    return len(colors) == n and all(0 <= c < palette for c in colors) and all(colors[u] != colors[v] for u, v in pairs)
+
+
+def test_chromatic_search_matches_enumeration_under_every_budget():
+    # the greedy and every k-colorable coloring are proper within their
+    # palettes, k-colorability holds from chi on, and each budget stop counts
+    # one node past its cap and brackets chi
+    stops = 0
+    for n, pairs, g in _differential_graphs():
+        chi = _chi_by_subsets(n, pairs)
+        order, rows = oracles._ranked_rows(g, oracles._und_rows(g))
+        used, colors = oracles._dsatur_greedy(rows, order)
+        assert used >= chi and _proper(colors, used, n, pairs)
+        for k in range(1, n + 1):
+            colors = oracles._k_colorable(rows, order, k, oracles._Tracker("k-colorable", None))
+            assert (colors is None) == (k < chi)
+            assert colors is None or _proper(colors, k, n, pairs)
+        for max_nodes in itertools.count():
+            try:
+                assert exact_chromatic_number(g, Budget(max_nodes=max_nodes)) == chi
+                break
+            except BudgetExceeded as exc:
+                stops += 1
+                assert exc.nodes == max_nodes + 1
+                assert exc.best_lower <= chi <= exc.best_upper
+    assert stops > 20
+
+
 def test_max_clique_triangle():
     assert max_clique(K(3)) == (3, (0, 1, 2))
 
