@@ -18,17 +18,10 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .coloring import bounded_color, edge_partition, path_clique
-from .errors import (
-    BudgetExceeded,
-    CliqueTooLarge,
-    CycleFound,
-    MultiplePaths,
-    NotPrime,
-    SizeBudgetExceeded,
-)
+from .errors import BudgetExceeded, CliqueTooLarge, GraphError, NotPrime
 from .farey import residue_partition
 from .formats import canonical_json, graph_json_dict, read_edgelist, write_dimacs, write_edgelist
 from .graphs import LabeledGraph, induced_subgraph
@@ -51,52 +44,23 @@ from .zykov import DEFAULT_SIZE_CAP, build_zykov, capped_size, provenance_json_d
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
+def _make_config(args, command: str, parameters: dict, input_bytes: bytes | None) -> dict:
     """Everything that determines a run's output, minus where it is written."""
-
-    command: str
-    parameters: dict
-    seed: int | None
-    budget_ms: float | None
-    budget_nodes: int | None
-    input_sha256: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "budget_ms": self.budget_ms,
-            "budget_nodes": self.budget_nodes,
-            "input_sha256": self.input_sha256,
-        }
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _make_config(args, command: str, parameters: dict, input_bytes: bytes | None) -> RunConfig:
     params = {k: v for k, v in sorted(parameters.items()) if v is not None}
     if input_bytes is None:
-        basis = canonical_json({"command": command, "parameters": params})
-        digest = _sha256(basis.encode())
-    else:
-        digest = _sha256(input_bytes)
-    return RunConfig(
-        command=command,
-        parameters=params,
-        seed=getattr(args, "seed", None),
-        budget_ms=getattr(args, "budget_ms", None),
-        budget_nodes=getattr(args, "budget_nodes", None),
-        input_sha256=digest,
-    )
+        input_bytes = canonical_json({"command": command, "parameters": params}).encode()
+    return {
+        "command": command,
+        "parameters": params,
+        "seed": getattr(args, "seed", None),
+        "budget_ms": getattr(args, "budget_ms", None),
+        "budget_nodes": getattr(args, "budget_nodes", None),
+        "input_sha256": hashlib.sha256(input_bytes).hexdigest(),
+    }
 
 
 def _budget(args) -> Budget:
-    ms = getattr(args, "budget_ms", None)
-    nodes = getattr(args, "budget_nodes", None)
+    ms, nodes = args.budget_ms, args.budget_nodes
     for flag, value in (("--budget-ms", ms), ("--budget-nodes", nodes)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
@@ -113,12 +77,12 @@ def _write_text(path: str | None, text: str):
             fh.write(text)
 
 
-def _emit_reports(reports: list[VerificationReport], config: RunConfig, out: str | None, coloring=None) -> int:
+def _emit_reports(reports: list[VerificationReport], config: dict, out: str | None, coloring=None) -> int:
     ordered = sorted(reports, key=lambda r: (r.check, r.instance))
     for r in ordered:
         print(f"[{r.verdict}] {r.check} on {r.instance} ({r.wall_time_ms:.1f} ms)", file=sys.stderr)
     payload = {
-        "config": config.to_json_dict(),
+        "config": config,
         "reports": [r.to_json_dict() for r in ordered],
     }
     if coloring is not None:
@@ -144,11 +108,11 @@ def _load_f_table(source: str, n_max: int) -> dict[int, int]:
     with open(source) as fh:
         raw = json.load(fh)
     bad = ValueError(f"growth table {source} is not a JSON object of integers {{order: value}}")
-    if not isinstance(raw, dict):
+    if not isinstance(raw, dict) or not all(type(v) is int for v in raw.values()):
         raise bad
     try:
-        return {int(k): int(v) for k, v in raw.items()}
-    except (TypeError, ValueError):
+        return {int(k): v for k, v in raw.items()}
+    except ValueError:
         raise bad from None
 
 
@@ -201,8 +165,8 @@ def cmd_construct(args) -> int:
             extra["class_parameters"] = params_json
 
     meta = {
-        "config": json.dumps(config.to_json_dict(), sort_keys=True),
-        "input-sha256": config.input_sha256,
+        "config": json.dumps(config, sort_keys=True),
+        "input-sha256": config["input_sha256"],
     }
     if p is not None:
         meta["p"] = p
@@ -214,7 +178,7 @@ def cmd_construct(args) -> int:
         comments = "".join(f"c {k}: {v}\n" for k, v in meta.items())
         _write_text(args.out, comments + write_dimacs(graph))
     else:
-        doc = {"config": config.to_json_dict(), "graph": graph_json_dict(graph, labels, p)}
+        doc = {"config": config, "graph": graph_json_dict(graph, labels, p)}
         doc.update(extra)
         _write_text(args.out, canonical_json(doc))
     print(f"built: {graph.n} vertices, {graph.m} edges", file=sys.stderr)
@@ -232,15 +196,6 @@ def _chromatic_report(g, expected: int, instance: str, budget: Budget) -> Verifi
         return budget_report("chromatic-number", instance, exc, started)
     witness = None if chi == expected else {"measured": chi, "expected": expected}
     return timed_report("chromatic-number", instance, _verdict(chi == expected), witness, started)
-
-
-def _verify_base(zg, budget: Budget) -> list[VerificationReport]:
-    inst = f"zykov(k={zg.k})"
-    return [
-        verify_triangle_free(zg, instance=inst),
-        verify_unique_paths(zg, instance=inst),
-        _chromatic_report(zg, zg.k, inst, budget),
-    ]
 
 
 def _verify_clique_bound(pg: LabeledGraph, instance: str, budget: Budget):
@@ -272,23 +227,6 @@ def _cover_report(part, instance: str) -> VerificationReport:
     return timed_report("partition-cover", instance, _verdict(ok), witness, started)
 
 
-def _verify_partition(p: int, n: int) -> list[VerificationReport]:
-    part = residue_partition(p, n)
-    inst = f"partition(p={p}, n={n})"
-    return [_cover_report(part, inst), verify_partition_sums(part, instance=inst)]
-
-
-def _palette_report(coloring, n: int, phi: int, instance: str) -> VerificationReport:
-    started = time.perf_counter()
-    ok = coloring.palette <= n**phi <= n ** (n * n)
-    witness = {
-        "palette": coloring.palette,
-        "order_bound": n**phi,
-        "square_bound": n ** (n * n),
-    }
-    return timed_report("palette-bound", instance, _verdict(ok), witness, started)
-
-
 def _color_reports(g: LabeledGraph, n: int, part, instance: str):
     """The reports of the product coloring of g at clique order n, and the
     coloring. A refuted order is one clique-order fail report, with the
@@ -301,11 +239,15 @@ def _color_reports(g: LabeledGraph, n: int, part, instance: str):
         clique = exc.clique if g.vertices is None else [g.vertices[v] for v in exc.clique]
         witness = {"claimed": n, "clique": clique}
         return [timed_report("clique-order", instance, "fail", witness, started)], None
-    reports = [
-        verify_proper(coloring, instance=instance),
-        _palette_report(coloring, n, len(part.classes), instance),
-    ]
-    return reports, coloring
+    started = time.perf_counter()
+    witness = {
+        "palette": coloring.palette,
+        "order_bound": n ** len(part.classes),
+        "square_bound": n ** (n * n),
+    }
+    ok = witness["palette"] <= witness["order_bound"] <= witness["square_bound"]
+    palette_report = timed_report("palette-bound", instance, _verdict(ok), witness, started)
+    return [verify_proper(coloring, instance=instance), palette_report], coloring
 
 
 def _verify_class_paths(pg: LabeledGraph, k: int, n: int, strict: bool) -> list[VerificationReport]:
@@ -356,7 +298,12 @@ def cmd_verify(args) -> int:
     pg = build_power_graph(zg, p) if target in ("lemma22", "claim26", "all") else None
     reports: list[VerificationReport] = []
     if target in ("lemma21", "all"):
-        reports += _verify_base(zg, budget)
+        inst = f"zykov(k={k})"
+        reports += [
+            verify_triangle_free(zg, instance=inst),
+            verify_unique_paths(zg, instance=inst),
+            _chromatic_report(zg, k, inst, budget),
+        ]
     if target in ("lemma22", "all") or (target == "claim26" and n is None):
         inst = f"power(k={k}, p={p})"
         clique_report, omega = _verify_clique_bound(pg, inst, budget)
@@ -372,7 +319,10 @@ def cmd_verify(args) -> int:
         reports += _verify_class_paths(pg, k, n, strict=(target == "claim26"))
     if target in ("lemma24", "all"):
         # verify all takes n from ω, which may reach p; lemma24 checks n as given
-        reports += _verify_partition(p, min(n, p - 1) if target == "all" else (min(6, p - 1) if n is None else n))
+        order = min(n, p - 1) if target == "all" else (min(6, p - 1) if n is None else n)
+        part = residue_partition(p, order)
+        inst = f"partition(p={p}, n={order})"
+        reports += [_cover_report(part, inst), verify_partition_sums(part, instance=inst)]
     config = _make_config(
         args,
         f"verify {target}",
@@ -391,7 +341,7 @@ def _load_labeled_input(args):
     if args.input is not None:
         with open(args.input, "rb") as fh:
             raw = fh.read()
-        graph, labels, meta = read_edgelist(raw.decode())
+        graph, labels, meta = read_edgelist(raw.decode(), size_cap=args.size_cap)
         file_p = None
         if "p" in meta:
             try:
@@ -487,18 +437,20 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p_, *, seeded=False, formatted=False, takes_input=False):
+    def common(p_, *, ordered=True, searched=True, seeded=False, formatted=False, takes_input=False):
         p_.add_argument("--k", type=int, default=None, help="construction level of the base graph")
         p_.add_argument("--p", type=int, default=None, help="prime modulus")
-        p_.add_argument("--n", type=int, default=None, help="order (clique bound / partition order)")
-        p_.add_argument("--budget-ms", type=float, default=None, help="wall-time cap per exact search")
-        p_.add_argument(
-            "--budget-nodes",
-            type=int,
-            default=None,
-            help=f"search-node cap per exact search (default {DEFAULT_NODE_BUDGET} when no budget given)",
-        )
-        p_.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP, help="refuse constructions above this vertex count")
+        if ordered:
+            p_.add_argument("--n", type=int, default=None, help="order (clique bound / partition order)")
+        if searched:
+            p_.add_argument("--budget-ms", type=float, default=None, help="wall-time cap per exact search")
+            p_.add_argument(
+                "--budget-nodes",
+                type=int,
+                default=None,
+                help=f"search-node cap per exact search (default {DEFAULT_NODE_BUDGET} when no budget given)",
+            )
+        p_.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP, help="refuse constructions and input files above this vertex count")
         p_.add_argument("--out", default=None, help="output path (stdout when omitted)")
         if seeded:
             p_.add_argument("--seed", type=int, default=0, help="PRNG seed for subset sampling")
@@ -511,7 +463,7 @@ def _parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("construct", help="build a base graph or its residue power graph")
     pc.add_argument("kind", choices=["zykov", "power"])
-    common(pc, formatted=True)
+    common(pc, searched=False, formatted=True)
     pc.add_argument("--f", default=None, help="growth table: n^2, 2^n, or a JSON file {order: value}")
     pc.set_defaults(func=cmd_construct)
 
@@ -531,7 +483,7 @@ def _parser() -> argparse.ArgumentParser:
     pcol.set_defaults(func=cmd_color)
 
     ps = sub.add_parser("sample-hereditary", help="check sampled induced subgraphs end to end")
-    common(ps, seeded=True, takes_input=True)
+    common(ps, ordered=False, seeded=True, takes_input=True)
     ps.set_defaults(func=cmd_sample_hereditary)
     return top
 
@@ -540,7 +492,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CycleFound, MultiplePaths, SizeBudgetExceeded, BudgetExceeded) as exc:
+    except (ValueError, OSError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from .errors import SizeBudgetExceeded
 from .graphs import OrientedGraph
 
 
@@ -37,13 +38,15 @@ def write_edgelist(g: OrientedGraph, labels=None, metadata=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_edgelist(text: str):
+def read_edgelist(text: str, *, size_cap: int | None = None):
     """Parse edge-list text.
 
     Returns ``(graph, labels, metadata)`` where ``labels`` is None for an
     unlabeled file and otherwise a tuple parallel to ``graph.edges`` (whatever
     order the file lists the edges in), and ``metadata`` maps comment keys to
-    their string values. An edge listed twice is an error.
+    their string values. An edge listed twice is an error, and so is a
+    header vertex count above ``size_cap`` (SizeBudgetExceeded), which is
+    refused before any graph is built.
     """
     metadata: dict[str, str] = {}
     header = None
@@ -68,6 +71,8 @@ def read_edgelist(text: str):
                 header = (int(parts[1]), int(parts[2]))
             except ValueError:
                 raise ValueError(f"line {lineno}: expected integers, got {line!r}") from None
+            if size_cap is not None and header[0] > size_cap:
+                raise SizeBudgetExceeded(header[0], size_cap)
             continue
         if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v' or 'u v r'")

@@ -292,28 +292,33 @@ def _fits_in_classes(und, p_mask: int, room: int) -> bool:
     return True
 
 
-def _path_heights(graph: OrientedGraph) -> tuple[list[int], list[int]] | None:
-    """(h, d): h[v] counts the vertices of the longest directed path leaving
-    v, d[v] those of the longest path entering v; None on a cyclic
-    orientation. h falls and d rises along every edge, so both are proper
-    colorings of the undirected view."""
-    order = _kahn(graph)
-    if len(order) < graph.n:
-        return None
+def _heights(graph: OrientedGraph, order: list[int]) -> list[int]:
+    """h[v] counts the vertices of the longest directed path leaving v,
+    from a topological ``order`` of ``graph``."""
     h = [1] * graph.n
-    d = [1] * graph.n
-    for u in order:
-        du = d[u] + 1
-        for v in graph.out_neighbors(u):
-            if d[v] < du:
-                d[v] = du
     for u in reversed(order):
         hu = h[u]
         for v in graph.out_neighbors(u):
             if h[v] >= hu:
                 hu = h[v] + 1
         h[u] = hu
-    return h, d
+    return h
+
+
+def _path_heights(graph: OrientedGraph) -> tuple[list[int], list[int]] | None:
+    """(h, d): h is ``_heights``, d[v] counts the vertices of the longest
+    path entering v; None on a cyclic orientation. h falls and d rises along
+    every edge, so both are proper colorings of the undirected view."""
+    order = _kahn(graph)
+    if len(order) < graph.n:
+        return None
+    d = [1] * graph.n
+    for u in order:
+        du = d[u] + 1
+        for v in graph.out_neighbors(u):
+            if d[v] < du:
+                d[v] = du
+    return _heights(graph, order), d
 
 
 class _Split:
@@ -472,7 +477,10 @@ def _kahn(graph: OrientedGraph) -> list[int]:
     return order
 
 
-def _cycle_witness(graph: OrientedGraph, within: set[int]) -> list[int]:
+def _cycle_witness(graph: OrientedGraph, order: list[int]) -> list[int]:
+    """A directed cycle among the vertices that a short Kahn ``order`` left
+    out, re-checked edge by edge."""
+    within = set(range(graph.n)).difference(order)
     state: dict[int, int] = {}  # 0 on stack, 1 done
     for start in sorted(within):
         if start in state:
@@ -493,18 +501,16 @@ def _cycle_witness(graph: OrientedGraph, within: set[int]) -> list[int]:
                     moved = True
                     break
                 if state[v] == 0:
-                    return trail[trail.index(v) :]
+                    cycle = trail[trail.index(v) :]
+                    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                        if not graph.has_edge(a, b):
+                            raise AssertionError("cycle witness failed edge re-check")
+                    return cycle
             if not moved:
                 state[u] = 1
                 stack.pop()
                 trail.pop()
     raise AssertionError("no cycle in claimed cyclic vertex set")
-
-
-def _check_cycle(graph: OrientedGraph, cycle: list[int]):
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        if not graph.has_edge(a, b):
-            raise AssertionError("cycle witness failed edge re-check")
 
 
 def _two_paths(graph: OrientedGraph, u: int, v: int) -> list[list[int]]:
@@ -544,10 +550,7 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
     instance = instance or _describe(graph)
     order = _kahn(graph)
     if len(order) < graph.n:
-        placed = set(order)
-        cycle = _cycle_witness(graph, set(range(graph.n)) - placed)
-        _check_cycle(graph, cycle)
-        return timed_report("unique-paths", instance, "fail", {"cycle": cycle}, started)
+        return timed_report("unique-paths", instance, "fail", {"cycle": _cycle_witness(graph, order)}, started)
     counts: list[dict[int, int] | None] = [None] * graph.n
     for u in reversed(order):
         row = {u: 1}
@@ -660,33 +663,26 @@ def verify_no_long_path(g, n: int, instance: str | None = None) -> VerificationR
     instance = instance or _describe(graph)
     order = _kahn(graph)
     if len(order) < graph.n:
-        placed = set(order)
-        raise CycleFound(_cycle_witness(graph, set(range(graph.n)) - placed))
-    height = [0] * graph.n
-    succ = [-1] * graph.n
-    for u in reversed(order):
-        for v in graph.out_neighbors(u):
-            if height[v] + 1 > height[u]:
-                height[u] = height[v] + 1
-                succ[u] = v
-    if graph.n > 0:
-        top = height.index(max(height))
-        if height[top] >= n:
-            path = [top]
-            while succ[path[-1]] != -1:
-                path.append(succ[path[-1]])
-            ok = len(path) - 1 >= n and all(
-                graph.has_edge(a, b) for a, b in zip(path, path[1:])
-            )
-            if not ok:
-                raise AssertionError("long-path witness failed re-check")
-            return timed_report(
-                "no-long-path",
-                instance,
-                "fail",
-                {"path": path, "bound": n},
-                started,
-            )
+        raise CycleFound(_cycle_witness(graph, order))
+    h = _heights(graph, order)
+    if graph.n > 0 and max(h) > n:
+        # from the lowest vertex of greatest h, step to the lowest out-neighbour one lower
+        path = [h.index(max(h))]
+        while h[path[-1]] > 1:
+            u = path[-1]
+            path.append(next(v for v in graph.out_neighbors(u) if h[v] == h[u] - 1))
+        ok = len(path) - 1 >= n and all(
+            graph.has_edge(a, b) for a, b in zip(path, path[1:])
+        )
+        if not ok:
+            raise AssertionError("long-path witness failed re-check")
+        return timed_report(
+            "no-long-path",
+            instance,
+            "fail",
+            {"path": path, "bound": n},
+            started,
+        )
     return timed_report("no-long-path", instance, "pass", None, started)
 
 

@@ -5,12 +5,15 @@ carries the witness), 2 operational errors such as missing flags, a composite
 modulus, or an exceeded search budget.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import chibound.cli as cli
 from chibound import build_power_graph, build_zykov, write_edgelist
@@ -88,7 +91,7 @@ def test_construct_power_f_from_json_file(tmp_path, capsys):
     assert doc["graph"]["n"] == 5
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", "null", '{"2": [3]}'])
+@pytest.mark.parametrize("text", ["[1, 2]", "null", '{"2": [3]}', '{"2": 1e400}', '{"2": 2.7}', '{"2": true}'])
 def test_construct_refuses_a_growth_table_that_is_not_an_object_of_integers(tmp_path, capsys, text):
     table = tmp_path / "f.json"
     table.write_text(text)
@@ -392,6 +395,23 @@ def test_color_and_sample_reject_labels_that_break_the_contract(tmp_path, capsys
         assert "non-adjacent vertices 0 and 2" in err
 
 
+@pytest.mark.parametrize("command", ["color", "sample-hereditary"])
+@pytest.mark.parametrize(
+    "header, cap",
+    [("n 5000000 0", []), ("n 1000000000000 0", []), ("n 7 0", ["--size-cap", "6"])],
+    ids=["five-million", "a-trillion", "cap-6"],
+)
+def test_an_input_file_above_the_size_cap_is_refused_before_it_is_built(tmp_path, capsys, command, header, cap):
+    path = tmp_path / "big.edges"
+    path.write_text(f"# p: 5\n{header}\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, command, str(path), *cap)
+    assert code == OPERATIONAL and out == ""
+    vertices, limit = header.split()[1], cap[1] if cap else "1000000"
+    assert err == f"error: predicted size {vertices} vertices exceeds cap {limit}\n"
+    assert time.perf_counter() - started < 5
+
+
 def test_color_rejects_duplicate_edges_and_directed_cycles(tmp_path, capsys):
     duplicated = tmp_path / "dup.edges"
     duplicated.write_text("# p: 5\nn 3 2\n0 1 1\n0 1 2\n")
@@ -457,3 +477,130 @@ def test_sample_hereditary_from_file(tmp_path, capsys):
     assert code == PASS
     assert doc["config"]["parameters"]["input"] == str(path)
     assert doc["config"]["parameters"]["p"] == 3
+
+
+# ---------------------------------------------------------------------- fuzz
+
+# (vertices, labeled edges, modulus): two power graphs, and a transitive
+# tournament on four vertices whose labels all pass mod 3 although its clique
+# order exceeds 3
+_FUZZ_BASES = [
+    (pg.graph.n, [(u, v, r) for (u, v), r in zip(pg.graph.edges, pg.labels)], pg.p)
+    for pg in (build_power_graph(build_zykov(3), 5), build_power_graph(build_zykov(4), 3))
+] + [(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)], 3)]
+_FUZZ_INTS = st.one_of(st.integers(-2, 20), st.sampled_from([10**6 + 1, 5_000_000, 10**12, 10**30]))
+_FUZZ_MODULI = ["0", "1", "2", "3", "4", "5", "7", "31", "-5", "x", ""]
+_FUZZ_MUTATIONS = ["label", "id", "repeat", "reverse", "unlabel", "junk", "vertices", "edges", "modulus", "p", "budget", "cap"]
+
+
+@st.composite
+def _fuzz_case(draw):
+    """(edge-list text, argv, header vertex count, size cap): a color or
+    sample-hereditary run on a small labeled graph, with up to three
+    mutations of its labels, vertex ids, edge lines (repeated, reversed,
+    unlabeled, malformed), header counts, ``# p:`` comment, or flags."""
+    n, edges, p = draw(st.sampled_from(_FUZZ_BASES))
+    rows = [[str(u), str(v), str(r)] for u, v, r in edges]
+    m, modulus, cap = None, str(p), 10**6
+    argv = [draw(st.sampled_from(["color", "sample-hereditary"]))]
+    if argv[0] == "color" and draw(st.booleans()):
+        argv += ["--n", str(draw(st.integers(-1, 7)))]
+    if argv[0] == "sample-hereditary":
+        argv += ["--count", str(draw(st.integers(0, 3))), "--seed", str(draw(st.integers(0, 5)))]
+        argv += ["--density", draw(st.sampled_from(["0", "0.5", "1"]))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2, 3]))):
+        kind = draw(st.sampled_from(_FUZZ_MUTATIONS))
+        i = draw(st.integers(0, len(rows) - 1))
+        if kind == "vertices":
+            n = draw(_FUZZ_INTS)
+        elif kind == "edges":
+            m = draw(st.integers(-1, len(rows) + 2))
+        elif kind == "modulus":
+            modulus = draw(st.one_of(st.none(), st.sampled_from(_FUZZ_MODULI)))
+        elif kind == "p":
+            argv += ["--p", draw(st.sampled_from(_FUZZ_MODULI[:-2]))]
+        elif kind == "budget":
+            argv += ["--budget-nodes", draw(st.sampled_from(["0", "5", "100"]))]
+        elif kind == "cap":
+            cap = draw(st.sampled_from([0, 4, 10]))
+            argv += ["--size-cap", str(cap)]
+        elif len(rows[i]) != 3:
+            continue
+        elif kind == "label":
+            rows[i] = rows[i][:2] + [str(draw(_FUZZ_INTS))]
+        elif kind == "id":
+            rows[i][draw(st.integers(0, 1))] = str(draw(_FUZZ_INTS))
+        elif kind == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), rows[i])
+        elif kind == "reverse":
+            rows[i] = [rows[i][1], rows[i][0], rows[i][2]]
+        elif kind == "unlabel":
+            rows[i] = rows[i][:2]
+        else:
+            rows[i] = draw(st.sampled_from([["x", "1", "2"], ["0", "1", "2", "3"], ["n", "3", "3"], ["0"]]))
+    header = [] if modulus is None else [f"# p: {modulus}"]
+    header.append(f"n {n} {len(rows) if m is None else m}")
+    return "\n".join(header + [" ".join(row) for row in rows]) + "\n", argv, n, cap
+
+
+def _contained_run(argv, out):
+    """main(argv) with the report at ``out``: the exit code is 0, 1 or 2, and
+    an exit 1 report has a fail verdict and every fail carries a witness."""
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(out)])
+    assert code in (PASS, FAIL, OPERATIONAL)
+    if code == FAIL:
+        failed = [r for r in json.loads(out.read_text())["reports"] if r["verdict"] == "fail"]
+        assert failed and all(r["witness"] for r in failed)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200)
+@example(case=("# p: 5\nn 1000000000000 0\n", ["color", "--n", "1"], 10**12, 10**6))
+@given(case=_fuzz_case())
+def test_fuzzed_input_files_end_in_exit_0_1_or_2(tmp_path_factory, case):
+    text, argv, n, cap = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "g.edges").write_text(text)
+    code, err = _contained_run([argv[0], str(tmp / "g.edges"), *argv[1:]], tmp / "report.json")
+    if n > cap:  # refused right after the header
+        assert code == OPERATIONAL and err.startswith("error: predicted size ")
+        assert err.endswith(f" vertices exceeds cap {cap}\n") and err.count("\n") == 1
+
+
+_FUZZ_JSON = st.one_of(
+    st.just(10**30), st.booleans(), st.floats(), st.none(), st.text(max_size=2), st.lists(st.integers(0, 3), max_size=2)
+)
+
+
+@st.composite
+def _fuzz_table(draw):
+    """(growth-table text, target order): a table {order: value} over the
+    orders 2..n, with up to two of the target, one value, one key or the
+    whole document replaced."""
+    n = draw(st.integers(2, 6))
+    table = {str(k): draw(st.integers(-3, 5)) for k in range(2, n + 1)}
+    text = None
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        kind = draw(st.sampled_from(["order", "value", "key", "document"]))
+        if kind == "order":
+            n = draw(st.integers(-1, 7))
+        elif kind == "value":
+            table[draw(st.sampled_from(sorted(table)))] = draw(_FUZZ_JSON)
+        elif kind == "key":
+            table[draw(st.sampled_from(["02", "-1", "x", "", "1e1"]))] = draw(st.integers(-3, 5))
+        else:
+            text = draw(st.one_of(_FUZZ_JSON.map(json.dumps), st.sampled_from(["{", "", '{"2": 1e400}'])))
+    return json.dumps(table) if text is None else text, n
+
+
+@settings(max_examples=100)
+@example(case=('{"2": 1e400}', 2))
+@given(case=_fuzz_table())
+def test_fuzzed_growth_tables_end_in_exit_0_1_or_2(tmp_path_factory, case):
+    table, n = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "f.json").write_text(table)
+    _contained_run(["construct", "power", "--f", str(tmp / "f.json"), "--n", str(n)], tmp / "g.edges")

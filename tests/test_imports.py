@@ -1,0 +1,24 @@
+"""The package runs on the standard library alone."""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "chibound").glob("*.py"))
+
+
+def test_package_imports_only_the_standard_library():
+    assert SOURCES
+    outside = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

@@ -220,6 +220,28 @@ def test_chromatic_search_matches_enumeration_under_every_budget():
     assert stops > 20
 
 
+# seeds of graphs on which DSATUR's first descent fails at k = chi, so the
+# search must undo colorings; each entry is (seed, n)
+BACKTRACKING_SEEDS = [(268, 12), (318, 11), (409, 12), (609, 11), (988, 8), (1398, 8), (1637, 12), (2001, 10)]
+
+
+def test_chromatic_search_backtracks_to_a_proper_coloring_at_chi():
+    for seed, n in BACKTRACKING_SEEDS:
+        rng = random.Random(seed)
+        assert rng.randint(6, 12) == n
+        density = rng.uniform(0.3, 0.8)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        g = OrientedGraph(n, pairs)
+        chi = _chi_by_subsets(n, pairs)
+        assert exact_chromatic_number(g) == chi
+        order, rows = oracles._ranked_rows(g, oracles._und_rows(g))
+        tracker = oracles._Tracker("k-colorable", None)
+        colors = oracles._k_colorable(rows, order, chi, tracker)
+        assert tracker.nodes > n + 1, seed  # more nodes than one descent
+        assert colors is not None and _proper(colors, chi, n, pairs), seed
+        assert oracles._k_colorable(rows, order, chi - 1, oracles._Tracker("k-colorable", None)) is None
+
+
 def test_max_clique_triangle():
     assert max_clique(K(3)) == (3, (0, 1, 2))
 
