@@ -149,13 +149,14 @@ def cmd_construct(args) -> int:
         extra = {"provenance": provenance_json_dict(zg)}
     else:
         k, p, params_json = _resolve_power_params(args)
+        # k = g(p) of a fast-growing f may be too long to print; refuse it first
+        pv, pe = capped_size(k, args.size_cap)
         config = _make_config(
             args,
             "construct power",
             {"k": k, "p": p, "f": args.f, "n": args.n, "size_cap": args.size_cap, "format": args.format},
             None,
         )
-        pv, pe = capped_size(k, args.size_cap)
         print(f"predicted base size: {pv} vertices, {pe} edges", file=sys.stderr)
         zg = build_zykov(k, size_cap=args.size_cap)
         pg = build_power_graph(zg, p)

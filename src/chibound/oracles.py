@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import BudgetExceeded, CycleFound
 from .graphs import OrientedGraph, oriented_view
@@ -119,6 +120,29 @@ def _und_rows(graph: OrientedGraph) -> list[int]:
     return rows
 
 
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first. Peeling the lowest bit with
+    ``m & -m`` copies the whole mask at each step, which is quadratic in
+    its width, so a mask wider than 64 bits is read from its binary digits
+    instead, in time linear in the width: the runs of zeros between its
+    ones give the gaps between set bits. Up to 64 bits peeling is cheaper:
+    on half-dense masks the two walks cross between 32 and 64 bits, and
+    without the peel ``max_clique`` on the small induced subgraphs of
+    power(4, 3) took 12% longer. Either result is walked once."""
+    if mask.bit_length() <= 64:
+        bits = []
+        while mask:
+            low = mask & -mask
+            bits.append(low.bit_length() - 1)
+            mask ^= low
+        return bits
+    zeros = bin(mask)[:1:-1].split("1")  # zeros[i] ends at the i-th set bit
+    zeros.pop()  # the empty run above the top bit
+    walk = accumulate(map((1).__add__, map(len, zeros)), initial=-1)
+    next(walk)  # the -1 the sums start from
+    return walk
+
+
 # ---------------------------------------------------------------- chromatic
 
 
@@ -129,10 +153,7 @@ def _greedy_clique(und, n: int) -> list[int]:
     cand = (1 << n) - 1
     while cand:
         best_v, best_key = -1, None
-        m = cand
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
+        for v in _bits(cand):
             key = ((und[v] & cand).bit_count(), -v)
             if best_key is None or key > best_key:
                 best_key, best_v = key, v
@@ -278,7 +299,30 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
 def _fits_in_classes(und, p_mask: int, room: int) -> bool:
     """Whether greedy coloring splits the vertices of ``p_mask`` into at most
     ``room`` independent sets, each taking the lowest remaining vertex that
-    has no neighbour in it yet. A clique has one vertex in each set."""
+    has no neighbour in it yet. A clique has one vertex in each set.
+
+    Two loops build the same sets. One builds each set in a pass over the
+    vertices left, one short test each, so it makes up to ``room`` passes.
+    The other strikes each vertex it takes, and its neighbours, from a
+    bitset of the candidates, at a few steps as long as the mask is wide
+    per vertex taken; so it finds a set of few vertices without a pass over
+    the rest, as on a large clique. The passes are taken where ``room`` is
+    small next to the width: on the 37,312-bit masks of power(6, p), with
+    room at most 5, they are four to six times faster, and on masks a few
+    hundred bits wide the two loops take about as long."""
+    if room * 256 < p_mask.bit_length():
+        left = _bits(p_mask)
+        for _ in range(room):
+            taken, rest = 0, []
+            for v in left:
+                if und[v] & taken:
+                    rest.append(v)
+                else:
+                    taken |= 1 << v
+            if not rest:
+                return True
+            left = rest
+        return False
     classes = 0
     while p_mask:
         classes += 1
@@ -414,14 +458,16 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
                 frames.append(root)
             elif not (
                 p.bit_count() <= room
-                or (split is not None and r and split.bound(p, r[-1]) <= room)
-                or _fits_in_classes(und, p, room)
+                # at room 0 the count has failed, so p is not empty and
+                # neither bound below can cut it
+                or room > 0
+                and (
+                    (split is not None and r and split.bound(p, r[-1]) <= room)
+                    or _fits_in_classes(und, p, room)
+                )
             ):
                 pivot, cover = -1, -1
-                m = p | x
-                while m:
-                    u = (m & -m).bit_length() - 1
-                    m &= m - 1
+                for u in _bits(p | x):
                     c = (und[u] & p).bit_count()
                     if c > cover:
                         cover, pivot = c, u

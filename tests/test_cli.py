@@ -123,9 +123,15 @@ def test_construct_errors(capsys):
 def test_construct_refuses_a_huge_tower_before_printing_its_size(capsys):
     # --f n^2 --n 4 asks for level g(3) = 16, whose vertex count has 4,681
     # digits, and --n 6 for level g(5) = 36; each is refused at level 7, the
-    # first above the cap, without computing its own size
+    # first above the cap, without computing its own size. --f 2^n --n 20000
+    # asks for level 2^20000, a number too long for a JSON config
     started = time.perf_counter()
-    for argv in (("power", "--f", "n^2", "--n", "4"), ("power", "--f", "n^2", "--n", "6"), ("zykov", "--k", "16")):
+    for argv in (
+        ("power", "--f", "n^2", "--n", "4"),
+        ("power", "--f", "n^2", "--n", "6"),
+        ("power", "--f", "2^n", "--n", "20000"),
+        ("zykov", "--k", "16"),
+    ):
         code, out, err = run(capsys, "construct", *argv)
         assert code == OPERATIONAL and out == ""
         assert err == "error: predicted size at least 1383566504 vertices exceeds cap 1000000\n"

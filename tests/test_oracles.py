@@ -322,6 +322,66 @@ def test_max_clique_nodes_and_budget_brackets_are_pinned(p, nodes, bracket, witn
     assert exc.value.witness == witness[: bracket[0]]
 
 
+def _lowbit_walk(m: int) -> list[int]:
+    out = []
+    while m:
+        out.append((m & -m).bit_length() - 1)
+        m &= m - 1
+    return out
+
+
+def test_bit_walk_matches_the_lowbit_walk():
+    # 1 << 63 is peeled and 1 << 64 walked by its digits
+    rng = random.Random(0)
+    masks = [0, 1] + [1 << k for k in (1, 29, 30, 63, 64, 39_999)]
+    for _ in range(12):
+        width, density = rng.randint(1, 40_000), rng.choice((0.001, 0.05, 0.5, 1.0))
+        masks.append(sum(1 << i for i in range(width) if rng.random() < density))
+    for m in masks:
+        assert list(oracles._bits(m)) == _lowbit_walk(m)
+
+
+def _fits_by_strikes(und, p_mask: int, room: int) -> bool:
+    """The greedy classes by strikes alone, at every width and room."""
+    classes = 0
+    while p_mask:
+        classes += 1
+        if classes > room:
+            return False
+        q = p_mask
+        while q:
+            bit = q & -q
+            p_mask ^= bit
+            q &= ~(und[bit.bit_length() - 1] | bit)
+    return True
+
+
+@pytest.mark.parametrize(
+    "n, density",
+    [(60, 0.2), (60, 0.6), (3_000, 0.002), (3_000, 0.01), (40, 1.0), (3_000, 1.0)],
+    ids=["narrow-sparse", "narrow-dense", "wide-sparse", "wide-less-sparse", "K40", "K3000"],
+)
+def test_greedy_classes_match_the_strike_loop_for_every_room(n, density):
+    # the one-pass loop runs where room * 256 is below the mask's width: at
+    # rooms 0..7 on the masks about 3,000 bits wide, at room 0 only on the
+    # narrow ones
+    rng = random.Random(n * 1_000 + int(density * 1_000))
+    full = (1 << n) - 1
+    und = [full ^ (1 << u) for u in range(n)] if density == 1.0 else [0] * n
+    for _ in range(0 if density == 1.0 else round(density * n * (n - 1) / 2)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            und[u] |= 1 << v
+            und[v] |= 1 << u
+    masks = [full] + [
+        sum(1 << v for v in range(n) if rng.random() < share) for share in (0.001, 0.05, 0.1, 0.3, 0.7, 0.9)
+    ]
+    for m in masks:
+        for room in range(8):
+            fits = oracles._fits_in_classes(und, m, room)
+            assert fits == _fits_by_strikes(und, m, room), (m.bit_length(), room)
+
+
 @pytest.fixture(scope="module")
 def k1100():
     return K(1100)
