@@ -10,7 +10,6 @@ brute-force oracles certify each property on desk-scale instances.
 
 from .coloring import (
     Coloring,
-    EdgePartition,
     bounded_color,
     edge_partition,
     longest_path_coloring,
@@ -52,7 +51,6 @@ from .graphs import (
     LabeledGraph,
     OrientedGraph,
     distance_table,
-    find_cycle,
     induced_subgraph,
     topological_order,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "CycleFound",
     "DistanceTable",
     "DomainTooSmall",
-    "EdgePartition",
     "FareySequence",
     "GraphError",
     "InconsistentLabels",
@@ -115,7 +112,6 @@ __all__ = [
     "edge_partition",
     "exact_chromatic_number",
     "farey_sequence",
-    "find_cycle",
     "graph_json_dict",
     "induced_subgraph",
     "is_prime",

@@ -7,7 +7,7 @@ inputs. Report files are canonical JSON sorted by (check, instance) with wall
 times omitted, so identical configurations produce byte-identical files.
 Exit codes: 0 all checks passed, 1 a property was violated (witness included
 in the report), 2 operational errors (bad arguments, non-prime modulus,
-exceeded budgets, IO).
+exceeded budgets or size caps, IO).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import time
 from dataclasses import replace
 
 from .coloring import bounded_color, edge_partition, path_clique
-from .errors import BudgetExceeded, CliqueTooLarge, GraphError, NotPrime
+from .errors import BudgetExceeded, CliqueTooLarge, GraphError, NotPrime, SizeBudgetExceeded
 from .farey import residue_partition
 from .formats import canonical_json, graph_json_dict, read_edgelist, write_dimacs, write_edgelist
 from .graphs import LabeledGraph, induced_subgraph
@@ -99,6 +99,16 @@ def _verdict(passed: bool) -> str:
     return "pass" if passed else "fail"
 
 
+def _capped_span(top: int, size_cap: int, unit: str = "residues") -> int:
+    """``top`` as given, refused with SizeBudgetExceeded when it spans more
+    than ``size_cap`` values: a modulus p has p - 1 residues, and a growth
+    domain 2..n has n - 1 orders. This runs before is_prime or tabulate_f,
+    whose cost grows with ``top``."""
+    if top - 1 > size_cap:
+        raise SizeBudgetExceeded(top - 1, size_cap, unit=unit)
+    return top
+
+
 # ----------------------------------------------------------------- construct
 
 
@@ -123,14 +133,14 @@ def _resolve_power_params(args):
     if args.f is not None:
         if args.n is None:
             raise ValueError("--f requires --n (the target order)")
-        table = _load_f_table(args.f, args.n)
+        table = _load_f_table(args.f, _capped_span(args.n, args.size_cap, "orders"))
         params = class_parameters(table, args.n)
         p = params.witness_for(args.n)
         k = params.g[p]
         return k, p, params.to_json_dict()
     if args.k is None or args.p is None:
         raise ValueError("construct power needs --k and --p, or --f and --n")
-    return args.k, args.p, None
+    return args.k, _capped_span(args.p, args.size_cap), None
 
 
 def cmd_construct(args) -> int:
@@ -292,6 +302,8 @@ def cmd_verify(args) -> int:
         if getattr(args, name) is None:
             raise ValueError(f"verify {target} needs --{name}")
     k, p, n = args.k, args.p, args.n
+    if "p" in need:
+        _capped_span(p, args.size_cap)
     if n is not None and n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
     # each instance is built, and its clique searched, at most once per run
@@ -352,7 +364,7 @@ def _load_labeled_input(args):
         p = file_p if args.p is None else args.p
         if p is None:
             raise ValueError("input file carries no modulus; pass --p")
-        if not is_prime(p):
+        if not is_prime(_capped_span(p, args.size_cap)):
             raise NotPrime(p)
         if file_p is not None and p != file_p:
             raise ValueError(f"--p {p} disagrees with the input file's modulus '# p: {file_p}'")
@@ -361,6 +373,7 @@ def _load_labeled_input(args):
         return LabeledGraph(graph, labels or (), p), f"file({args.input})", raw
     if args.k is None or args.p is None:
         raise ValueError("need an input file, or --k and --p to build one")
+    _capped_span(args.p, args.size_cap)
     zg = build_zykov(args.k, size_cap=args.size_cap)
     return build_power_graph(zg, args.p), f"power(k={args.k}, p={args.p})", None
 
@@ -451,7 +464,7 @@ def _parser() -> argparse.ArgumentParser:
                 default=None,
                 help=f"search-node cap per exact search (default {DEFAULT_NODE_BUDGET} when no budget given)",
             )
-        p_.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP, help="refuse constructions and input files above this vertex count")
+        p_.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP, help="refuse graphs, moduli p and --f domains above this size")
         p_.add_argument("--out", default=None, help="output path (stdout when omitted)")
         if seeded:
             p_.add_argument("--seed", type=int, default=0, help="PRNG seed for subset sampling")

@@ -45,42 +45,6 @@ class Coloring:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class EdgePartition:
-    """Edges of a labeled graph split by the residue class of their label; each
-    class is a subsequence of canonical edges, as ``edge_partition`` builds it.
-    A hand-built partition is checked for that, and refused with ValueError:
-    each class must hold strictly ascending tuples (u, v) of two distinct
-    ints (not bools) in ``0..n_vertices-1``."""
-
-    p: int
-    n_vertices: int
-    classes: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self):
-        n = self.n_vertices
-        for i, edges in enumerate(self.classes):
-            prev = (-1, -1)
-            for e in edges:
-                pair = type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is int
-                if not (pair and e[0] != e[1] and 0 <= e[0] < n and 0 <= e[1] < n):
-                    raise ValueError(f"class {i}: {e!r} is not an edge of a simple graph on {n} vertices")
-                if e <= prev:
-                    raise ValueError(f"class {i}: edge {e} does not follow {prev} in ascending order")
-                prev = e
-
-    @classmethod
-    def _canonical(cls, p: int, n_vertices: int, classes) -> EdgePartition:
-        """``edge_partition``'s trusted path, which checks nothing: its
-        classes are canonical as built."""
-        part = cls.__new__(cls)
-        part.__dict__.update(p=p, n_vertices=n_vertices, classes=classes)
-        return part
-
-    def class_graph(self, i: int) -> OrientedGraph:
-        return OrientedGraph._canonical(self.n_vertices, self.classes[i])
-
-
 def _edge_classes(g: LabeledGraph, part: ResiduePartition) -> list[int]:
     """The partition class of each edge's residue label, parallel to
     ``g.graph.edges``."""
@@ -96,13 +60,27 @@ def _edge_classes(g: LabeledGraph, part: ResiduePartition) -> list[int]:
     return classes
 
 
+class EdgePartition:
+    """The edges of a labeled graph split by the residue class of their
+    label. It is built from the graph alone, so each class is a subsequence
+    of canonical edges and its class graph needs no checking."""
+
+    __slots__ = ("n_vertices", "classes")
+
+    def __init__(self, g, part: ResiduePartition):
+        g = as_labeled(g)
+        buckets: list[list[tuple[int, int]]] = [[] for _ in part.classes]
+        for e, i in zip(g.graph.edges, _edge_classes(g, part)):
+            buckets[i].append(e)
+        self.n_vertices, self.classes = g.graph.n, tuple(map(tuple, buckets))
+
+    def class_graph(self, i: int) -> OrientedGraph:
+        return OrientedGraph._canonical(self.n_vertices, self.classes[i])
+
+
 def edge_partition(g, part: ResiduePartition) -> EdgePartition:
     """Split the edge set by which partition class each residue label lies in."""
-    g = as_labeled(g)
-    buckets: list[list[tuple[int, int]]] = [[] for _ in part.classes]
-    for e, i in zip(g.graph.edges, _edge_classes(g, part)):
-        buckets[i].append(e)
-    return EdgePartition._canonical(part.p, g.graph.n, tuple(tuple(b) for b in buckets))
+    return EdgePartition(g, part)
 
 
 def _longest_paths(graph: OrientedGraph, edge_class: list[int], phi: int, k: int) -> list[list[int]]:

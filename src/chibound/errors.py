@@ -50,12 +50,13 @@ def _count_text(x: int, exact: bool) -> str:
 
 
 class SizeBudgetExceeded(GraphError):
-    """A predicted vertex count above the cap. ``predicted_vertices`` is the
-    size asked for when ``exact``, else a lower bound on it."""
+    """A predicted count of ``unit`` above the cap: the vertices of a graph,
+    or the residues of a modulus. ``predicted_vertices`` is the size asked
+    for when ``exact``, else a lower bound on it."""
 
-    def __init__(self, predicted_vertices, cap, exact=True):
+    def __init__(self, predicted_vertices, cap, exact=True, unit="vertices"):
         super().__init__(
-            f"predicted size {_count_text(predicted_vertices, exact)} vertices exceeds cap {cap}"
+            f"predicted size {_count_text(predicted_vertices, exact)} {unit} exceeds cap {cap}"
         )
         self.predicted_vertices = predicted_vertices
         self.cap = cap

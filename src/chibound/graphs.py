@@ -3,8 +3,9 @@ utilities, reachability distances, and induced subgraphs.
 
 Vertices are dense integer indices ``0..n-1``; every construction in this
 package emits deterministic numbering so repeated runs are bit-for-bit
-reproducible. Adjacency is kept as sorted neighbor tuples; the oracles build
-their own bitset rows from the edge list.
+reproducible. A graph keeps its canonical edge tuple and one sorted
+out-neighbour tuple per vertex, nothing more; the oracles build their own
+bitset rows and in-degrees from the edge list.
 
 ``OrientedGraph(n, edges)`` validates and canonicalizes external input. The
 package's builders call ``OrientedGraph._canonical``, which checks nothing: their
@@ -14,7 +15,7 @@ edges must be canonical (ascending, unique, in ``0..n-1``, no self-loops).
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator
@@ -31,7 +32,7 @@ class OrientedGraph:
     Instances are immutable after construction and safe to share across threads.
     """
 
-    __slots__ = ("n", "edges", "_out", "_in")
+    __slots__ = ("n", "edges", "_out")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -59,13 +60,12 @@ class OrientedGraph:
         is the one empty tuple, and no per-vertex list is built."""
         self.n, self.edges = n, tuple(edges)
         if not self.edges:
-            self._out = self._in = ((),) * n
+            self._out = ((),) * n
             return
-        out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
+        out = [[] for _ in range(n)]
         for u, v in self.edges:
             out[u].append(v)
-            inn[v].append(u)
-        self._out, self._in = tuple(map(tuple, out)), tuple(map(tuple, inn))
+        self._out = tuple(map(tuple, out))
 
     @property
     def m(self) -> int:
@@ -73,9 +73,6 @@ class OrientedGraph:
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         return self._out[u]
-
-    def in_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._in[u]
 
     def has_edge(self, u: int, v: int) -> bool:
         out = self._out[u]
@@ -86,14 +83,20 @@ class OrientedGraph:
         return self.has_edge(u, v) or self.has_edge(v, u)
 
     def undirected_edges(self) -> tuple[tuple[int, int], ...]:
-        """Sorted pairs (u, v), u < v, of the undirected view. Each vertex's
-        out- and in-row above it are two sorted runs, which the sort merges
-        in linear time; an anti-parallel pair shows up in both and is kept once."""
+        """Sorted pairs (u, v), u < v, of the undirected view. Each edge goes
+        under its lower end; canonical order files a vertex's out-neighbours
+        above it, then its in-neighbours above it, as two sorted runs, which
+        the sort merges in linear time. An anti-parallel pair shows up in both
+        and is kept once."""
+        rows: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            if u < v:
+                rows[u].append(v)
+            else:
+                rows[v].append(u)
         pairs: list[tuple[int, int]] = []
-        for u in range(self.n):
-            out, inn = self._out[u], self._in[u]
-            row = sorted(out[bisect_right(out, u) :] + inn[bisect_right(inn, u) :])
-            pairs += zip(repeat(u), dict.fromkeys(row))
+        for u, row in enumerate(rows):
+            pairs += zip(repeat(u), dict.fromkeys(sorted(row)))
         return tuple(pairs)
 
     def __eq__(self, other) -> bool:
@@ -160,17 +163,14 @@ def topological_order(g) -> list[int]:
                 heapq.heappush(heap, v)
     if len(order) < g.n:
         remaining = {v for v in range(g.n) if indeg[v] > 0}
-        raise CycleFound(find_cycle(g, remaining))
+        raise CycleFound(_find_cycle(g, remaining))
     return order
 
 
-def find_cycle(g, within: set[int] | None = None) -> list[int]:
-    """Locate one directed cycle via DFS; `within` restricts the searched vertices."""
-    g = oriented_view(g)
-    vertices = sorted(within) if within is not None else range(g.n)
-    allowed = set(vertices)
+def _find_cycle(g: OrientedGraph, within: set[int]) -> list[int]:
+    """One directed cycle among the vertices ``within``, by DFS."""
     state = {}  # 0 = on stack, 1 = done
-    for start in vertices:
+    for start in sorted(within):
         if start in state:
             continue
         stack = [(start, iter(g.out_neighbors(start)))]
@@ -180,7 +180,7 @@ def find_cycle(g, within: set[int] | None = None) -> list[int]:
             u, it = stack[-1]
             advanced = False
             for v in it:
-                if v not in allowed:
+                if v not in within:
                     continue
                 if v not in state:
                     state[v] = 0

@@ -2,13 +2,14 @@
 uniqueness, triangle-freeness, zero-sum freeness, long-path absence, and
 coloring properness.
 
-Everything in this module is written against the raw edge list and neighbour
-tuples only; the searches build their own bitset rows from the edge list. None
-of it reuses the pipeline's distance or coloring code, so a pipeline bug and
-an oracle bug would have to coincide to slip through. Every fail verdict
-carries a witness that is re-checked by a few lines of direct arithmetic
-before it is reported. Searches are single-threaded with fixed tie-breaking by
-vertex index, so verdicts and witnesses are byte-stable across runs.
+Everything in this module is written against the raw edge list and
+out-neighbour tuples only; in-degrees and the searches' bitset rows are
+counted from the edge list here. None of it reuses the pipeline's distance or
+coloring code, so a pipeline bug and an oracle bug would have to coincide to
+slip through. Every fail verdict carries a witness that is re-checked by a
+few lines of direct arithmetic before it is reported. Searches are
+single-threaded with fixed tie-breaking by vertex index, so verdicts and
+witnesses are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -513,7 +514,9 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
 def _kahn(graph: OrientedGraph) -> list[int]:
     """Own topological sort; a short list means a cycle. Every caller's
     result is the same for any topological order."""
-    indeg = [len(graph.in_neighbors(v)) for v in range(graph.n)]
+    indeg = [0] * graph.n
+    for _, v in graph.edges:
+        indeg[v] += 1
     order = [v for v in range(graph.n) if indeg[v] == 0]
     for u in order:  # the list grows while it is walked
         for v in graph.out_neighbors(u):
@@ -559,23 +562,17 @@ def _cycle_witness(graph: OrientedGraph, order: list[int]) -> list[int]:
     raise AssertionError("no cycle in claimed cyclic vertex set")
 
 
-def _two_paths(graph: OrientedGraph, u: int, v: int) -> list[list[int]]:
-    """First two directed u->v paths in lexicographic order."""
-    canreach = {v}
-    stack = [v]
-    while stack:
-        x = stack.pop()
-        for w in graph.in_neighbors(x):
-            if w not in canreach:
-                canreach.add(w)
-                stack.append(w)
+def _two_paths(graph: OrientedGraph, counts: list[dict[int, int]], u: int, v: int) -> list[list[int]]:
+    """First two directed u->v paths in lexicographic order; ``counts[x]``
+    holds every vertex that x reaches, so the walk enters x only if
+    ``v in counts[x]``."""
     # depth-first on an explicit stack of out-neighbour iterators, one per
     # vertex of the path but its end, so paths come in lexicographic order
     found: list[list[int]] = []
     path = [u]
     stack = [iter(graph.out_neighbors(u))]
     while stack and len(found) < 2:
-        y = next((y for y in stack[-1] if y in canreach), None)
+        y = next((y for y in stack[-1] if v in counts[y]), None)
         if y is None:
             stack.pop()
             path.pop()
@@ -616,7 +613,7 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
     if dup is None:
         return timed_report("unique-paths", instance, "pass", None, started)
     u, v = dup
-    paths = _two_paths(graph, u, v)
+    paths = _two_paths(graph, counts, u, v)
     if len(paths) != 2 or paths[0] == paths[1]:
         raise AssertionError("duplicate-path witness failed re-check")
     for p in paths:
@@ -634,24 +631,24 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
 
 
 def verify_triangle_free(g, instance: str | None = None) -> VerificationReport:
-    """Pass iff the undirected view has no triangle; bitset row intersection."""
+    """Pass iff the undirected view has no triangle; bitset row intersection
+    along each edge. The witness is the least pair u < v with a common
+    neighbour, and its least common neighbour w."""
     started = time.perf_counter()
     graph = oriented_view(g)
     instance = instance or _describe(graph)
     und = _und_rows(graph)
-    for u, v in graph.undirected_edges():
-        common = und[u] & und[v]
-        if common:
-            w = (common & -common).bit_length() - 1
-            tri = sorted((u, v, w))
-            for i, a in enumerate(tri):
-                for b in tri[i + 1 :]:
-                    if not (und[a] >> b) & 1:
-                        raise AssertionError("triangle witness failed re-check")
-            return timed_report(
-                "triangle-free", instance, "fail", {"triangle": tri}, started
-            )
-    return timed_report("triangle-free", instance, "pass", None, started)
+    hits = [(min(e), max(e)) for e in graph.edges if und[e[0]] & und[e[1]]]
+    if not hits:
+        return timed_report("triangle-free", instance, "pass", None, started)
+    u, v = min(hits)
+    common = und[u] & und[v]
+    tri = sorted((u, v, (common & -common).bit_length() - 1))
+    for i, a in enumerate(tri):
+        for b in tri[i + 1 :]:
+            if not (und[a] >> b) & 1:
+                raise AssertionError("triangle witness failed re-check")
+    return timed_report("triangle-free", instance, "fail", {"triangle": tri}, started)
 
 
 def verify_partition_sums(part, instance: str | None = None) -> VerificationReport:

@@ -418,6 +418,42 @@ def test_an_input_file_above_the_size_cap_is_refused_before_it_is_built(tmp_path
     assert time.perf_counter() - started < 5
 
 
+_BIG_P = "1000000000000000003"  # a prime whose trial division would run for hours
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["verify", "lemma22", "--k", "3", "--p", _BIG_P], "at least 10^18 residues"),
+        (["color", "--k", "3", "--p", _BIG_P], "at least 10^18 residues"),
+        (["sample-hereditary", "--k", "3", "--p", str(10**30)], "at least 10^29 residues"),
+        (["verify", "lemma24", "--p", "1000003", "--n", "2"], "1000002 residues"),
+        (["verify", "lemma22", "--k", "4", "--p", "1000003"], "1000002 residues"),
+        (["construct", "power", "--k", "3", "--p", _BIG_P], "at least 10^18 residues"),
+        (["construct", "power", "--f", "n^2", "--n", "10000000"], "9999999 orders"),
+        (["color", "FILE"], "at least 10^18 residues"),
+        (["sample-hereditary", "FILE"], "at least 10^18 residues"),
+        (["color", "FILE", "--p", "1000003"], "1000002 residues"),
+    ],
+)
+def test_a_modulus_or_growth_domain_above_the_size_cap_is_refused_at_once(tmp_path, capsys, argv, size):
+    path = tmp_path / "big-p.edges"
+    path.write_text(f"# p: {_BIG_P}\nn 3 2\n0 1 1\n1 2 1\n")
+    started = time.perf_counter()
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == OPERATIONAL and out == ""
+    assert err == f"error: predicted size {size} exceeds cap 1000000\n"
+    assert time.perf_counter() - started < 5
+
+
+def test_the_modulus_cap_counts_the_p_minus_1_residues(capsys):
+    assert run(capsys, "verify", "lemma24", "--p", "7", "--size-cap", "6")[0] == PASS
+    code, _, err = run(capsys, "verify", "lemma24", "--p", "7", "--size-cap", "5")
+    assert code == OPERATIONAL and err == "error: predicted size 6 residues exceeds cap 5\n"
+    code, _, err = run(capsys, "construct", "power", "--f", "n^2", "--n", "7", "--size-cap", "5")
+    assert code == OPERATIONAL and err == "error: predicted size 6 orders exceeds cap 5\n"
+
+
 def test_color_rejects_duplicate_edges_and_directed_cycles(tmp_path, capsys):
     duplicated = tmp_path / "dup.edges"
     duplicated.write_text("# p: 5\nn 3 2\n0 1 1\n0 1 2\n")
@@ -495,7 +531,7 @@ _FUZZ_BASES = [
     for pg in (build_power_graph(build_zykov(3), 5), build_power_graph(build_zykov(4), 3))
 ] + [(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)], 3)]
 _FUZZ_INTS = st.one_of(st.integers(-2, 20), st.sampled_from([10**6 + 1, 5_000_000, 10**12, 10**30]))
-_FUZZ_MODULI = ["0", "1", "2", "3", "4", "5", "7", "31", "-5", "x", ""]
+_FUZZ_MODULI = ["0", "1", "2", "3", "4", "5", "7", "31", "1000000000000000003", str(10**30), "-5", "x", ""]
 _FUZZ_MUTATIONS = ["label", "id", "repeat", "reverse", "unlabel", "junk", "vertices", "edges", "modulus", "p", "budget", "cap"]
 
 

@@ -5,7 +5,6 @@ import pytest
 from chibound import (
     CliqueTooLarge,
     CycleFound,
-    EdgePartition,
     LabeledGraph,
     OrderNotLess,
     OrientedGraph,
@@ -100,35 +99,6 @@ def test_edge_partition_requires_labels():
     out_of_range = labeled(2, [((0, 1), 0)], 5)
     with pytest.raises(UnlabeledEdge):
         edge_partition(out_of_range, residue_partition(5, 2))
-
-
-def test_hand_built_edge_partition_refuses_an_edge_out_of_range():
-    with pytest.raises(ValueError, match=r"class 0: \(0, 5\) is not an edge"):
-        EdgePartition(5, 2, (((0, 5),),))
-
-
-def test_hand_built_edge_partition_refuses_bool_endpoints_and_non_pairs():
-    with pytest.raises(ValueError, match=r"class 0: \(False, True\) is not an edge"):
-        EdgePartition(5, 2, (((False, True),),))
-    with pytest.raises(ValueError, match=r"class 0: \(4,\) is not an edge"):
-        EdgePartition(5, 2, (((4,),),))
-    with pytest.raises(ValueError, match=r"class 1: \(0, 1, 2\) is not an edge"):
-        EdgePartition(5, 2, ((), ((0, 1, 2),)))
-    with pytest.raises(ValueError, match=r"class 0: \[0, 1\] is not an edge"):
-        EdgePartition(5, 2, (([0, 1],),))
-
-
-def test_hand_built_edge_partition_refuses_unsorted_or_repeated_edges():
-    with pytest.raises(ValueError, match=r"class 0: edge \(0, 1\) does not follow \(1, 0\)"):
-        EdgePartition(5, 2, (((1, 0), (0, 1), (1, 0)),))
-    with pytest.raises(ValueError, match=r"class 1: edge \(0, 1\) does not follow \(0, 1\)"):
-        EdgePartition(5, 2, ((), ((0, 1), (0, 1))))
-
-
-def test_hand_built_edge_partition_takes_canonical_classes():
-    ep = EdgePartition(5, 3, (((0, 1), (1, 0), (1, 2)), ()))
-    assert ep.class_graph(0).edges == ((0, 1), (1, 0), (1, 2))
-    assert ep.class_graph(1).edges == ()
 
 
 def test_bounded_color_edgeless_palette_one():

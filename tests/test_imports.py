@@ -1,8 +1,11 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and its public names
+all resolve."""
 
 import ast
 import sys
 from pathlib import Path
+
+import chibound
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "chibound").glob("*.py"))
 
@@ -22,3 +25,10 @@ def test_package_imports_only_the_standard_library():
                 f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_public_names_are_sorted_unique_and_resolve():
+    names = chibound.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert [name for name in names if not hasattr(chibound, name)] == []

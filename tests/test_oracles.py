@@ -490,6 +490,31 @@ def test_triangle_found_across_orientations():
     assert verify_triangle_free(g).verdict == "fail"
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_triangle_witness_is_the_least_pair_then_the_least_apex_in_any_orientation(seed):
+    # edges in both directions, some anti-parallel pairs, several triangles
+    rng = random.Random(seed)
+    n = rng.randint(3, 16)
+    pairs = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25}
+    for _ in range(3):
+        pairs |= set(itertools.combinations(sorted(rng.sample(range(n), 3)), 2))
+    edges = []
+    for u, v in pairs:
+        edges.append((u, v) if rng.random() < 0.5 else (v, u))
+        if rng.random() < 0.2:
+            edges.append(edges[-1][::-1])
+    rng.shuffle(edges)
+    adj = {(u, v) for u, v in pairs} | {(v, u) for u, v in pairs}
+    expected = next(
+        sorted((u, v, w))
+        for u, v in sorted(pairs)
+        for w in range(n)
+        if (u, w) in adj and (v, w) in adj
+    )
+    r = verify_triangle_free(OrientedGraph(n, edges))
+    assert r.verdict == "fail" and r.witness["triangle"] == expected
+
+
 def test_triangle_free_on_level_five_graph():
     assert verify_triangle_free(build_zykov(5)).passed
 
