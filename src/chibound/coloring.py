@@ -11,7 +11,8 @@ re-checked against the graph before it is surfaced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, starmap
+from operator import gt
 
 from .errors import (
     CliqueTooLarge,
@@ -88,13 +89,14 @@ def _longest_paths(graph: OrientedGraph, edge_class: list[int], phi: int, k: int
     edges leaving each vertex; ``edge_class[j]`` is the class of
     ``graph.edges[j]``.
 
-    One topological order of the whole graph serves every class. A class
-    whose longest path reaches length k raises PathTooLong, the first such
-    class in class order: the path starts at the lowest-indexed vertex of
-    greatest height and takes the lowest-indexed successor of greatest height
-    at each step.
+    One topological order of the whole graph serves every class: descending
+    index order if every edge descends (u > v), else ``topological_order``,
+    which raises CycleFound on a cycle. A class whose longest path reaches
+    length k raises PathTooLong, the first such class in class order: the
+    path starts at the lowest-indexed vertex of greatest height and takes the
+    lowest-indexed successor of greatest height at each step, in any order.
     """
-    order = topological_order(graph)
+    order = range(graph.n - 1, -1, -1) if all(starmap(gt, graph.edges)) else topological_order(graph)
     out = [graph.out_neighbors(u) for u in range(graph.n)]
     first = list(accumulate(map(len, out), initial=0))  # edges of u: first[u]..first[u+1]
     height = [[0] * graph.n for _ in range(phi)]

@@ -9,7 +9,10 @@ bitset rows and in-degrees from the edge list.
 
 ``OrientedGraph(n, edges)`` validates and canonicalizes external input. The
 package's builders call ``OrientedGraph._canonical``, which checks nothing: their
-edges must be canonical (ascending, unique, in ``0..n-1``, no self-loops).
+edges must be canonical (sorted ascending, unique, in ``0..n-1``, no self-loops).
+
+Every graph the package builds descends (each edge u -> v has u > v), so its
+descending index order is topological; external input need not descend.
 """
 
 from __future__ import annotations
@@ -146,7 +149,8 @@ def as_labeled(obj) -> LabeledGraph:
 
 
 def topological_order(g) -> list[int]:
-    """Lexicographically smallest topological order, or CycleFound with a witness."""
+    """Lexicographically smallest topological order, descending graph or not
+    (``distance_table``'s MultiplePaths pair depends on it), or CycleFound."""
     g = oriented_view(g)
     indeg = [0] * g.n
     for _, v in g.edges:
@@ -212,6 +216,10 @@ class DistanceTable:
 
     def d(self, u: int, v: int) -> int | None:
         return self._rows[u].get(v)
+
+    def row(self, u: int) -> dict[int, int]:
+        """``{v: d(u, v)}`` for every v that u reaches, u included (not a copy)."""
+        return self._rows[u]
 
     def pairs(self) -> Iterator[tuple[int, int, int]]:
         """Yield (u, v, d) over all reachable pairs with u != v, ascending u."""

@@ -72,14 +72,16 @@ def build_power_graph(base, p: int, distances: DistanceTable | None = None) -> L
     g = oriented_view(base)
     if distances is None:
         distances = distance_table(g)
-    # pairs() ascends, so the edges come out canonical with the labels parallel
+    # sorted rows in ascending u give canonical edges, labels parallel; d(u, u) = 0 drops
     edges = []
     labels = []
-    for u, v, d in distances.pairs():
-        r = d % p
-        if r != 0:
-            edges.append((u, v))
-            labels.append(r)
+    for u in range(g.n):
+        row = distances.row(u)
+        for v in sorted(row):
+            r = row[v] % p
+            if r:
+                edges.append((u, v))
+                labels.append(r)
     return LabeledGraph(OrientedGraph._canonical(g.n, edges), tuple(labels), p)
 
 

@@ -10,7 +10,8 @@ oracles module re-derives them on every instance the test suite builds.
 
 Vertex numbering is deterministic: copies are laid out consecutively in level
 order, then apexes in lexicographic transversal order, so runs are
-reproducible bit-for-bit.
+reproducible bit-for-bit. Apexes come after the copies they point into, so
+every edge descends (u -> v, u > v), and power graphs and subgraphs inherit it.
 """
 
 from __future__ import annotations

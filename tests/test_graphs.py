@@ -3,22 +3,27 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import chibound.coloring as coloring
 from chibound import (
     CycleFound,
     LabeledGraph,
     MultiplePaths,
     OrientedGraph,
     UnknownVertex,
+    bounded_color,
     build_power_graph,
     build_zykov,
     distance_table,
     edge_partition,
     induced_subgraph,
+    max_clique,
     read_edgelist,
     residue_partition,
     topological_order,
     write_edgelist,
 )
+from chibound.cli import main
+from chibound.oracles import _kahn
 from helpers import random_dag
 
 
@@ -269,3 +274,38 @@ def test_builders_skip_validation_and_the_reader_keeps_it(monkeypatch):
         read_edgelist("n 2 1\n0 2\n")
     with pytest.raises(ValueError, match="self-loop at vertex 1"):
         read_edgelist("n 2 1\n1 1\n")
+
+
+def test_every_built_graph_descends_so_index_order_is_topological(tmp_path, monkeypatch):
+    """Every graph the package builds numbers its vertices so that each edge
+    u -> v has u > v; the oracles' sort then reads descending index order off
+    the edge list, and the coloring never needs the heap sort. A renumbering
+    that sent these graphs back to the slow path fails here."""
+    graphs = []
+    for k in range(1, 6):
+        zg = build_zykov(k)
+        graphs.append(zg.graph)
+        graphs += [build_power_graph(zg, p).graph for p in (2, 3, 5, 7)]
+    pg = build_power_graph(zg, 7)
+    rng = random.Random(13)
+    for _ in range(40):
+        vs = rng.sample(range(pg.graph.n), rng.randint(0, 60))
+        graphs.append(induced_subgraph(pg, vs).graph)
+    for n in (2, 4, 6):
+        ep = edge_partition(pg, residue_partition(7, n))
+        graphs += [ep.class_graph(i) for i in range(len(ep.classes))]
+    out = tmp_path / "power.edges"
+    assert main(["construct", "power", "--k", "5", "--p", "7", "--out", str(out)]) == 0
+    back, _, _ = read_edgelist(out.read_text())
+    assert back == pg.graph
+    graphs.append(back)
+    for g in graphs:
+        assert all(u > v for u, v in g.edges)
+        assert _kahn(g) == list(range(g.n - 1, -1, -1))
+
+    def no_heap_sort(g):
+        raise AssertionError("heap topological_order on a descending graph")
+
+    monkeypatch.setattr(coloring, "topological_order", no_heap_sort)
+    omega, _ = max_clique(pg)
+    assert bounded_color(pg, omega, residue_partition(7, omega)).palette > 0

@@ -13,8 +13,11 @@ from chibound import (
     Budget,
     BudgetExceeded,
     CycleFound,
+    LabeledGraph,
     OrientedGraph,
+    PathTooLong,
     ResiduePartition,
+    bounded_color,
     build_power_graph,
     build_zykov,
     exact_chromatic_number,
@@ -22,6 +25,7 @@ from chibound import (
     longest_path_coloring,
     max_clique,
     residue_partition,
+    topological_order,
     verify_no_long_path,
     verify_partition_sums,
     verify_proper,
@@ -550,6 +554,90 @@ def test_no_long_path_verdicts():
 def test_no_long_path_rejects_cycles():
     with pytest.raises(CycleFound):
         verify_no_long_path(OrientedGraph(2, [(0, 1), (1, 0)]), 3)
+
+
+def _layered_dags(seed: int) -> tuple[LabeledGraph, LabeledGraph]:
+    """A residue-labeled DAG whose edges all descend, and a relabeling of it
+    with at least one ascending edge. Edges join vertices of six levels,
+    from a higher level down, so no path is longer than 5."""
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    while not edges:
+        n = rng.randint(2, 30)
+        level = sorted(rng.randrange(6) for _ in range(n))
+        density = rng.uniform(0.05, 0.5)
+        edges = [
+            (u, v) for u in range(n) for v in range(u) if level[v] < level[u] and rng.random() < density
+        ]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    moved = [(perm[u], perm[v]) for u, v in edges]
+    if all(a > b for a, b in moved):
+        moved = [(n - 1 - a, n - 1 - b) for a, b in moved]
+    labels = [rng.randint(1, 6) for _ in edges]
+
+    def labeled(pairs):
+        label_of = dict(zip(pairs, labels))
+        g = OrientedGraph(n, pairs)
+        return LabeledGraph(g, tuple(label_of[e] for e in g.edges), 7)
+
+    return labeled(edges), labeled(moved)
+
+
+def _heap_heights(graph: OrientedGraph, edge_class: dict, phi: int) -> list[list[int]]:
+    """Per-class longest-path heights over the heap ``topological_order``."""
+    h = [[0] * graph.n for _ in range(phi)]
+    for u in reversed(topological_order(graph)):
+        for v in graph.out_neighbors(u):
+            c = h[edge_class[(u, v)]]
+            c[u] = max(c[u], c[v] + 1)
+    return h
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_any_topological_order_gives_the_heap_orders_results(seed, monkeypatch):
+    """On a descending DAG the sorts take index order, on its relabeling
+    Kahn's sort; heights, path heights, oracle verdicts and witnesses, and
+    colorings all equal what the heap ``topological_order`` gives."""
+    descending, relabeled = _layered_dags(seed)
+    assert all(u > v for u, v in descending.graph.edges)
+    assert not all(u > v for u, v in relabeled.graph.edges)
+    bound = random.Random(seed).randint(1, 5)
+    part = residue_partition(7, 6)
+    for lg in (descending, relabeled):
+        g = lg.graph
+        order = oracles._kahn(g)
+        pos = {v: i for i, v in enumerate(order)}
+        assert sorted(order) == list(range(g.n))
+        assert all(pos[u] < pos[v] for u, v in g.edges)
+
+        def run():  # _path_heights returns _heights too
+            return (
+                oracles._path_heights(g),
+                verify_unique_paths(g).to_json_dict(),
+                verify_no_long_path(g, bound).to_json_dict(),
+            )
+
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(oracles, "_kahn", topological_order)
+            assert got == run()
+
+        # the coloring against the textbook DP over the heap order; every
+        # path is shorter than 6, so n = 6 < p = 7 colors without a clique
+        classes = {e: part.class_index[r] for e, r in zip(g.edges, lg.labels)}
+        ref = _heap_heights(g, classes, len(part.classes))
+        assert bounded_color(lg, 6, part).tuples == tuple(zip(*ref))
+        (h,) = _heap_heights(g, dict.fromkeys(g.edges, 0), 1)
+        if max(h) < bound:
+            assert longest_path_coloring(g, bound).assignment == tuple(h)
+            continue
+        path = [h.index(max(h))]  # lowest top vertex, then lowest successor one lower
+        while h[path[-1]]:
+            path.append(min(v for v in g.out_neighbors(path[-1]) if h[v] == h[path[-1]] - 1))
+        with pytest.raises(PathTooLong) as exc:
+            longest_path_coloring(g, bound)
+        assert exc.value.path == path
 
 
 def test_proper_coloring_verdicts():

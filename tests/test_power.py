@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chibound import (
@@ -75,18 +77,29 @@ def test_base_is_a_label_one_subgraph(p):
         assert label_of[e] == 1
 
 
+def _relabeled_zykov4() -> OrientedGraph:
+    """zykov(4) under a seeded renumbering: still unique-path, but some
+    edges ascend."""
+    base = build_zykov(4).graph
+    perm = list(range(base.n))
+    random.Random(4).shuffle(perm)
+    g = OrientedGraph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
+    assert not all(u > v for u, v in g.edges)
+    return g
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_edges_are_exactly_nonzero_residue_pairs(p):
-    zg = build_zykov(4)
-    pg = build_power_graph(zg, p)
-    t = distance_table(zg.graph)
-    expected = {}
-    for u, v, d in t.pairs():
-        if d % p:
-            expected[(u, v)] = d % p
-    assert dict(zip(pg.graph.edges, pg.labels)) == expected
-    assert set(pg.graph.edges) == set(expected)
-    assert all(1 <= r <= p - 1 for r in pg.labels)
+    for base in [build_zykov(k).graph for k in range(1, 6)] + [_relabeled_zykov4()]:
+        pg = build_power_graph(base, p)
+        t = distance_table(base)
+        expected = {}
+        for u, v, d in t.pairs():
+            if d % p:
+                expected[(u, v)] = d % p
+        assert dict(zip(pg.graph.edges, pg.labels)) == expected
+        assert pg.graph.edges == tuple(expected)
+        assert all(1 <= r <= p - 1 for r in pg.labels)
 
 
 def test_large_modulus_gives_full_comparability_graph():
