@@ -3,8 +3,11 @@ uniqueness, triangle-freeness, zero-sum freeness, long-path absence, and
 coloring properness.
 
 Everything in this module is written against the raw edge list and
-out-neighbour tuples only; in-degrees and the searches' bitset rows are
-counted from the edge list here. None of it reuses the pipeline's distance or
+out-neighbour tuples only; in-degrees and every bitset row (undirected rows
+for the searches, lower-neighbour rows for triangles, reach rows for unique
+paths) are built from them here. A row is as wide as its highest bit, so
+rows cost up to n²/8 bytes on a sparse graph whose edges join far-apart
+indices. None of it reuses the pipeline's distance or
 coloring code, so a pipeline bug and an oracle bug would have to coincide to
 slip through. Every fail verdict carries a witness that is re-checked by a
 few lines of direct arithmetic before it is reported. Searches are
@@ -298,10 +301,11 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
     return ub
 
 
-def _fits_in_classes(und, p_mask: int, room: int) -> bool:
-    """Whether greedy coloring splits the vertices of ``p_mask`` into at most
-    ``room`` independent sets, each taking the lowest remaining vertex that
-    has no neighbour in it yet. A clique has one vertex in each set.
+def _fits_in_classes(und, p_mask: int, room: int) -> int:
+    """The number of independent sets that greedy coloring splits the
+    vertices of ``p_mask`` into, each taking the lowest remaining vertex
+    that has no neighbour in it yet, if that is at most ``room``; else 0.
+    A clique has one vertex in each set.
 
     Two loops build the same sets. One builds each set in a pass over the
     vertices left, one short test each, so it makes up to ``room`` passes.
@@ -314,7 +318,7 @@ def _fits_in_classes(und, p_mask: int, room: int) -> bool:
     hundred bits wide the two loops take about as long."""
     if room * 256 < p_mask.bit_length():
         left = _bits(p_mask)
-        for _ in range(room):
+        for classes in range(room):
             taken, rest = 0, []
             for v in left:
                 if und[v] & taken:
@@ -322,20 +326,20 @@ def _fits_in_classes(und, p_mask: int, room: int) -> bool:
                 else:
                     taken |= 1 << v
             if not rest:
-                return True
+                return classes + 1
             left = rest
-        return False
+        return 0
     classes = 0
     while p_mask:
         classes += 1
         if classes > room:
-            return False
+            return 0
         q = p_mask
         while q:
             bit = q & -q
             p_mask ^= bit
             q &= ~(und[bit.bit_length() - 1] | bit)
-    return True
+    return classes
 
 
 def _heights(graph: OrientedGraph, order: list[int]) -> list[int]:
@@ -421,10 +425,12 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     their count, then by the split bound (see ``_Split``), then by a greedy
     coloring of them (Tomita and Seki's MCQ bound). So the first clique of t
     vertices a level meets is the first maximum clique in pivot order, and a
-    level that ends without one proves ω < t. A budget stop reports the
-    bracket [largest clique met, t]. On a cyclic orientation one pass grows
-    the best clique instead, cutting what cannot beat it, and a budget stop
-    has no upper bound.
+    level that ends without one proves ω < t. A level whose root the greedy
+    coloring cuts, with c classes, proves ω <= c, so the next level sought
+    is c; the levels between would each be cut at the root the same way.
+    A budget stop reports the bracket [largest clique met, t]. On a cyclic
+    orientation one pass grows the best clique instead, cutting what cannot
+    beat it, and a budget stop has no upper bound.
     """
     graph = oriented_view(g)
     n = graph.n
@@ -438,13 +444,15 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     # the root's frame once a level has branched from it; every lower level
     # then branches from it too, since its room only shrinks
     root = None
+    # the class count of the greedy coloring that last cut a root
+    ceiling = n
 
     def level(t: int | None) -> bool:
         """Search for a clique of t vertices (t None: for any clique larger
         than ``best``); True at the first one, which is then ``best``. A
         frame (candidates, excluded, candidates left to branch on) is kept
         for each open node, and ``r`` is the clique of the open path."""
-        nonlocal root
+        nonlocal root, ceiling
         r: list[int] = []
         frames: list[tuple[int, int, int]] = []
         p, x = (1 << n) - 1, 0
@@ -465,7 +473,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
                 or room > 0
                 and (
                     (split is not None and r and split.bound(p, r[-1]) <= room)
-                    or _fits_in_classes(und, p, room)
+                    or (classes := _fits_in_classes(und, p, room))
                 )
             ):
                 pivot, cover = -1, -1
@@ -476,6 +484,10 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
                 frames.append((p, x, p & ~und[pivot]))
                 if not r:
                     root = frames[0]
+            elif not r:
+                # t <= n and r is empty, so neither the count nor the split
+                # bound cut the root: the coloring did, with `classes` sets
+                ceiling = classes
             while frames:
                 p, x, cand = frames[-1]
                 del r[len(frames) - 1 :]
@@ -496,7 +508,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
             level(None)
         else:
             while not level(t):
-                t -= 1
+                t = min(t - 1, ceiling)
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             "max-clique", exc.nodes, best_lower=len(best), best_upper=t, witness=tuple(sorted(best))
@@ -566,17 +578,17 @@ def _cycle_witness(graph: OrientedGraph, order: list[int]) -> list[int]:
     raise AssertionError("no cycle in claimed cyclic vertex set")
 
 
-def _two_paths(graph: OrientedGraph, counts: list[dict[int, int]], u: int, v: int) -> list[list[int]]:
-    """First two directed u->v paths in lexicographic order; ``counts[x]``
-    holds every vertex that x reaches, so the walk enters x only if
-    ``v in counts[x]``."""
+def _two_paths(graph: OrientedGraph, reach: list[int], u: int, v: int) -> list[list[int]]:
+    """First two directed u->v paths in lexicographic order; bit v of
+    ``reach[x]`` is set iff x reaches v, so the walk enters x only if x is v
+    or that bit is set."""
     # depth-first on an explicit stack of out-neighbour iterators, one per
     # vertex of the path but its end, so paths come in lexicographic order
     found: list[list[int]] = []
     path = [u]
     stack = [iter(graph.out_neighbors(u))]
     while stack and len(found) < 2:
-        y = next((y for y in stack[-1] if v in counts[y]), None)
+        y = next((y for y in stack[-1] if y == v or reach[y] >> v & 1), None)
         if y is None:
             stack.pop()
             path.pop()
@@ -590,34 +602,47 @@ def _two_paths(graph: OrientedGraph, counts: list[dict[int, int]], u: int, v: in
 
 def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
     """Pass iff the graph is acyclic and no ordered pair is joined by two or
-    more directed paths (counts saturate at 2). Failure is a verdict with a
-    cycle or a concrete pair of distinct paths, never an exception."""
+    more directed paths. Failure is a verdict with a cycle or a concrete pair
+    of distinct paths, never an exception.
+
+    In reverse topological order each vertex u gets its reach bitset (the
+    vertices it reaches, itself excluded) and a flag, set iff u reaches some
+    vertex by two paths. Every path from u leaves by one out-neighbour w and
+    goes on inside ``reach[w] | 1 << w``, so u is flagged iff some w is, or
+    two of those sets meet: the popcount of their OR falls below the sum of
+    their popcounts. The witness pair is the least flagged u and the least v
+    that u reaches by two paths, found by counting the paths from u alone,
+    saturating at 2."""
     started = time.perf_counter()
     graph = oriented_view(g)
     instance = instance or _describe(graph)
     order = _kahn(graph)
     if len(order) < graph.n:
         return timed_report("unique-paths", instance, "fail", {"cycle": _cycle_witness(graph, order)}, started)
-    counts: list[dict[int, int] | None] = [None] * graph.n
+    reach = [0] * graph.n
+    size = [0] * graph.n  # popcount of reach
+    flagged = [False] * graph.n
     for u in reversed(order):
-        row = {u: 1}
+        row = total = 0
         for w in graph.out_neighbors(u):
-            for v, c in counts[w].items():
-                total = row.get(v, 0) + c
-                row[v] = 2 if total > 2 else total
-        counts[u] = row
-    dup = None
-    for u in range(graph.n):
-        for v in sorted(counts[u]):
-            if v != u and counts[u][v] >= 2:
-                dup = (u, v)
-                break
-        if dup:
-            break
-    if dup is None:
+            if flagged[w]:
+                flagged[u] = True
+            row |= reach[w] | 1 << w
+            total += size[w] + 1
+        reach[u], size[u] = row, row.bit_count()
+        if size[u] < total:
+            flagged[u] = True
+    if True not in flagged:
         return timed_report("unique-paths", instance, "pass", None, started)
-    u, v = dup
-    paths = _two_paths(graph, counts, u, v)
+    u = flagged.index(True)
+    count = [0] * graph.n
+    count[u] = 1
+    for x in order[order.index(u) :]:
+        if count[x]:
+            for y in graph.out_neighbors(x):
+                count[y] = min(2, count[y] + count[x])
+    v = count.index(2)
+    paths = _two_paths(graph, reach, u, v)
     if len(paths) != 2 or paths[0] == paths[1]:
         raise AssertionError("duplicate-path witness failed re-check")
     for p in paths:
@@ -635,22 +660,36 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
 
 
 def verify_triangle_free(g, instance: str | None = None) -> VerificationReport:
-    """Pass iff the undirected view has no triangle; bitset row intersection
-    along each edge. The witness is the least pair u < v with a common
-    neighbour, and its least common neighbour w."""
+    """Pass iff the undirected view has no triangle. Bit y of ``lower[x]``
+    is set iff y < x and the two are adjacent, so each triangle c < b < a
+    shows at its edge {a, b} as bit c of ``lower[a] & lower[b]``. The
+    witness is the least pair with a common neighbour, which is the least
+    (c, b) over those edges, and that pair's least common neighbour, read
+    from one more pass over the edges."""
     started = time.perf_counter()
     graph = oriented_view(g)
     instance = instance or _describe(graph)
-    und = _und_rows(graph)
-    hits = [(min(e), max(e)) for e in graph.edges if und[e[0]] & und[e[1]]]
+    lower = [0] * graph.n
+    for u, v in graph.edges:
+        if u > v:
+            lower[u] |= 1 << v
+        else:
+            lower[v] |= 1 << u
+    hits = [(common, min(a, b)) for a, b in graph.edges if (common := lower[a] & lower[b])]
     if not hits:
         return timed_report("triangle-free", instance, "pass", None, started)
-    u, v = min(hits)
-    common = und[u] & und[v]
-    tri = sorted((u, v, (common & -common).bit_length() - 1))
-    for i, a in enumerate(tri):
-        for b in tri[i + 1 :]:
-            if not (und[a] >> b) & 1:
+    c, b = min(((common & -common).bit_length() - 1, low) for common, low in hits)
+    rows = {c: 0, b: 0}  # undirected rows of the pair only
+    for x, y in graph.edges:
+        if x in rows:
+            rows[x] |= 1 << y
+        if y in rows:
+            rows[y] |= 1 << x
+    common = rows[c] & rows[b]
+    tri = sorted((c, b, (common & -common).bit_length() - 1))
+    for i, x in enumerate(tri):
+        for y in tri[i + 1 :]:
+            if not graph.has_und_edge(x, y):
                 raise AssertionError("triangle witness failed re-check")
     return timed_report("triangle-free", instance, "fail", {"triangle": tri}, started)
 

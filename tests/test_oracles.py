@@ -345,19 +345,20 @@ def test_bit_walk_matches_the_lowbit_walk():
         assert list(oracles._bits(m)) == _lowbit_walk(m)
 
 
-def _fits_by_strikes(und, p_mask: int, room: int) -> bool:
-    """The greedy classes by strikes alone, at every width and room."""
+def _classes_by_strikes(und, p_mask: int, room: int) -> int:
+    """The greedy class count by strikes alone, at every width and room, or
+    0 when it is above room."""
     classes = 0
     while p_mask:
         classes += 1
         if classes > room:
-            return False
+            return 0
         q = p_mask
         while q:
             bit = q & -q
             p_mask ^= bit
             q &= ~(und[bit.bit_length() - 1] | bit)
-    return True
+    return classes
 
 
 @pytest.mark.parametrize(
@@ -382,8 +383,16 @@ def test_greedy_classes_match_the_strike_loop_for_every_room(n, density):
     ]
     for m in masks:
         for room in range(8):
-            fits = oracles._fits_in_classes(und, m, room)
-            assert fits == _fits_by_strikes(und, m, room), (m.bit_length(), room)
+            classes = oracles._fits_in_classes(und, m, room)
+            assert classes == _classes_by_strikes(und, m, room), (m.bit_length(), room)
+
+
+def test_max_clique_on_a_long_path_goes_straight_to_the_class_count():
+    # max h is 3,000, and the root of that level splits into 2 greedy
+    # classes, so the next level sought is 2, not 2,999
+    n = 3_000
+    g = OrientedGraph(n, [(i, i + 1) for i in range(n - 1)])
+    assert max_clique(g, Budget(max_nodes=4)) == (2, (0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -465,6 +474,90 @@ def test_unique_paths_cycle_fails_with_cycle():
     assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
 
 
+def _shuffled_dag(rng: random.Random, n: int, degree: float, twin: bool) -> list[tuple[int, int]]:
+    """Edges of a seeded DAG on shuffled vertex numbers, about ``degree``
+    out-edges per vertex; with ``twin``, one edge also runs backwards."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    density = min(1.0, degree / n)
+    edges = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    if twin and edges:
+        a, b = rng.choice(edges)
+        edges.append((b, a))
+    return edges
+
+
+def _expected_unique_paths(n: int, edges) -> dict | None:
+    """The witness of ``verify_unique_paths`` by exact path counts: None on
+    a pass, {"cycle": None} on a cyclic graph, else the least u, the least
+    v it reaches by two or more paths, and the first two u->v paths with
+    out-neighbours taken in ascending order."""
+    out = [sorted({v for a, v in edges if a == u}) for u in range(n)]
+    paths: dict[int, list[int]] = {}  # paths[x][v]: exact count of x->v paths
+
+    def count(x: int, trail: set) -> list[int] | None:
+        if x in trail:
+            return None
+        if x not in paths:
+            row = [0] * n
+            row[x] = 1
+            for w in out[x]:
+                sub = count(w, trail | {x})
+                if sub is None:
+                    return None
+                row = [a + b for a, b in zip(row, sub)]
+            paths[x] = row
+        return paths[x]
+
+    for u in range(n):
+        if count(u, set()) is None:
+            return {"cycle": None}
+    for u in range(n):
+        v = next((v for v in range(n) if paths[u][v] >= 2), None)
+        if v is None:
+            continue
+        found: list[list[int]] = []
+
+        def walk(path: list[int]) -> None:
+            for y in out[path[-1]]:
+                if len(found) == 2:
+                    return
+                if y == v:
+                    found.append(path + [y])
+                elif paths[y][v]:
+                    walk(path + [y])
+
+        walk([u])
+        return {"pair": [u, v], "paths": found}
+    return None
+
+
+@pytest.mark.parametrize("chunk", range(6))
+def test_unique_paths_witness_matches_exact_path_counts(chunk):
+    # per chunk, 40 seeded DAGs of up to 80 vertices, about one in six with
+    # an anti-parallel pair, and three acyclic ones of 200 to 700 vertices,
+    # whose rows are wider than 256 bits; edges run up and down the numbering
+    rng = random.Random(chunk)
+    shapes = [(rng.randint(1, 80), rng.uniform(0.3, 2.5), rng.random() < 1 / 6) for _ in range(40)]
+    shapes += [(rng.randint(200, 700), rng.uniform(0.6, 1.6), False) for _ in range(3)]
+    verdicts = set()
+    for n, degree, twin in shapes:
+        edges = _shuffled_dag(rng, n, degree, twin)
+        expected = _expected_unique_paths(n, edges)
+        g = OrientedGraph(n, edges)
+        r = verify_unique_paths(g)
+        verdicts.add(r.verdict)
+        if expected is None:
+            assert r.verdict == "pass"
+        elif "cycle" in expected:
+            cyc = r.witness["cycle"]
+            assert r.verdict == "fail" and len(set(cyc)) == len(cyc)
+            assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+        else:
+            assert r.verdict == "fail" and r.witness == expected
+    assert verdicts == {"pass", "fail"}
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_undirected_rows_match_the_set_of_pairs(seed):
     # seeds 0 and 1 give the empty and an edgeless graph; the rest have
@@ -494,12 +587,15 @@ def test_triangle_found_across_orientations():
     assert verify_triangle_free(g).verdict == "fail"
 
 
-@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("seed", range(45))
 def test_triangle_witness_is_the_least_pair_then_the_least_apex_in_any_orientation(seed):
-    # edges in both directions, some anti-parallel pairs, several triangles
+    # edges in both directions, some anti-parallel pairs, several triangles;
+    # from seed 30 on, 100 to 400 vertices with about 1.5 neighbours each
+    # besides the triangles, so lower rows are wider than 64 bits
     rng = random.Random(seed)
-    n = rng.randint(3, 16)
-    pairs = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.25}
+    n = rng.randint(3, 16) if seed < 30 else rng.randint(100, 400)
+    density = 0.25 if seed < 30 else 1.5 / n
+    pairs = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density}
     for _ in range(3):
         pairs |= set(itertools.combinations(sorted(rng.sample(range(n), 3)), 2))
     edges = []
