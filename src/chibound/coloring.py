@@ -10,9 +10,10 @@ re-checked against the graph before it is surfaced.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, starmap
-from operator import gt
+from itertools import starmap
+from operator import add, gt
 
 from .errors import (
     CliqueTooLarge,
@@ -89,29 +90,32 @@ def _longest_paths(graph: OrientedGraph, edge_class: list[int], phi: int, k: int
     edges leaving each vertex; ``edge_class[j]`` is the class of
     ``graph.edges[j]``.
 
-    One topological order of the whole graph serves every class: descending
-    index order if every edge descends (u > v), else ``topological_order``,
-    which raises CycleFound on a cycle. A class whose longest path reaches
-    length k raises PathTooLong, the first such class in class order: the
-    path starts at the lowest-indexed vertex of greatest height and takes the
-    lowest-indexed successor of greatest height at each step, in any order.
+    The DP visits every vertex after its out-neighbours, for all classes at
+    once. If every edge descends (u > v) that is canonical edge order, tails
+    ascending; otherwise the edges are sorted by their tail's place in
+    ``topological_order``, which raises CycleFound on a cycle. A class whose
+    longest path reaches length k raises PathTooLong, the first such class
+    in class order: the path, rebuilt from the heights alone, starts at the
+    lowest-indexed vertex of greatest height and steps to the lowest-indexed
+    class-c out-neighbour one lower, whatever the order.
     """
-    order = range(graph.n - 1, -1, -1) if all(starmap(gt, graph.edges)) else topological_order(graph)
-    out = [graph.out_neighbors(u) for u in range(graph.n)]
-    first = list(accumulate(map(len, out), initial=0))  # edges of u: first[u]..first[u+1]
+    pairs = zip(graph.edges, edge_class)
+    if not all(starmap(gt, graph.edges)):
+        rank = {u: i for i, u in enumerate(topological_order(graph))}
+        pairs = sorted(pairs, key=lambda pair: -rank[pair[0][0]])
     height = [[0] * graph.n for _ in range(phi)]
-    successor = [[-1] * graph.n for _ in range(phi)]
-    for u in reversed(order):
-        for v, c in zip(out[u], edge_class[first[u] : first[u + 1]]):
-            h = height[c]
-            if h[v] + 1 > h[u]:
-                h[u] = h[v] + 1
-                successor[c][u] = v
-    for h, succ in zip(height, successor):
+    for (u, v), c in pairs:
+        h = height[c]
+        if h[v] >= h[u]:
+            h[u] = h[v] + 1
+    for c, h in enumerate(height):
         if h and max(h) >= k:
             path = [h.index(max(h))]
-            while succ[path[-1]] != -1:
-                path.append(succ[path[-1]])
+            while h[u := path[-1]]:
+                # u's edges are edges[j : j + len(out)]
+                out, j = graph.out_neighbors(u), bisect_left(graph.edges, (u,))
+                row = zip(out, edge_class[j : j + len(out)])
+                path.append(next(v for v, cv in row if cv == c and h[v] == h[u] - 1))
             raise PathTooLong(path, k)
     return height
 
@@ -165,17 +169,13 @@ def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
     except PathTooLong as exc:
         raise CliqueTooLarge(path_clique(graph, exc.path, n), n) from exc
 
-    mixed = []
-    tuples = []
-    for coords in zip(*per_class):
-        code = 0
-        for c in reversed(coords):
-            code = code * n + c
-        mixed.append(code)
-        tuples.append(coords)
+    # the mixed-radix code sum_c per_class[c][v] * n**c, one pass per class
+    mixed = [0] * graph.n
+    for h in reversed(per_class):
+        mixed = list(map(add, map(n.__mul__, mixed), h))
     return Coloring(
         assignment=tuple(mixed),
         palette=n**phi,
         target=graph,
-        tuples=tuple(tuples),
+        tuples=tuple(zip(*per_class)),
     )

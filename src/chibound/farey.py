@@ -1,7 +1,9 @@
 """Farey sequences and the modular residue partition they induce.
 
-Everything here is exact integer/rational arithmetic (stdlib ``Fraction``);
-interval membership at boundaries must never go through floating point.
+Everything here is exact: ``farey_sequence`` lists its terms as stdlib
+``Fraction``s, and ``residue_partition`` walks the same terms with the
+next-term recurrence in integer arithmetic. Interval membership at the
+boundaries never goes through floating point.
 """
 
 from __future__ import annotations
@@ -91,12 +93,13 @@ def residue_partition(p: int, n: int) -> ResiduePartition:
         raise NotPrime(p)
     if n < 1 or n >= p:
         raise OrderTooLarge(n, p)
-    entries = farey_sequence(n).entries
+    # consecutive terms a/b < c/d of the order-n sequence, by the next-term
+    # recurrence; the class between them is floor(p*a/b)+1 .. ceil(p*c/d)-1
     classes = []
-    for lo_frac, hi_frac in zip(entries, entries[1:]):
-        lo = p * lo_frac
-        hi = p * hi_frac
-        first = math.floor(lo) + 1
-        last = math.ceil(hi) - 1
-        classes.append(tuple(range(first, last + 1)))
-    return ResiduePartition(p, n, tuple(classes))
+    a, b, c, d = 0, 1, 1, n
+    while True:
+        classes.append(tuple(range(p * a // b + 1, -(-p * c // d))))
+        if c == d:
+            return ResiduePartition(p, n, tuple(classes))
+        q = (n + b) // d
+        a, b, c, d = c, d, q * c - a, q * d - b

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 from .errors import CycleFound, MultiplePaths, UnknownVertex
@@ -251,23 +251,30 @@ def distance_table(g) -> DistanceTable:
 
 
 def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
-    """Induce on a vertex subset, keeping exactly the inherited edges and labels."""
+    """Induce on a vertex subset, keeping exactly the inherited edges and labels.
+
+    Only the out-rows of the chosen vertices are walked, so a call costs
+    O(n + their out-degrees), not O(parent edges)."""
     parent = as_labeled(parent)
     g, labels = parent.graph, parent.labels
     chosen = sorted({int(v) for v in vs})
-    for v in chosen:
-        if not (0 <= v < g.n):
-            raise UnknownVertex(v, g.n)
-    index = {old: new for new, old in enumerate(chosen)}
-    # the renumbering is monotone, so kept edges stay in canonical order and
-    # their labels stay parallel to them
-    edges = []
-    kept = []
-    for j, (u, v) in enumerate(g.edges):
-        if u in index and v in index:
-            edges.append((index[u], index[v]))
-            kept.append(j)
-    sub_labels = None if labels is None else tuple(labels[j] for j in kept)
+    if chosen and not (0 <= chosen[0] and chosen[-1] < g.n):
+        raise UnknownVertex(next(v for v in chosen if not 0 <= v < g.n), g.n)
+    index = [-1] * g.n
+    for new, old in enumerate(chosen):
+        index[old] = new
+    # the renumbering is monotone and each row is sorted, so kept edges stay
+    # in canonical order; kept[i] is the parent's index of the i-th of them
+    first = list(accumulate(map(len, g._out), initial=0))
+    edges, kept = [], []
+    for a, u in enumerate(chosen):
+        j = first[u]
+        for v in g._out[u]:
+            if index[v] >= 0:
+                edges.append((a, index[v]))
+                kept.append(j)
+            j += 1
+    sub_labels = None if labels is None else tuple(map(labels.__getitem__, kept))
     return LabeledGraph(
         OrientedGraph._canonical(len(chosen), edges), sub_labels, parent.p, tuple(chosen)
     )

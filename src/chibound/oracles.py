@@ -439,7 +439,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     und = _und_rows(graph)
     tracker = _Tracker("max-clique", budget)
     heights = _path_heights(graph)
-    split = None if heights is None else _Split(*heights)
+    split = None  # built at the first split bound taken, on an acyclic orientation
     best: list[int] = []
     # the root's frame once a level has branched from it; every lower level
     # then branches from it too, since its room only shrinks
@@ -452,7 +452,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
         than ``best``); True at the first one, which is then ``best``. A
         frame (candidates, excluded, candidates left to branch on) is kept
         for each open node, and ``r`` is the clique of the open path."""
-        nonlocal root, ceiling
+        nonlocal root, ceiling, split
         r: list[int] = []
         frames: list[tuple[int, int, int]] = []
         p, x = (1 << n) - 1, 0
@@ -472,7 +472,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
                 # neither bound below can cut it
                 or room > 0
                 and (
-                    (split is not None and r and split.bound(p, r[-1]) <= room)
+                    (r and heights and (split or (split := _Split(*heights))).bound(p, r[-1]) <= room)
                     or (classes := _fits_in_classes(und, p, room))
                 )
             ):

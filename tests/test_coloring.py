@@ -206,6 +206,17 @@ def test_bounded_color_converts_long_path_to_clique():
     with pytest.raises(CliqueTooLarge) as exc:
         bounded_color(g, 2, residue_partition(5, 2))
     assert exc.value.clique == [3, 4, 5]
+    # three layers of three, every edge from a higher layer to a lower one;
+    # edges into 3 and 0 lie in class A_2 = {4, 5, 6}, the rest in A_1, so
+    # at each step several class-1 neighbours tie, and the lowest vertex one
+    # lower (3, then 0) is reached only through class 2
+    top, mid, bottom = (6, 7, 8), (3, 4, 5), (0, 1, 2)
+    layers = ((top, mid), (mid, bottom), (top, bottom))
+    pairs = [(u, v) for upper, lower in layers for u in upper for v in lower]
+    g = labeled(9, [((u, v), 4 if v in (0, 3) else 1) for u, v in pairs], 7)
+    with pytest.raises(CliqueTooLarge) as exc:
+        bounded_color(g, 2, residue_partition(7, 2))
+    assert exc.value.__cause__.path == [6, 4, 1] and exc.value.clique == [1, 4, 6]
 
 
 def test_bounded_color_beats_exact_chi_on_small_instances():

@@ -128,6 +128,18 @@ def test_scaled_classes_avoid_multiples_of_p(p):
                 assert all((m * a) % p != 0 for a in cls)
 
 
+@pytest.mark.parametrize("p", sieve_primes(31))
+def test_integer_partition_matches_the_fraction_sequence_at_every_order(p):
+    # every order the partition accepts, against classes computed here
+    # from the Fraction terms of farey_sequence
+    for n in range(1, p):
+        entries = farey_sequence(n).entries
+        expected = tuple(
+            tuple(range(math.floor(p * f) + 1, math.ceil(p * g))) for f, g in zip(entries, entries[1:])
+        )
+        assert residue_partition(p, n).classes == expected
+
+
 def test_class_of_lookup():
     part = residue_partition(7, 3)
     assert [part.class_of(a) for a in range(1, 7)] == [0, 0, 1, 2, 3, 3]

@@ -166,8 +166,56 @@ def test_induced_subgraph_empty_subset():
 
 
 def test_induced_subgraph_unknown_vertex():
-    with pytest.raises(UnknownVertex):
-        induced_subgraph(OrientedGraph(2), [0, 5])
+    # the least vertex out of range is reported
+    g = OrientedGraph(5, [(0, 1), (3, 2)])
+    for vs, bad in [([0, 5], 5), ([7, 0, 5], 5), ([-1, 2], -1), ([3, -4, 1, -2, 9], -4), ([-5, 5], -5)]:
+        with pytest.raises(UnknownVertex) as exc:
+            induced_subgraph(g, vs)
+        assert (exc.value.vertex, exc.value.n_vertices) == (bad, 5)
+
+
+def _scrambled_labeled_graph(seed: int) -> LabeledGraph:
+    """A seeded residue-labeled graph that does not descend: each pair is
+    oriented at random and (0, 1) always ascends; odd seeds add anti-parallel
+    pairs. Labels are random residues mod 11."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 40)
+    density = rng.uniform(0.05, 0.6)
+    pairs = {(0, 1)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                pairs.add((u, v) if rng.random() < 0.5 else (v, u))
+                if seed % 2 and rng.random() < 0.2:
+                    pairs.add((v, u) if (u, v) in pairs else (u, v))
+    g = OrientedGraph(n, pairs)
+    return LabeledGraph(g, tuple(rng.randint(1, 10) for _ in g.edges), 11)
+
+
+def _subsets(rng: random.Random, n: int) -> list[list[int]]:
+    """Empty, full, and random subsets of range(n) in shuffled order, some
+    with repeats."""
+    subsets = [[], list(range(n))[::-1]]
+    for _ in range(8):
+        vs = rng.sample(range(n), rng.randint(1, n))
+        subsets.append(vs + vs[: rng.randint(0, 3)])
+    return subsets
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_induced_subgraph_matches_a_filter_over_the_parent_edges(seed):
+    lg = _scrambled_labeled_graph(seed)
+    assert not all(u > v for u, v in lg.graph.edges)
+    if seed % 2:
+        assert any(lg.graph.has_edge(v, u) for u, v in lg.graph.edges)
+    for vs in _subsets(random.Random(seed), lg.graph.n):
+        chosen = sorted(set(vs))
+        index = {v: i for i, v in enumerate(chosen)}
+        kept = [(e, r) for e, r in zip(lg.graph.edges, lg.labels) if e[0] in index and e[1] in index]
+        sub = induced_subgraph(lg, vs)
+        assert sub.graph.n == len(chosen) and sub.vertices == tuple(chosen)
+        assert sub.graph.edges == tuple((index[u], index[v]) for (u, v), _ in kept)
+        assert sub.labels == tuple(r for _, r in kept) and sub.p == 11
 
 
 def test_labeled_graph_needs_one_label_per_edge():
@@ -243,6 +291,10 @@ def test_trusted_induced_subgraphs_match_the_validating_constructor():
     for _ in range(40):
         vs = rng.sample(range(pg.graph.n), rng.randint(0, 60))
         assert_matches_validated(induced_subgraph(pg, vs).graph)
+    for seed in range(8):  # graphs that do not descend, some with anti-parallel pairs
+        lg = _scrambled_labeled_graph(seed)
+        for vs in _subsets(rng, lg.graph.n):
+            assert_matches_validated(induced_subgraph(lg, vs).graph)
 
 
 @pytest.mark.parametrize("n", (2, 4, 6))

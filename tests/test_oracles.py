@@ -32,7 +32,7 @@ from chibound import (
     verify_triangle_free,
     verify_unique_paths,
 )
-from chibound import oracles
+from chibound import coloring, oracles
 from chibound.coloring import Coloring
 from chibound.graphs import oriented_view
 from chibound.oracles import budget_report
@@ -395,6 +395,27 @@ def test_max_clique_on_a_long_path_goes_straight_to_the_class_count():
     assert max_clique(g, Budget(max_nodes=4)) == (2, (0, 1))
 
 
+def test_max_clique_builds_the_split_masks_at_the_first_split_bound(monkeypatch):
+    built = []
+
+    class CountingSplit(oracles._Split):
+        __slots__ = ()
+
+        def __init__(self, h, d):
+            built.append(len(h))
+            super().__init__(h, d)
+
+    monkeypatch.setattr(oracles, "_Split", CountingSplit)
+    # the count and the greedy coloring cut every level of a long path
+    n = 3_000
+    assert max_clique(OrientedGraph(n, [(i, i + 1) for i in range(n - 1)])) == (2, (0, 1))
+    assert built == []
+    # here the split bound is taken, and its masks are built once
+    pg = build_power_graph(build_zykov(4), 3)
+    assert max_clique(pg) == (3, (1, 2, 13))
+    assert built == [pg.graph.n]
+
+
 @pytest.fixture(scope="module")
 def k1100():
     return K(1100)
@@ -724,6 +745,19 @@ def test_any_topological_order_gives_the_heap_orders_results(seed, monkeypatch):
         classes = {e: part.class_index[r] for e, r in zip(g.edges, lg.labels)}
         ref = _heap_heights(g, classes, len(part.classes))
         assert bounded_color(lg, 6, part).tuples == tuple(zip(*ref))
+        # the path the coloring raises in the first class that reaches the
+        # bound: the lowest top vertex, then the lowest class neighbour one
+        # lower, where several often tie
+        long = [c for c, h in enumerate(ref) if max(h) >= bound]
+        if long:
+            h = ref[long[0]]
+            path = [h.index(max(h))]
+            while h[u := path[-1]]:
+                row = [v for v in g.out_neighbors(u) if classes[(u, v)] == long[0]]
+                path.append(min(v for v in row if h[v] == h[u] - 1))
+            with pytest.raises(PathTooLong) as exc:
+                coloring._longest_paths(g, [classes[e] for e in g.edges], len(ref), bound)
+            assert exc.value.path == path
         (h,) = _heap_heights(g, dict.fromkeys(g.edges, 0), 1)
         if max(h) < bound:
             assert longest_path_coloring(g, bound).assignment == tuple(h)
