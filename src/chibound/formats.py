@@ -1,23 +1,57 @@
 """File formats: labeled edge-list text, DIMACS .col export, canonical JSON.
 
-The edge-list format is line-oriented: optional ``#`` comment lines (used to
-embed run metadata such as the serialized config, input hashes, and the
-modulus of a labeled graph), a header ``n <vertices> <edges>``, then one line
-``u v`` or ``u v r`` per edge, 0-based. Writers emit edges in canonical sorted
-order so identical inputs produce byte-identical files.
+The edge-list format is line-oriented, and a line ends at ``\n`` only:
+optional ``#`` comment lines (used to embed run metadata such as the
+serialized config, input hashes, and the modulus of a labeled graph), a header
+``n <vertices> <edges>``, then one line ``u v`` or ``u v r`` per edge, 0-based.
+Writers emit edges in canonical sorted order so identical inputs produce
+byte-identical files, and the reader parses a file of exactly that shape in
+bulk.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from itertools import islice
+from operator import eq, lt
 
 from .errors import SizeBudgetExceeded
 from .graphs import OrientedGraph
 
+# leading comment lines and the header, as ``write_edgelist`` emits them
+_BULK_HEAD = re.compile(r"(?:#[^\n]*\n)*n ([0-9]+) ([0-9]+)\n")
+_BULK_CHUNK = 1 << 20  # characters of edge lines parsed at a time
+_DIGITS = b"0123456789"
+_COMMAS = bytes.maketrans(b" \n", b",,")
+
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, two-space indent, trailing newline.
+
+    Byte-identical to ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``.
+    """
+    return _indented_json(obj, "") + "\n"
+
+
+def _indented_json(v, indent: str) -> str:
+    """``json.dumps(v, sort_keys=True, indent=2)`` with every line after the
+    first shifted by ``indent``. A dict with str keys and a non-empty list are
+    laid out here, a list of plain ints joined at once; anything else goes to
+    ``json.dumps`` whole (a JSON string never holds a raw newline)."""
+    inner = indent + "  "
+    if type(v) is dict and v and all(type(k) is str for k in v):
+        items = (f"{json.dumps(k)}: {_indented_json(v[k], inner)}" for k in sorted(v))
+        ends = "{}"
+    elif type(v) is list and v:
+        if set(map(type, v)) == {int}:
+            items = map(str, v)
+        else:
+            items = (_indented_json(x, inner) for x in v)
+        ends = "[]"
+    else:
+        return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
 
 
 def write_edgelist(g: OrientedGraph, labels=None, metadata=None) -> str:
@@ -47,21 +81,86 @@ def read_edgelist(text: str, *, size_cap: int | None = None):
     their string values. An edge listed twice is an error, and so is a
     header vertex count above ``size_cap`` (SizeBudgetExceeded), which is
     refused before any graph is built.
+
+    A file shaped like ``write_edgelist``'s output is parsed in bulk; any
+    other file, valid or not, goes through the line parser, whose errors
+    name the offending line.
     """
+    return _read_bulk(text, size_cap) or _read_lines(text, size_cap)
+
+
+def _read_comment(line: str, metadata: dict[str, str]) -> None:
+    body = line[1:].strip()
+    if ":" in body:
+        key, _, value = body.partition(":")
+        metadata[key.strip()] = value.strip()
+
+
+def _read_bulk(text: str, size_cap: int | None):
+    """``read_edgelist`` for text shaped exactly like ``write_edgelist``'s
+    output, or None for any other text: comment lines, the header, then the
+    header's count of ``u v`` or ``u v r`` lines, fields and lines ended by
+    one space and one ``\n``, edges strictly ascending. Never raises.
+
+    The edge lines are parsed a chunk at a time, so no token list of the
+    whole file is ever built."""
+    if not text.isascii() or not (head := _BULK_HEAD.match(text)):
+        return None
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:  # more digits than int() converts
+        return None
+    start = head.end()
+    if (size_cap is not None and n > size_cap) or text.count("\n", start) != m or text[-1] != "\n":
+        return None
+    edges, labels = [], None
+    if m:
+        width = text.count(" ", start, text.index("\n", start)) + 1
+        if width not in (2, 3):
+            return None
+        line_seps = b" " * (width - 1) + b"\n"
+        labels = [] if width == 3 else None
+        top = -1
+        while start < len(text):
+            end = text.index("\n", min(start + _BULK_CHUNK, len(text) - 1)) + 1
+            chunk = text[start:end].encode()
+            seps = chunk.translate(None, _DIGITS)
+            if seps != line_seps * (len(seps) // width):
+                return None
+            try:  # a JSON array of the fields, which refuses empty ones and leading zeros
+                values = json.loads(b"[" + chunk.translate(_COMMAS)[:-1] + b"]")
+            except ValueError:
+                return None
+            us, vs = values[0::width], values[1::width]
+            if any(map(eq, us, vs)):
+                return None
+            top = max(top, max(vs))
+            edges += zip(us, vs)
+            if labels is not None:
+                labels += values[2::width]
+            start = end
+        if top >= n or edges[-1][0] >= n or not all(map(lt, edges, islice(edges, 1, None))):
+            return None
+    metadata: dict[str, str] = {}
+    for line in head[0].split("\n")[:-2]:  # the pieces after are the header and ""
+        _read_comment(line, metadata)
+    labels = None if labels is None else tuple(labels)
+    return OrientedGraph._canonical(n, edges), labels, metadata
+
+
+def _read_lines(text: str, size_cap: int | None):
+    """``read_edgelist`` line by line, for any text."""
     metadata: dict[str, str] = {}
     header = None
     edges: list[tuple[int, int]] = []
     labels: list[int] = []
     labeled = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                metadata[key.strip()] = value.strip()
+            _read_comment(line, metadata)
             continue
         parts = line.split()
         if header is None:
@@ -94,7 +193,7 @@ def read_edgelist(text: str, *, size_cap: int | None = None):
         raise ValueError(f"header declares {m} edges, found {len(edges)}")
     g = OrientedGraph(n, edges)
     if g.m < len(edges):  # the graph dropped a repeated edge; find its line
-        data = [(i, ln.split()) for i, ln in enumerate(text.splitlines(), start=1)]
+        data = [(i, ln.split()) for i, ln in enumerate(text.split("\n"), start=1)]
         data = [(i, parts) for i, parts in data if parts and not parts[0].startswith("#")]
         seen = set()
         for lineno, (u, v, *_) in data[1:]:  # data[0] is the header

@@ -4,8 +4,9 @@ utilities, reachability distances, and induced subgraphs.
 Vertices are dense integer indices ``0..n-1``; every construction in this
 package emits deterministic numbering so repeated runs are bit-for-bit
 reproducible. A graph keeps its canonical edge tuple and one sorted
-out-neighbour tuple per vertex, nothing more; the oracles build their own
-bitset rows and in-degrees from the edge list.
+out-neighbour tuple per vertex, plus the row offsets into the edge tuple once
+an induced subgraph needs them; the oracles build their own bitset rows and
+in-degrees from the edge list.
 
 ``OrientedGraph(n, edges)`` validates and canonicalizes external input. The
 package's builders call ``OrientedGraph._canonical``, which checks nothing: their
@@ -32,10 +33,12 @@ class OrientedGraph:
     Anti-parallel pairs ``(u, v), (v, u)`` are accepted at construction time so
     that cycle detection can report them as a 2-cycle; every acyclicity-certified
     graph produced by this package has at most one edge per unordered pair.
-    Instances are immutable after construction and safe to share across threads.
+    Instances are immutable after construction and safe to share across
+    threads: the row offsets are filled on first use, and a racing fill
+    stores an equal tuple.
     """
 
-    __slots__ = ("n", "edges", "_out")
+    __slots__ = ("n", "edges", "_out", "_first")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -61,7 +64,7 @@ class OrientedGraph:
     def _fill(self, n: int, edges) -> None:
         """The one row builder, for canonical edges. Without edges every row
         is the one empty tuple, and no per-vertex list is built."""
-        self.n, self.edges = n, tuple(edges)
+        self.n, self.edges, self._first = n, tuple(edges), None
         if not self.edges:
             self._out = ((),) * n
             return
@@ -76,6 +79,12 @@ class OrientedGraph:
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         return self._out[u]
+
+    def _row_starts(self) -> tuple[int, ...]:
+        """``_row_starts()[u]`` is where u's out-edges begin in ``edges``."""
+        if self._first is None:
+            self._first = tuple(accumulate(map(len, self._out), initial=0))
+        return self._first
 
     def has_edge(self, u: int, v: int) -> bool:
         out = self._out[u]
@@ -265,7 +274,7 @@ def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
         index[old] = new
     # the renumbering is monotone and each row is sorted, so kept edges stay
     # in canonical order; kept[i] is the parent's index of the i-th of them
-    first = list(accumulate(map(len, g._out), initial=0))
+    first = g._row_starts()
     edges, kept = [], []
     for a, u in enumerate(chosen):
         j = first[u]

@@ -1,10 +1,10 @@
-"""Shared generators for seeded random instances. Kept separate from the
-package so test inputs never depend on the code under test beyond the graph
-constructor."""
+"""Shared generators for seeded random instances, and a comparable outcome
+of an edge-list reader. Kept separate from the package so test inputs never
+depend on the code under test beyond the graph constructor."""
 
 import random
 
-from chibound import OrientedGraph
+from chibound import GraphError, OrientedGraph
 
 
 def random_dag(rng: random.Random, max_n: int = 200) -> OrientedGraph:
@@ -31,3 +31,13 @@ def random_oriented_graph(rng: random.Random, max_n: int = 9) -> OrientedGraph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return OrientedGraph(n, edges)
+
+
+def read_outcome(read, text, size_cap=None):
+    """What an edge-list reader returns, rows included, or the type and
+    message of what it raises."""
+    try:
+        g, labels, metadata = read(text, size_cap=size_cap)
+    except (ValueError, GraphError) as exc:
+        return type(exc), str(exc)
+    return g.n, g.edges, g._out, labels, metadata

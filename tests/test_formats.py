@@ -1,17 +1,22 @@
+import json
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from chibound import (
     OrientedGraph,
+    build_power_graph,
+    build_zykov,
     canonical_json,
     graph_json_dict,
     read_edgelist,
     write_dimacs,
     write_edgelist,
 )
-from helpers import random_dag
+from chibound.formats import _read_bulk, _read_lines
+from helpers import random_dag, read_outcome
 
 
 def test_edgelist_roundtrip_unlabeled():
@@ -74,6 +79,42 @@ def test_duplicate_edge_line_counts_comments_and_blank_lines():
         read_edgelist("n 3 3\n0 1\n0 1\n0 5\n")
 
 
+def test_edgelist_lines_end_at_newline_only():
+    # str.splitlines() would also break at \u2028, \x0c, \x1d and \x85
+    back, labels, metadata = read_edgelist("# note: a\u2028b\nn 3 1\n0 1 1\n")
+    assert back == OrientedGraph(3, [(0, 1)]) and labels == (1,)
+    assert metadata == {"note": "a\u2028b"}
+    _, _, metadata = read_edgelist("# note: a\x0cb\x1dc\nn 3 1\n0 1 1\n")
+    assert metadata == {"note": "a\x0cb\x1dc"}
+    with pytest.raises(ValueError, match="line 4: duplicate edge 0 1"):
+        read_edgelist("n 2 2\n# a\x85b\n0 1\n0 1\n")
+    back, labels, _ = read_edgelist("# p: 3\r\nn 2 1\r\n0 1 2\r\n")
+    assert back == OrientedGraph(2, [(0, 1)]) and labels == (2,)
+
+
+def test_written_power_graph_takes_the_bulk_path():
+    pg = build_power_graph(build_zykov(4), 3)
+    text = write_edgelist(pg.graph, pg.labels, metadata={"p": 3})
+    assert _read_bulk(text, None) is not None
+    assert read_outcome(read_edgelist, text) == read_outcome(_read_lines, text)
+    assert _read_bulk(text, pg.graph.n - 1) is None  # the line parser refuses it
+
+
+def test_bulk_reader_peaks_no_higher_than_the_line_parser():
+    pg = build_power_graph(build_zykov(5), 7)
+    text = write_edgelist(pg.graph, pg.labels, metadata={"p": 7})
+    peaks = []
+    for read in (read_edgelist, _read_lines):
+        read(text, size_cap=None)  # first-use caches are no part of the peak
+        tracemalloc.start()
+        try:
+            read(text, size_cap=None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+
+
 def test_canonical_json_is_sorted_and_newline_terminated():
     text = canonical_json({"b": 1, "a": [2, {"z": 0, "y": 1}]})
     assert text.endswith("\n")
@@ -102,13 +143,36 @@ def test_graph_json_dict_shapes():
     }
 
 
-@given(st.integers(0, 5_000), st.booleans())
-def test_edgelist_roundtrip_random(seed, with_labels):
+@given(st.integers(0, 5_000), st.booleans(), st.booleans())
+def test_edgelist_roundtrip_random(seed, with_labels, with_metadata):
     rng = random.Random(seed)
     g = random_dag(rng, max_n=30)
     labels = None
     if with_labels and g.m:
         labels = tuple(rng.randrange(1, 7) for _ in g.edges)
-    back, back_labels, _ = read_edgelist(write_edgelist(g, labels=labels))
+    metadata = {"p": 7, "note": "x: y", "config": {"k": [seed]}} if with_metadata else None
+    text = write_edgelist(g, labels=labels, metadata=metadata)
+    back, back_labels, _ = read_edgelist(text)
     assert back == g
     assert back_labels == labels
+    assert _read_bulk(text, None) is not None
+    assert read_outcome(read_edgelist, text) == read_outcome(_read_lines, text)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text() | st.integers(), inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100)
+@given(_JSON_VALUES)
+def test_canonical_json_matches_json_dumps(obj):
+    try:
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except TypeError:  # str and int keys in one dict do not sort
+        with pytest.raises(TypeError):
+            canonical_json(obj)
+    else:
+        assert canonical_json(obj) == expected

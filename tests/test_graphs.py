@@ -304,7 +304,7 @@ def test_trusted_class_graphs_match_the_validating_constructor(n):
         assert_matches_validated(ep.class_graph(i))
 
 
-def test_builders_skip_validation_and_the_reader_keeps_it(monkeypatch):
+def test_builders_and_the_bulk_reader_skip_validation(monkeypatch):
     calls = []
     init = OrientedGraph.__init__
 
@@ -320,8 +320,10 @@ def test_builders_skip_validation_and_the_reader_keeps_it(monkeypatch):
         ep.class_graph(i)
     assert calls == []
     back, labels, _ = read_edgelist(write_edgelist(pg.graph, pg.labels))
-    assert len(calls) == 1
+    assert calls == []  # the bulk reader checked the shape itself
     assert back == pg.graph and labels == pg.labels
+    back, _, _ = read_edgelist("n 3 2\n1 2\n0 1\n")  # unsorted: the line parser
+    assert len(calls) == 1 and back.edges == ((0, 1), (1, 2))
     with pytest.raises(ValueError, match=r"edge \(0, 2\) out of range for n=2"):
         read_edgelist("n 2 1\n0 2\n")
     with pytest.raises(ValueError, match="self-loop at vertex 1"):
