@@ -17,7 +17,7 @@ from itertools import islice
 from operator import eq, lt
 
 from .errors import SizeBudgetExceeded
-from .graphs import OrientedGraph
+from .graphs import OrientedGraph, _gc_paused
 
 # leading comment lines and the header, as ``write_edgelist`` emits them
 _BULK_HEAD = re.compile(r"(?:#[^\n]*\n)*n ([0-9]+) ([0-9]+)\n")
@@ -86,7 +86,9 @@ def read_edgelist(text: str, *, size_cap: int | None = None):
     other file, valid or not, goes through the line parser, whose errors
     name the offending line.
     """
-    return _read_bulk(text, size_cap) or _read_lines(text, size_cap)
+    with _gc_paused():
+        bulk = _read_bulk(text, size_cap)
+    return bulk or _read_lines(text, size_cap)
 
 
 def _read_comment(line: str, metadata: dict[str, str]) -> None:

@@ -309,9 +309,9 @@ def test_max_clique_bound_finishes_within_a_small_budget():
 @pytest.mark.parametrize(
     "p, nodes, bracket, witness",
     [
-        (3, 57, (2, 3), (1, 2, 116)),
-        (5, 17, (4, 5), (12, 13, 15, 20, 38)),
-        (7, 17, (4, 5), (12, 13, 15, 20, 38)),
+        (3, 32, (2, 3), (1, 2, 116)),
+        (5, 6, (4, 5), (12, 13, 15, 20, 38)),
+        (7, 6, (4, 5), (12, 13, 15, 20, 38)),
     ],
 )
 def test_max_clique_nodes_and_budget_brackets_are_pinned(p, nodes, bracket, witness):
@@ -462,6 +462,62 @@ def test_max_clique_witness_is_a_clique_of_stated_size(seed):
     assert len(clique) == size
     for a, b in itertools.combinations(clique, 2):
         assert g.has_und_edge(a, b)
+
+
+def test_max_clique_searches_a_small_core_without_full_width_rows(monkeypatch):
+    calls = []
+    und_rows = oracles._und_rows
+    monkeypatch.setattr(oracles, "_und_rows", lambda graph: calls.append(graph.n) or und_rows(graph))
+    # on power(5, 7) the 5-clique lies in keep_5, 25 of the 206 vertices
+    assert max_clique(build_power_graph(build_zykov(5), 7)) == (5, (12, 13, 15, 20, 38))
+    assert calls == []
+    # on power(5, 3) keep_4 has 126 of them, so level 4 runs at full width
+    assert max_clique(build_power_graph(build_zykov(5), 3)) == (3, (1, 2, 116))
+    assert calls == [206]
+
+
+def test_max_clique_takes_no_ceiling_from_a_core_root():
+    # keep_10 is the 10-vertex path, whose root the coloring cuts with 2
+    # classes; that bounds the path alone, and the 5-clique lies outside it
+    path = [(i + 1, i) for i in range(9)]
+    tournament = [(b, a) for a in range(10, 15) for b in range(a + 1, 15)]
+    assert max_clique(OrientedGraph(55, path + tournament)) == (5, (10, 11, 12, 13, 14))
+
+
+def _padded(rng: random.Random, g: OrientedGraph) -> OrientedGraph:
+    """``g`` with isolated vertices or short paths added at random indices,
+    so that the cores of its top levels are small."""
+    extra = rng.randint(g.n + 1, 2 * g.n + 20)
+    perm = list(range(g.n + extra))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in g.edges]
+    if rng.random() < 0.5:
+        edges += [(perm[v], perm[v + 1]) for v in range(g.n, g.n + extra - 1) if (v - g.n) % 3 != 2]
+    return OrientedGraph(g.n + extra, edges)
+
+
+def test_max_clique_on_cores_matches_the_full_width_search(monkeypatch):
+    graphs = []
+    for seed in range(150):
+        rng = random.Random(seed)
+        g = random_dag(rng, max_n=60)
+        graphs += [g, _padded(rng, g)]
+    for p in (3, 5, 7):
+        pg = build_power_graph(build_zykov(5), p)
+        for seed in range(10):
+            rng = random.Random(seed)
+            sub = induced_subgraph(pg, [v for v in range(pg.graph.n) if rng.random() < 0.5]).graph
+            graphs += [sub, _padded(rng, sub)]
+    cores = []
+    core_rows = oracles._core_rows
+    monkeypatch.setattr(oracles, "_core_rows", lambda graph, keep: cores.append(len(keep)) or core_rows(graph, keep))
+    found = [max_clique(g) for g in graphs]
+    assert len(cores) > len(graphs)
+    monkeypatch.setattr(oracles, "_CORE_SHARE", 0.0)
+    for g, (size, clique) in zip(graphs, found):
+        assert size == max_clique(g)[0] == len(clique)
+        for a, b in itertools.combinations(clique, 2):
+            assert g.has_und_edge(a, b)
 
 
 def test_unique_paths_pass_cases():
