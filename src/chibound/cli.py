@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 import time
@@ -64,6 +65,8 @@ def _budget(args) -> Budget:
     for flag, value in (("--budget-ms", ms), ("--budget-nodes", nodes)):
         if value is not None and value < 0:
             raise ValueError(f"{flag} must be nonnegative, got {value}")
+    if ms is not None and not math.isfinite(ms):
+        raise ValueError(f"--budget-ms must be finite, got {ms}")
     if ms is None and nodes is None:
         return Budget(max_nodes=DEFAULT_NODE_BUDGET)
     return Budget(max_nodes=nodes, max_millis=ms)

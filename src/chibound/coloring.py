@@ -10,7 +10,6 @@ re-checked against the graph before it is surfaced.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import starmap
 from operator import add, gt
@@ -113,7 +112,7 @@ def _longest_paths(graph: OrientedGraph, edge_class: list[int], phi: int, k: int
             path = [h.index(max(h))]
             while h[u := path[-1]]:
                 # u's edges are edges[j : j + len(out)]
-                out, j = graph.out_neighbors(u), bisect_left(graph.edges, (u,))
+                out, j = graph.out_neighbors(u), graph._row_starts()[u]
                 row = zip(out, edge_class[j : j + len(out)])
                 path.append(next(v for v, cv in row if cv == c and h[v] == h[u] - 1))
             raise PathTooLong(path, k)

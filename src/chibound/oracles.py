@@ -5,14 +5,15 @@ coloring properness.
 Everything in this module is written against the raw edge list and
 out-neighbour tuples only; in-degrees and every bitset row (undirected rows
 for the searches, lower-neighbour rows for triangles, reach rows for unique
-paths) are built from them here. A row is as wide as its highest bit, so
-rows cost up to n²/8 bytes on a sparse graph whose edges join far-apart
-indices. None of it reuses the pipeline's distance or
-coloring code, so a pipeline bug and an oracle bug would have to coincide to
-slip through. Every fail verdict carries a witness that is re-checked by a
-few lines of direct arithmetic before it is reported. Searches are
-single-threaded with fixed tie-breaking by vertex index, so verdicts and
-witnesses are byte-stable across runs.
+paths) are built from them here; ``_rows`` builds the undirected rows of any
+induced subgraph, the whole graph included, from its vertices' out-rows. A
+row is as wide as its highest bit, so rows cost up to n²/8 bytes on a sparse
+graph whose edges join far-apart indices. None of it reuses the pipeline's
+distance or coloring code, so a pipeline bug and an oracle bug would have to
+coincide to slip through. Every fail verdict carries a witness that is
+re-checked by a few lines of direct arithmetic before it is reported.
+Searches are single-threaded with fixed tie-breaking by vertex index, so
+verdicts and witnesses are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -116,12 +117,23 @@ def budget_report(check: str, instance: str, exc: BudgetExceeded, started: float
     return timed_report(check, instance, "budget-exceeded", witness, started)
 
 
-def _und_rows(graph: OrientedGraph) -> list[int]:
-    """Bitset rows of the undirected view: bit v of row u is set iff u -> v or v -> u."""
-    rows = [0] * graph.n
-    for u, v in graph.edges:
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
+def _rows(graph: OrientedGraph, vertices) -> list[int]:
+    """Undirected bitset rows of the subgraph induced on ``vertices``, a
+    sequence of distinct vertices: bit j of row i is set iff vertices[i] and
+    vertices[j] are joined by an edge either way. Built from the out-rows of
+    those vertices alone."""
+    at = [-1] * graph.n
+    for i, v in enumerate(vertices):
+        at[v] = i
+    rows = [0] * len(vertices)
+    for i, u in enumerate(vertices):
+        bit, row = 1 << i, 0
+        for v in graph.out_neighbors(u):
+            j = at[v]
+            if j >= 0:
+                row |= 1 << j
+                rows[j] |= bit
+        rows[i] |= row
     return rows
 
 
@@ -167,20 +179,6 @@ def _greedy_clique(und, n: int) -> list[int]:
     return clique
 
 
-def _ranked_rows(graph: OrientedGraph, und: list[int]) -> tuple[list[int], list[int]]:
-    """(order, rows): the vertices by descending degree, ties by index, and
-    the undirected bitset rows built from the edge list with bit r standing
-    for order[r]. The lowest bit of a vertex set is then its vertex of
-    greatest degree, then lowest index."""
-    order = sorted(range(graph.n), key=lambda v: -und[v].bit_count())
-    rank = {v: r for r, v in enumerate(order)}
-    rows = [0] * graph.n
-    for u, v in graph.edges:
-        rows[rank[u]] |= 1 << rank[v]
-        rows[rank[v]] |= 1 << rank[u]
-    return order, rows
-
-
 def _shift(levels: list[int], new: int, span: range, step: int) -> None:
     """Move the members of ``new`` in ``levels[s]`` to ``levels[s + step]``
     for each s in ``span``, which runs against ``step`` so none moves twice."""
@@ -192,7 +190,7 @@ def _shift(levels: list[int], new: int, span: range, step: int) -> None:
 
 
 def _dsatur_greedy(rows: list[int], order: list[int]) -> tuple[int, list[int]]:
-    """Greedy coloring in saturation order on the rows of ``_ranked_rows``;
+    """Greedy coloring in saturation order on ``_rows(graph, order)``;
     returns (colors used, assignment by vertex). ``levels[s]`` holds the
     uncolored vertices with s distinct neighbour colors, ``adj[c]`` those
     next to color c; each pick is the lowest vertex of the top level."""
@@ -277,18 +275,21 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
     """Exact chromatic number of the undirected view.
 
     Iterative deepening on k from a greedy clique lower bound, each step a
-    DSATUR backtracking search on bitset saturation levels in degree-rank
-    order; a greedy DSATUR coloring bounds the deepening from above.
+    DSATUR backtracking search on bitset saturation levels; a greedy DSATUR
+    coloring bounds the deepening from above. Both colorings run on the rows
+    of the vertices by descending degree, ties by index, so the lowest bit
+    of a vertex set is its vertex of greatest degree, then lowest index.
     BudgetExceeded carries the bracketing bounds proven so far.
     """
     graph = oriented_view(g)
     n = graph.n
     if n == 0:
         return 0
-    und = _und_rows(graph)
+    und = _rows(graph, range(n))
     tracker = _Tracker("chromatic-number", budget)
     lb = max(1, len(_greedy_clique(und, n)))
-    order, rows = _ranked_rows(graph, und)
+    order = sorted(range(n), key=lambda v: -und[v].bit_count())
+    rows = _rows(graph, order)
     ub, _ = _dsatur_greedy(rows, order)
     for k in range(lb, ub):
         try:
@@ -410,24 +411,6 @@ class _Split:
         return count
 
 
-def _core_rows(graph: OrientedGraph, keep: list[int]) -> list[int]:
-    """``_und_rows`` of the subgraph induced on the ascending vertex list
-    ``keep``, bit i standing for keep[i], from the out-rows of its vertices
-    alone."""
-    at = [-1] * graph.n
-    for i, v in enumerate(keep):
-        at[v] = i
-    rows = [0] * len(keep)
-    for i, u in enumerate(keep):
-        bit = 1 << i
-        for v in graph.out_neighbors(u):
-            j = at[v]
-            if j >= 0:
-                rows[i] |= 1 << j
-                rows[j] |= bit
-    return rows
-
-
 # A level whose core holds more than this share of the vertices runs on the
 # whole graph. At 0.5, power(6, 3) and power(6, 5) search only level 6 on its
 # core (9.7% of the vertices) and level 5 (58.6%) on the whole graph. A share
@@ -460,9 +443,10 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     graph searches only the core, with rows built for it alone; h and d
     still color it, so the split bound holds there. Its root coloring
     bounds the clique number of the core only, so after it the next level
-    sought is t - 1. A level on the whole graph whose root the greedy
-    coloring cuts, with c classes, proves ω <= c, so the next level sought
-    is c; the levels between would each be cut at the root the same way.
+    sought is t - 1. Any other level searches the whole graph, as the list
+    ``range(n)``. A level on the whole graph whose root the greedy coloring
+    cuts, with c classes, proves ω <= c, so the next level sought is c; the
+    levels between would each be cut at the root the same way.
     A budget stop reports the bracket [largest clique met, t]. On a cyclic
     orientation one pass over the whole graph grows the best clique
     instead, cutting what cannot beat it, and a budget stop has no upper
@@ -475,14 +459,15 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     tracker = _Tracker("max-clique", budget)
     heights = _path_heights(graph)
     best: list[int] = []  # in the graph's own vertex indices
-    # the vertex set searched: `keep` lists a core's vertices (None: the whole
-    # graph), `und` holds its rows and `hd` its h and d for the split bound
-    keep = und = hd = None
+    # the vertex set searched: `keep` lists its vertices (range(n) for the
+    # whole graph), `und` holds its rows and `hd` its h and d for the split bound
+    keep, und, hd = [], None, None
     split = None  # built at the first split bound taken on the vertex set
     # the root's frame once a level has branched from it; every lower level
     # on the same vertex set then branches from it too, since its room only shrinks
     root = None
-    # the class count of the greedy coloring that last cut a root of the whole graph
+    # the class count of the greedy coloring that last cut a root of the whole
+    # graph; n until then, so t - 1 is the level sought after a core level
     ceiling = n
 
     def level(t: int | None) -> bool:
@@ -497,7 +482,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
         while True:
             tracker.tick()
             if len(r) == t or len(r) > len(best):
-                best[:] = r if keep is None else map(keep.__getitem__, r)
+                best[:] = map(keep.__getitem__, r)
                 if len(r) == t:
                     return True
             room = (len(best) if t is None else t - 1) - len(r)
@@ -521,7 +506,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
                 frames.append((p, x, p & ~und[pivot]))
                 if not r:
                     root = frames[0]
-            elif not r and keep is None:
+            elif not r and len(keep) == n:
                 # t <= n and r is empty, so neither the count nor the split
                 # bound cut the root: the coloring did, with `classes` sets.
                 # On a core that bounds only the core's clique number.
@@ -543,23 +528,22 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     t = None if heights is None else max(heights[0])
     try:
         if t is None:
-            und = _und_rows(graph)
+            keep, und = range(n), _rows(graph, range(n))
             level(None)
         else:
             h, d = heights
             while True:
-                if und is None or keep is not None:
+                if len(keep) < n:
                     core = [v for v in range(n) if h[v] + d[v] > t]
                     if len(core) > _CORE_SHARE * n:
-                        keep, und, hd = None, _und_rows(graph), heights
-                        root = split = None
-                    elif und is None or len(core) > len(keep):  # cores only grow as t falls
-                        keep, und = core, _core_rows(graph, core)
+                        core = range(n)
+                    if len(core) > len(keep):  # cores only grow as t falls
+                        keep, und = core, _rows(graph, core)
                         hd = [h[v] for v in core], [d[v] for v in core]
                         root = split = None
                 if level(t):
                     break
-                t = t - 1 if keep is not None else min(t - 1, ceiling)
+                t = min(t - 1, ceiling)
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             "max-clique", exc.nodes, best_lower=len(best), best_upper=t, witness=tuple(sorted(best))

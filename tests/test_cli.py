@@ -185,11 +185,21 @@ def test_verify_lemma24_refuses_an_order_at_or_above_the_modulus(capsys):
     assert all("n=6" in r["instance"] for r in doc["reports"])
 
 
-@pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-ms"])
-def test_negative_budget_is_refused(capsys, flag):
-    code, out, err = run(capsys, "verify", "lemma21", "--k", "3", flag, "-1")
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        pytest.param("--budget-nodes", "-1", id="--budget-nodes"),
+        pytest.param("--budget-ms", "-1", id="--budget-ms"),
+        # a time cap that is not finite would replace the default node cap and stop nothing
+        pytest.param("--budget-ms", "nan", id="--budget-ms-nan"),
+        pytest.param("--budget-ms", "inf", id="--budget-ms-inf"),
+    ],
+)
+def test_negative_budget_is_refused(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "lemma21", "--k", "3", flag, value)
     assert code == OPERATIONAL and out == ""
-    assert err.startswith(f"error: {flag} must be nonnegative") and err.count("\n") == 1
+    problem = "nonnegative" if value == "-1" else "finite"
+    assert err.startswith(f"error: {flag} must be {problem}") and err.count("\n") == 1
 
 
 def test_verify_claim26_passes_with_measured_clique(capsys):

@@ -32,3 +32,23 @@ def test_public_names_are_sorted_unique_and_resolve():
     assert names == sorted(names)
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(chibound, name)] == []
+
+
+def test_oracles_reuse_no_pipeline_code():
+    # the oracles re-derive every property from raw adjacency, so that a
+    # pipeline bug and an oracle bug would have to coincide to slip through:
+    # from inside the package they take the errors, the graph type and the
+    # view that unwraps a labeled graph, and nothing else
+    path = SOURCES[0].parent / "oracles.py"
+    inside = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            inside |= {(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "chibound"}
+        elif isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.split(".")[0] == "chibound"):
+            module = node.module and node.module.removeprefix("chibound.")
+            inside |= {(module, alias.name) for alias in node.names}
+    assert inside
+    assert {(module, name) for module, name in inside if module != "errors"} <= {
+        ("graphs", "OrientedGraph"),
+        ("graphs", "oriented_view"),
+    }

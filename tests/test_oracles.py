@@ -195,6 +195,14 @@ def _differential_graphs():
         yield n, pairs, OrientedGraph(n, edges)
 
 
+def _ranked(g: OrientedGraph) -> tuple[list[int], list[int]]:
+    """(order, rows) as ``exact_chromatic_number`` builds them: the vertices
+    by descending degree, ties by index, and their rows in that order."""
+    und = oracles._rows(g, range(g.n))
+    order = sorted(range(g.n), key=lambda v: -und[v].bit_count())
+    return order, oracles._rows(g, order)
+
+
 def _proper(colors, palette: int, n: int, pairs) -> bool:
     return len(colors) == n and all(0 <= c < palette for c in colors) and all(colors[u] != colors[v] for u, v in pairs)
 
@@ -206,7 +214,7 @@ def test_chromatic_search_matches_enumeration_under_every_budget():
     stops = 0
     for n, pairs, g in _differential_graphs():
         chi = _chi_by_subsets(n, pairs)
-        order, rows = oracles._ranked_rows(g, oracles._und_rows(g))
+        order, rows = _ranked(g)
         used, colors = oracles._dsatur_greedy(rows, order)
         assert used >= chi and _proper(colors, used, n, pairs)
         for k in range(1, n + 1):
@@ -238,7 +246,7 @@ def test_chromatic_search_backtracks_to_a_proper_coloring_at_chi():
         g = OrientedGraph(n, pairs)
         chi = _chi_by_subsets(n, pairs)
         assert exact_chromatic_number(g) == chi
-        order, rows = oracles._ranked_rows(g, oracles._und_rows(g))
+        order, rows = _ranked(g)
         tracker = oracles._Tracker("k-colorable", None)
         colors = oracles._k_colorable(rows, order, chi, tracker)
         assert tracker.nodes > n + 1, seed  # more nodes than one descent
@@ -465,9 +473,11 @@ def test_max_clique_witness_is_a_clique_of_stated_size(seed):
 
 
 def test_max_clique_searches_a_small_core_without_full_width_rows(monkeypatch):
-    calls = []
-    und_rows = oracles._und_rows
-    monkeypatch.setattr(oracles, "_und_rows", lambda graph: calls.append(graph.n) or und_rows(graph))
+    calls = []  # the size of each full-width row build
+    rows = oracles._rows
+    monkeypatch.setattr(
+        oracles, "_rows", lambda graph, vs: (len(vs) == graph.n and calls.append(graph.n)) or rows(graph, vs)
+    )
     # on power(5, 7) the 5-clique lies in keep_5, 25 of the 206 vertices
     assert max_clique(build_power_graph(build_zykov(5), 7)) == (5, (12, 13, 15, 20, 38))
     assert calls == []
@@ -508,9 +518,11 @@ def test_max_clique_on_cores_matches_the_full_width_search(monkeypatch):
             rng = random.Random(seed)
             sub = induced_subgraph(pg, [v for v in range(pg.graph.n) if rng.random() < 0.5]).graph
             graphs += [sub, _padded(rng, sub)]
-    cores = []
-    core_rows = oracles._core_rows
-    monkeypatch.setattr(oracles, "_core_rows", lambda graph, keep: cores.append(len(keep)) or core_rows(graph, keep))
+    cores = []  # the size of each row build on a core
+    rows = oracles._rows
+    monkeypatch.setattr(
+        oracles, "_rows", lambda graph, vs: (len(vs) < graph.n and cores.append(len(vs))) or rows(graph, vs)
+    )
     found = [max_clique(g) for g in graphs]
     assert len(cores) > len(graphs)
     monkeypatch.setattr(oracles, "_CORE_SHARE", 0.0)
@@ -646,9 +658,14 @@ def test_undirected_rows_match_the_set_of_pairs(seed):
         n = rng.randint(2, 40)
         edges = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.15}
         edges |= {(0, 1), (1, 0)}
-    rows = oracles._und_rows(OrientedGraph(n, edges))
-    assert rows == [
+    g = OrientedGraph(n, edges)
+    assert oracles._rows(g, range(n)) == [
         sum(1 << v for v in range(n) if (u, v) in edges or (v, u) in edges) for u in range(n)
+    ]
+    # a shuffled proper subset: bit j of row i stands for vertices[j]
+    vertices = rng.sample(range(n), rng.randrange(n)) if n else []
+    assert oracles._rows(g, vertices) == [
+        sum(1 << j for j, v in enumerate(vertices) if (u, v) in edges or (v, u) in edges) for u in vertices
     ]
 
 
