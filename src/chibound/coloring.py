@@ -11,8 +11,7 @@ re-checked against the graph before it is surfaced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import starmap
-from operator import add, gt
+from operator import add
 
 from .errors import (
     CliqueTooLarge,
@@ -90,16 +89,17 @@ def _longest_paths(graph: OrientedGraph, edge_class: list[int], phi: int, k: int
     ``graph.edges[j]``.
 
     The DP visits every vertex after its out-neighbours, for all classes at
-    once. If every edge descends (u > v) that is canonical edge order, tails
-    ascending; otherwise the edges are sorted by their tail's place in
-    ``topological_order``, which raises CycleFound on a cycle. A class whose
-    longest path reaches length k raises PathTooLong, the first such class
-    in class order: the path, rebuilt from the heights alone, starts at the
-    lowest-indexed vertex of greatest height and steps to the lowest-indexed
-    class-c out-neighbour one lower, whatever the order.
+    once. If every edge descends (u > v), which the graph finds once and
+    keeps, that is canonical edge order, tails ascending; otherwise the
+    edges are sorted by their tail's place in ``topological_order``, which
+    raises CycleFound on a cycle. A class whose longest path reaches length
+    k raises PathTooLong, the first such class in class order: the path,
+    rebuilt from the heights alone, starts at the lowest-indexed vertex of
+    greatest height and steps to the lowest-indexed class-c out-neighbour
+    one lower, whatever the order.
     """
     pairs = zip(graph.edges, edge_class)
-    if not all(starmap(gt, graph.edges)):
+    if not graph._descends():
         rank = {u: i for i, u in enumerate(topological_order(graph))}
         pairs = sorted(pairs, key=lambda pair: -rank[pair[0][0]])
     height = [[0] * graph.n for _ in range(phi)]

@@ -3,10 +3,10 @@ utilities, reachability distances, and induced subgraphs.
 
 Vertices are dense integer indices ``0..n-1``; every construction in this
 package emits deterministic numbering so repeated runs are bit-for-bit
-reproducible. A graph keeps its canonical edge tuple and one sorted
-out-neighbour tuple per vertex, plus the row offsets into the edge tuple once
-an induced subgraph needs them; the oracles build their own bitset rows and
-in-degrees from the edge list.
+reproducible. A graph is built with its canonical edge tuple alone; its sorted
+out-neighbour tuple per vertex, the row offsets into the edge tuple and whether
+every edge descends are found on first use. The oracles build their own
+bitset rows and in-degrees from the edge list and the out-rows.
 
 ``OrientedGraph(n, edges)`` validates and canonicalizes external input. The
 package's builders call ``OrientedGraph._canonical``, which checks nothing: their
@@ -23,7 +23,8 @@ import heapq
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, starmap
+from operator import gt
 from typing import Iterable, Iterator
 
 from .errors import CycleFound, MultiplePaths, UnknownVertex
@@ -50,11 +51,11 @@ class OrientedGraph:
     that cycle detection can report them as a 2-cycle; every acyclicity-certified
     graph produced by this package has at most one edge per unordered pair.
     Instances are immutable after construction and safe to share across
-    threads: the row offsets are filled on first use, and a racing fill
-    stores an equal tuple.
+    threads: the out-rows, the row offsets and the descent fact are filled
+    on first use, and a racing fill stores an equal value.
     """
 
-    __slots__ = ("n", "edges", "_out", "_first")
+    __slots__ = ("n", "edges", "_out", "_first", "_desc")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -69,41 +70,49 @@ class OrientedGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-        self._fill(n, pairs)
+        self._set(n, pairs)
 
     @classmethod
     def _canonical(cls, n: int, edges) -> OrientedGraph:
         """The builders' trusted path: ``edges`` must be canonical (module docstring)."""
-        (g := cls.__new__(cls))._fill(n, edges)
+        (g := cls.__new__(cls))._set(n, edges)
         return g
 
-    def _fill(self, n: int, edges) -> None:
-        """The one row builder, for canonical edges. Without edges every row
-        is the one empty tuple, and no per-vertex list is built."""
-        self.n, self.edges, self._first = n, tuple(edges), None
-        if not self.edges:
-            self._out = ((),) * n
-            return
-        out = [[] for _ in range(n)]
-        for u, v in self.edges:
-            out[u].append(v)
-        self._out = tuple(map(tuple, out))
+    def _set(self, n: int, edges) -> None:
+        self.n, self.edges = n, tuple(edges)
+        self._out = self._first = self._desc = None
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
+    def _out_rows(self) -> tuple[tuple[int, ...], ...]:
+        """``_out_rows()[u]`` holds u's out-neighbours, ascending; built on first use."""
+        if self._out is None:
+            with _gc_paused():
+                out = [[] for _ in range(self.n)]
+                for u, v in self.edges:
+                    out[u].append(v)
+                self._out = tuple(map(tuple, out))
+        return self._out
+
     def out_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._out[u]
+        return self._out_rows()[u]
 
     def _row_starts(self) -> tuple[int, ...]:
         """``_row_starts()[u]`` is where u's out-edges begin in ``edges``."""
         if self._first is None:
-            self._first = tuple(accumulate(map(len, self._out), initial=0))
+            self._first = tuple(accumulate(map(len, self._out_rows()), initial=0))
         return self._first
 
+    def _descends(self) -> bool:
+        """Whether every edge u -> v has u > v, found on first use."""
+        if self._desc is None:
+            self._desc = all(starmap(gt, self.edges))
+        return self._desc
+
     def has_edge(self, u: int, v: int) -> bool:
-        out = self._out[u]
+        out = self._out_rows()[u]
         i = bisect_left(out, v)
         return i < len(out) and out[i] == v
 
@@ -182,11 +191,11 @@ def topological_order(g) -> list[int]:
         indeg[v] += 1
     heap = [v for v in range(g.n) if indeg[v] == 0]
     heapq.heapify(heap)
-    order = []
+    order, out = [], g._out_rows()
     while heap:
         u = heapq.heappop(heap)
         order.append(u)
-        for v in g.out_neighbors(u):
+        for v in out[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(heap, v)
@@ -262,11 +271,11 @@ def distance_table(g) -> DistanceTable:
     (counts need never grow past 2).
     """
     g = oriented_view(g)
-    order = topological_order(g)
+    order, out = topological_order(g), g._out_rows()
     rows: list[dict[int, int] | None] = [None] * g.n
     for u in reversed(order):
         row = {u: 0}
-        for w in g.out_neighbors(u):
+        for w in out[u]:
             for v, dwv in rows[w].items():
                 if v in row:
                     raise MultiplePaths(u, v)
@@ -279,7 +288,9 @@ def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
     """Induce on a vertex subset, keeping exactly the inherited edges and labels.
 
     Only the out-rows of the chosen vertices are walked, so a call costs
-    O(n + their out-degrees), not O(parent edges)."""
+    O(n + their out-degrees), not O(parent edges), after the first call on a
+    parent has built its rows and found whether it descends. The renumbering
+    is monotone, so the subgraph of a descending parent descends."""
     parent = as_labeled(parent)
     g, labels = parent.graph, parent.labels
     chosen = sorted({int(v) for v in vs})
@@ -290,16 +301,16 @@ def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
         index[old] = new
     # the renumbering is monotone and each row is sorted, so kept edges stay
     # in canonical order; kept[i] is the parent's index of the i-th of them
-    first = g._row_starts()
+    first, out = g._row_starts(), g._out_rows()
     edges, kept = [], []
     for a, u in enumerate(chosen):
         j = first[u]
-        for v in g._out[u]:
+        for v in out[u]:
             if index[v] >= 0:
                 edges.append((a, index[v]))
                 kept.append(j)
             j += 1
     sub_labels = None if labels is None else tuple(map(labels.__getitem__, kept))
-    return LabeledGraph(
-        OrientedGraph._canonical(len(chosen), edges), sub_labels, parent.p, tuple(chosen)
-    )
+    sub = OrientedGraph._canonical(len(chosen), edges)
+    sub._desc = g._descends() or None  # a parent that does not descend tells nothing
+    return LabeledGraph(sub, sub_labels, parent.p, tuple(chosen))

@@ -3,17 +3,18 @@ uniqueness, triangle-freeness, zero-sum freeness, long-path absence, and
 coloring properness.
 
 Everything in this module is written against the raw edge list and
-out-neighbour tuples only; in-degrees and every bitset row (undirected rows
-for the searches, lower-neighbour rows for triangles, reach rows for unique
+out-neighbour tuples only; in-degrees and every bitset row (undirected rows for
+the searches, lower-neighbour rows for triangles, reach rows for unique
 paths) are built from them here; ``_rows`` builds the undirected rows of any
-induced subgraph, the whole graph included, from its vertices' out-rows. A
-row is as wide as its highest bit, so rows cost up to n²/8 bytes on a sparse
-graph whose edges join far-apart indices. None of it reuses the pipeline's
-distance or coloring code, so a pipeline bug and an oracle bug would have to
-coincide to slip through. Every fail verdict carries a witness that is
-re-checked by a few lines of direct arithmetic before it is reported.
-Searches are single-threaded with fixed tie-breaking by vertex index, so
-verdicts and witnesses are byte-stable across runs.
+induced subgraph, the whole graph included, from its vertices' out-rows. On
+a graph whose edges all descend the longest-path DPs walk the edge list and
+build no out-rows. A row is as wide as its highest bit, so rows cost up to
+n²/8 bytes on a sparse graph whose edges join far-apart indices. None of it
+reuses the pipeline's distance or coloring code, so a pipeline bug and an
+oracle bug would have to coincide to slip through. Every fail verdict
+carries a witness that is re-checked by a few lines of direct arithmetic
+before it is reported. Searches are single-threaded with fixed tie-breaking
+by vertex index, so verdicts and witnesses are byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -125,10 +126,10 @@ def _rows(graph: OrientedGraph, vertices) -> list[int]:
     at = [-1] * graph.n
     for i, v in enumerate(vertices):
         at[v] = i
-    rows = [0] * len(vertices)
+    rows, out = [0] * len(vertices), graph._out_rows()
     for i, u in enumerate(vertices):
         bit, row = 1 << i, 0
-        for v in graph.out_neighbors(u):
+        for v in out[u]:
             j = at[v]
             if j >= 0:
                 row |= 1 << j
@@ -343,32 +344,39 @@ def _fits_in_classes(und, p_mask: int, room: int) -> int:
     return classes
 
 
-def _heights(graph: OrientedGraph, order: list[int]) -> list[int]:
-    """h[v] counts the vertices of the longest directed path leaving v,
-    from a topological ``order`` of ``graph``."""
+def _heights(graph: OrientedGraph, order: range | list[int]) -> list[int]:
+    """h[v] counts the vertices of the longest directed path leaving v, by a
+    DP over the edges, tails in reverse ``_kahn`` ``order``: on its range,
+    the descending order, the edge list as it stands, tails ascending."""
+    if isinstance(order, range):
+        pairs = graph.edges
+    else:
+        out = graph._out_rows()
+        pairs = ((u, v) for u in reversed(order) for v in out[u])
     h = [1] * graph.n
-    for u in reversed(order):
-        hu = h[u]
-        for v in graph.out_neighbors(u):
-            if h[v] >= hu:
-                hu = h[v] + 1
-        h[u] = hu
+    for u, v in pairs:
+        if h[v] >= h[u]:
+            h[u] = h[v] + 1
     return h
 
 
 def _path_heights(graph: OrientedGraph) -> tuple[list[int], list[int]] | None:
     """(h, d): h is ``_heights``, d[v] counts the vertices of the longest
-    path entering v; None on a cyclic orientation. h falls and d rises along
-    every edge, so both are proper colorings of the undirected view."""
+    path entering v, by its DP run forwards; None on a cyclic orientation.
+    h falls and d rises along every edge, so both properly color the
+    undirected view."""
     order = _kahn(graph)
     if len(order) < graph.n:
         return None
+    if isinstance(order, range):
+        pairs = reversed(graph.edges)
+    else:
+        out = graph._out_rows()
+        pairs = ((u, v) for u in order for v in out[u])
     d = [1] * graph.n
-    for u in order:
-        du = d[u] + 1
-        for v in graph.out_neighbors(u):
-            if d[v] < du:
-                d[v] = du
+    for u, v in pairs:
+        if d[v] <= d[u]:
+            d[v] = d[u] + 1
     return _heights(graph, order), d
 
 
@@ -559,18 +567,18 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
 # --------------------------------------------------------------- structure
 
 
-def _kahn(graph: OrientedGraph) -> list[int]:
+def _kahn(graph: OrientedGraph) -> range | list[int]:
     """Own topological sort; a short list means a cycle. Every caller's
-    result is the same for any topological order, so descending index order
-    serves when every edge descends (u > v), as in every built graph."""
+    result is the same for any topological order, so descending index order,
+    as a range, serves when every edge descends (u > v), as in built graphs."""
     if all(starmap(gt, graph.edges)):
-        return list(range(graph.n - 1, -1, -1))
+        return range(graph.n - 1, -1, -1)
     indeg = [0] * graph.n
     for _, v in graph.edges:
         indeg[v] += 1
-    order = [v for v in range(graph.n) if indeg[v] == 0]
+    order, out = [v for v in range(graph.n) if indeg[v] == 0], graph._out_rows()
     for u in order:  # the list grows while it is walked
-        for v in graph.out_neighbors(u):
+        for v in out[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 order.append(v)
@@ -656,10 +664,10 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
         return timed_report("unique-paths", instance, "fail", {"cycle": _cycle_witness(graph, order)}, started)
     reach = [0] * graph.n
     size = [0] * graph.n  # popcount of reach
-    flagged = [False] * graph.n
+    flagged, out = [False] * graph.n, graph._out_rows()
     for u in reversed(order):
         row = total = 0
-        for w in graph.out_neighbors(u):
+        for w in out[u]:
             if flagged[w]:
                 flagged[u] = True
             row |= reach[w] | 1 << w
@@ -674,7 +682,7 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
     count[u] = 1
     for x in order[order.index(u) :]:
         if count[x]:
-            for y in graph.out_neighbors(x):
+            for y in out[x]:
                 count[y] = min(2, count[y] + count[x])
     v = count.index(2)
     paths = _two_paths(graph, reach, u, v)

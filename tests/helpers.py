@@ -40,4 +40,4 @@ def read_outcome(read, text, size_cap=None):
         g, labels, metadata = read(text, size_cap=size_cap)
     except (ValueError, GraphError) as exc:
         return type(exc), str(exc)
-    return g.n, g.edges, g._out, labels, metadata
+    return g.n, g.edges, g._out_rows(), labels, metadata

@@ -22,6 +22,7 @@ from chibound import (
     residue_partition,
     verify_proper,
 )
+from chibound.coloring import _longest_paths as longest_paths
 
 
 def labeled(n, labeled_edges, p):
@@ -176,6 +177,36 @@ def test_bounded_color_builds_no_graph(monkeypatch):
     assert built == []
     edge_partition(pg, part).class_graph(0)
     assert len(built) == 1
+
+
+def test_longest_paths_takes_the_descent_fact_from_an_induced_subgraph():
+    """An induced subgraph inherits its parent's descent fact, so the
+    coloring DP walks its edges once and runs no descent test of its own;
+    the same edges in a fresh graph are walked twice. A cyclic graph built
+    by hand still raises CycleFound."""
+
+    class CountingEdges(tuple):
+        walks = 0
+
+        def __iter__(self):
+            CountingEdges.walks += 1
+            return super().__iter__()
+
+    pg = build_power_graph(build_zykov(4), 3)
+    rng = random.Random(4)
+    for _ in range(10):
+        sub = induced_subgraph(pg, rng.sample(range(pg.graph.n), rng.randint(2, pg.graph.n))).graph
+        fresh = OrientedGraph._canonical(sub.n, sub.edges)
+        for g, walks in ((sub, 1), (fresh, 2)):
+            g.edges = CountingEdges(g.edges)
+            CountingEdges.walks = 0
+            longest_paths(g, [0] * g.m, 1, g.n + 1)
+            assert CountingEdges.walks == walks
+    # a parent whose edges ascend passes on no fact, and the heap order serves
+    ascending = induced_subgraph(OrientedGraph(3, [(0, 1), (1, 2)]), [0, 1, 2]).graph
+    assert longest_paths(ascending, [0, 0], 1, 5) == [[2, 1, 0]]
+    with pytest.raises(CycleFound):
+        longest_paths(OrientedGraph(3, [(0, 1), (1, 2), (2, 0)]), [0, 0, 0], 1, 5)
 
 
 def test_bounded_color_rejects_a_cycle_across_acyclic_classes():

@@ -20,6 +20,8 @@ from chibound import (
     read_edgelist,
     residue_partition,
     topological_order,
+    verify_no_long_path,
+    verify_proper,
     write_edgelist,
 )
 from chibound.cli import main
@@ -355,7 +357,7 @@ def test_every_built_graph_descends_so_index_order_is_topological(tmp_path, monk
     graphs.append(back)
     for g in graphs:
         assert all(u > v for u, v in g.edges)
-        assert _kahn(g) == list(range(g.n - 1, -1, -1))
+        assert _kahn(g) == range(g.n - 1, -1, -1)
 
     def no_heap_sort(g):
         raise AssertionError("heap topological_order on a descending graph")
@@ -363,3 +365,47 @@ def test_every_built_graph_descends_so_index_order_is_topological(tmp_path, monk
     monkeypatch.setattr(coloring, "topological_order", no_heap_sort)
     omega, _ = max_clique(pg)
     assert bounded_color(pg, omega, residue_partition(7, omega)).palette > 0
+
+
+def test_out_rows_are_built_on_first_read(monkeypatch):
+    """A graph is built with its edge tuple alone. The coloring, its
+    properness check, the class graphs and their long-path check on a
+    descending graph read only the edge list, so they build no out-rows;
+    ``max_clique`` builds them once. The first out-row read builds the rows
+    an eager builder would, anti-parallel pairs and n = 0 included."""
+    fills = []
+    out_rows = OrientedGraph._out_rows
+
+    def counting(self):
+        if self._out is None:
+            fills.append(self.n)
+        return out_rows(self)
+
+    monkeypatch.setattr(OrientedGraph, "_out_rows", counting)
+    pg = build_power_graph(build_zykov(4), 5)  # from _canonical
+    back, labels, _ = read_edgelist(write_edgelist(pg.graph, pg.labels))  # the bulk reader
+    fills.clear()  # distance_table walked the base's rows
+    part = residue_partition(5, 4)
+    for g in (pg, LabeledGraph(back, labels, 5)):
+        assert verify_proper(bounded_color(g, 4, part)).passed
+        ep = edge_partition(g, part)
+        for i in range(len(ep.classes)):
+            assert verify_no_long_path(ep.class_graph(i), 4).passed
+    assert fills == []
+    assert max_clique(pg)[0] == 4
+    assert fills == [pg.graph.n]
+
+    rng = random.Random(7)
+    for n in [0] + [rng.randint(1, 25) for _ in range(40)]:
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        pairs = [(u, v) for u, v in pairs if u != v]
+        pairs += [(v, u) for u, v in pairs[:3]]  # anti-parallel pairs
+        rng.shuffle(pairs)
+        g = OrientedGraph(n, pairs)
+        eager = tuple(tuple(sorted({v for u, v in pairs if u == a})) for a in range(n))
+        fills.clear()
+        assert g._out is None
+        if n:
+            assert g.out_neighbors(0) == eager[0]
+        assert g._out_rows() == eager
+        assert fills == [n]

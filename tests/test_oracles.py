@@ -843,6 +843,47 @@ def test_any_topological_order_gives_the_heap_orders_results(seed, monkeypatch):
         assert exc.value.path == path
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_edge_walk_dps_equal_the_kahn_order_row_walk(seed, monkeypatch):
+    """On a descending DAG ``_kahn`` returns a range and the height DPs walk
+    the edge list; a list order walks the out-rows in Kahn order. Heights,
+    path heights and the long-path verdict and witness agree, and on a
+    relabeling that does not descend they agree up to the relabeling."""
+    lg, _ = _layered_dags(seed)
+    g, n = lg.graph, lg.graph.n
+    order = oracles._kahn(g)
+    assert order == range(n - 1, -1, -1)
+    assert oracles._heights(g, order) == oracles._heights(g, list(order))
+    bound = random.Random(seed).randint(1, 5)
+
+    def run(graph):
+        return oracles._path_heights(graph), verify_no_long_path(graph, bound).to_json_dict()
+
+    (h, d), report = got = run(g)
+    kahn = oracles._kahn
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "_kahn", lambda graph: list(kahn(graph)))
+        assert run(g) == got
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    if all(perm[u] > perm[v] for u, v in g.edges):
+        perm = [n - 1 - x for x in perm]
+    moved = OrientedGraph(n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert isinstance(oracles._kahn(moved), list)
+    (hm, dm), moved_report = run(moved)
+    assert [hm[perm[v]] for v in range(n)] == h and [dm[perm[v]] for v in range(n)] == d
+    assert moved_report["verdict"] == report["verdict"]
+    # a fail whose witness steps through ties: three layers of three, every
+    # edge from a higher layer down, so each step has three candidates
+    top, mid, bottom = (6, 7, 8), (3, 4, 5), (0, 1, 2)
+    layers = ((top, mid), (mid, bottom), (top, bottom))
+    tied = OrientedGraph(9, [(u, v) for upper, lower in layers for u in upper for v in lower])
+    assert verify_no_long_path(tied, 2).witness == {"path": [6, 3, 0], "bound": 2}
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "_kahn", lambda graph: list(kahn(graph)))
+        assert verify_no_long_path(tied, 2).witness == {"path": [6, 3, 0], "bound": 2}
+
+
 def test_proper_coloring_verdicts():
     g = OrientedGraph(2, [(0, 1)])
     assert verify_proper(longest_path_coloring(DIAMOND, 3)).passed
