@@ -6,6 +6,9 @@ The pipeline distrusts its caller: if a residue class turns out to contain a
 directed path of the forbidden length, the path converts into an explicit
 clique one larger than the claimed clique number, and that witness is
 re-checked against the graph before it is surfaced.
+
+Edges are read from a graph's ``tails`` and ``heads``, with residue labels and
+class indices parallel to them; an edge partition keeps each class the same way.
 """
 
 from __future__ import annotations
@@ -47,35 +50,37 @@ class Coloring:
 
 def _edge_classes(g: LabeledGraph, part: ResiduePartition) -> list[int]:
     """The partition class of each edge's residue label, parallel to
-    ``g.graph.edges``."""
+    ``g.graph.tails`` and ``g.graph.heads``."""
     graph, labels = g.graph, g.labels
     if g.p is not None and g.p != part.p:
         raise PrimeMismatch(part.p, g.p)
     if labels is None and graph.m > 0:
-        raise UnlabeledEdge(graph.edges[0])
+        raise UnlabeledEdge((graph.tails[0], graph.heads[0]))
     classes = list(map(part.class_index.get, labels or ()))
     if None in classes:
         j = classes.index(None)
-        raise UnlabeledEdge(graph.edges[j], label=labels[j])
+        raise UnlabeledEdge((graph.tails[j], graph.heads[j]), label=labels[j])
     return classes
 
 
 class EdgePartition:
     """The edges of a labeled graph split by the residue class of their
-    label. It is built from the graph alone, so each class is a subsequence
-    of canonical edges and its class graph needs no checking."""
+    label: ``classes[i]`` holds the tails and the heads of class i. It is
+    built from the graph alone, so each class is a subsequence of canonical
+    edges and its class graph needs no checking."""
 
     __slots__ = ("n_vertices", "classes")
 
     def __init__(self, g, part: ResiduePartition):
         g = as_labeled(g)
-        buckets: list[list[tuple[int, int]]] = [[] for _ in part.classes]
-        for e, i in zip(g.graph.edges, _edge_classes(g, part)):
-            buckets[i].append(e)
-        self.n_vertices, self.classes = g.graph.n, tuple(map(tuple, buckets))
+        buckets: list[tuple[list[int], list[int]]] = [([], []) for _ in part.classes]
+        for u, v, i in zip(g.graph.tails, g.graph.heads, _edge_classes(g, part)):
+            buckets[i][0].append(u)
+            buckets[i][1].append(v)
+        self.n_vertices, self.classes = g.graph.n, tuple((tuple(t), tuple(h)) for t, h in buckets)
 
     def class_graph(self, i: int) -> OrientedGraph:
-        return OrientedGraph._canonical(self.n_vertices, self.classes[i])
+        return OrientedGraph._canonical(self.n_vertices, *self.classes[i])
 
 
 def edge_partition(g, part: ResiduePartition) -> EdgePartition:
@@ -85,8 +90,7 @@ def edge_partition(g, part: ResiduePartition) -> EdgePartition:
 
 def _longest_paths(graph: OrientedGraph, edge_class: list[int], phi: int, k: int) -> list[list[int]]:
     """Per class c < phi, the length of the longest directed path of class-c
-    edges leaving each vertex; ``edge_class[j]`` is the class of
-    ``graph.edges[j]``.
+    edges leaving each vertex; ``edge_class[j]`` is the class of edge j.
 
     The DP visits every vertex after its out-neighbours, for all classes at
     once. If every edge descends (u > v), which the graph finds once and
@@ -98,23 +102,22 @@ def _longest_paths(graph: OrientedGraph, edge_class: list[int], phi: int, k: int
     greatest height and steps to the lowest-indexed class-c out-neighbour
     one lower, whatever the order.
     """
-    pairs = zip(graph.edges, edge_class)
+    edges = zip(graph.tails, graph.heads, edge_class)
     if not graph._descends():
         rank = {u: i for i, u in enumerate(topological_order(graph))}
-        pairs = sorted(pairs, key=lambda pair: -rank[pair[0][0]])
+        edges = sorted(edges, key=lambda edge: -rank[edge[0]])
     height = [[0] * graph.n for _ in range(phi)]
-    for (u, v), c in pairs:
+    for u, v, c in edges:
         h = height[c]
         if h[v] >= h[u]:
             h[u] = h[v] + 1
     for c, h in enumerate(height):
         if h and max(h) >= k:
-            path = [h.index(max(h))]
+            path, first = [h.index(max(h))], graph._row_starts()
             while h[u := path[-1]]:
-                # u's edges are edges[j : j + len(out)]
-                out, j = graph.out_neighbors(u), graph._row_starts()[u]
-                row = zip(out, edge_class[j : j + len(out)])
-                path.append(next(v for v, cv in row if cv == c and h[v] == h[u] - 1))
+                row = range(first[u], first[u + 1])
+                j = next(j for j in row if edge_class[j] == c and h[graph.heads[j]] == h[u] - 1)
+                path.append(graph.heads[j])
             raise PathTooLong(path, k)
     return height
 

@@ -6,7 +6,7 @@ serialized config, input hashes, and the modulus of a labeled graph), a header
 ``n <vertices> <edges>``, then one line ``u v`` or ``u v r`` per edge, 0-based.
 Writers emit edges in canonical sorted order so identical inputs produce
 byte-identical files, and the reader parses a file of exactly that shape in
-bulk.
+bulk, straight into a graph's parallel tail and head tuples.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from __future__ import annotations
 import json
 import re
 from itertools import islice
-from operator import eq, lt
+from operator import eq, le, lt, or_
 
 from .errors import SizeBudgetExceeded
-from .graphs import OrientedGraph, _gc_paused
+from .graphs import OrientedGraph
 
 # leading comment lines and the header, as ``write_edgelist`` emits them
 _BULK_HEAD = re.compile(r"(?:#[^\n]*\n)*n ([0-9]+) ([0-9]+)\n")
@@ -56,7 +56,7 @@ def _indented_json(v, indent: str) -> str:
 
 def write_edgelist(g: OrientedGraph, labels=None, metadata=None) -> str:
     """Serialize a graph to edge-list text, with ``labels[j]`` as the residue
-    of ``g.edges[j]`` when labels are given."""
+    of edge j when labels are given."""
     lines = []
     if metadata:
         for key in metadata:
@@ -66,9 +66,9 @@ def write_edgelist(g: OrientedGraph, labels=None, metadata=None) -> str:
             lines.append(f"# {key}: {value}")
     lines.append(f"n {g.n} {g.m}")
     if labels is None:
-        lines.extend(f"{u} {v}" for u, v in g.edges)
+        lines.extend(f"{u} {v}" for u, v in zip(g.tails, g.heads))
     else:
-        lines.extend(f"{u} {v} {r}" for (u, v), r in zip(g.edges, labels))
+        lines.extend(f"{u} {v} {r}" for u, v, r in zip(g.tails, g.heads, labels))
     return "\n".join(lines) + "\n"
 
 
@@ -76,19 +76,17 @@ def read_edgelist(text: str, *, size_cap: int | None = None):
     """Parse edge-list text.
 
     Returns ``(graph, labels, metadata)`` where ``labels`` is None for an
-    unlabeled file and otherwise a tuple parallel to ``graph.edges`` (whatever
-    order the file lists the edges in), and ``metadata`` maps comment keys to
-    their string values. An edge listed twice is an error, and so is a
-    header vertex count above ``size_cap`` (SizeBudgetExceeded), which is
-    refused before any graph is built.
+    unlabeled file and otherwise a tuple parallel to ``graph.tails`` and
+    ``graph.heads`` (whatever order the file lists the edges in), and
+    ``metadata`` maps comment keys to their string values. An edge listed
+    twice is an error, and so is a header vertex count above ``size_cap``
+    (SizeBudgetExceeded), which is refused before any graph is built.
 
     A file shaped like ``write_edgelist``'s output is parsed in bulk; any
     other file, valid or not, goes through the line parser, whose errors
     name the offending line.
     """
-    with _gc_paused():
-        bulk = _read_bulk(text, size_cap)
-    return bulk or _read_lines(text, size_cap)
+    return _read_bulk(text, size_cap) or _read_lines(text, size_cap)
 
 
 def _read_comment(line: str, metadata: dict[str, str]) -> None:
@@ -105,7 +103,9 @@ def _read_bulk(text: str, size_cap: int | None):
     one space and one ``\n``, edges strictly ascending. Never raises.
 
     The edge lines are parsed a chunk at a time, so no token list of the
-    whole file is ever built."""
+    whole file is ever built, and their columns go straight into the tails
+    and heads. The edges ascend strictly iff the tails never fall and, at
+    each step, the tail or the head rises."""
     if not text.isascii() or not (head := _BULK_HEAD.match(text)):
         return None
     try:
@@ -115,14 +115,13 @@ def _read_bulk(text: str, size_cap: int | None):
     start = head.end()
     if (size_cap is not None and n > size_cap) or text.count("\n", start) != m or text[-1] != "\n":
         return None
-    edges, labels = [], None
+    tails, heads, labels = [], [], None
     if m:
         width = text.count(" ", start, text.index("\n", start)) + 1
         if width not in (2, 3):
             return None
         line_seps = b" " * (width - 1) + b"\n"
         labels = [] if width == 3 else None
-        top = -1
         while start < len(text):
             end = text.index("\n", min(start + _BULK_CHUNK, len(text) - 1)) + 1
             chunk = text[start:end].encode()
@@ -136,18 +135,20 @@ def _read_bulk(text: str, size_cap: int | None):
             us, vs = values[0::width], values[1::width]
             if any(map(eq, us, vs)):
                 return None
-            top = max(top, max(vs))
-            edges += zip(us, vs)
+            tails += us
+            heads += vs
             if labels is not None:
                 labels += values[2::width]
             start = end
-        if top >= n or edges[-1][0] >= n or not all(map(lt, edges, islice(edges, 1, None))):
+        falls = not all(map(le, tails, islice(tails, 1, None)))
+        rises = map(or_, map(lt, tails, islice(tails, 1, None)), map(lt, heads, islice(heads, 1, None)))
+        if falls or tails[-1] >= n or max(heads) >= n or not all(rises):
             return None
     metadata: dict[str, str] = {}
     for line in head[0].split("\n")[:-2]:  # the pieces after are the header and ""
         _read_comment(line, metadata)
     labels = None if labels is None else tuple(labels)
-    return OrientedGraph._canonical(n, edges), labels, metadata
+    return OrientedGraph._canonical(n, tails, heads), labels, metadata
 
 
 def _read_lines(text: str, size_cap: int | None):
@@ -219,12 +220,12 @@ def write_dimacs(g: OrientedGraph) -> str:
 
 
 def graph_json_dict(g: OrientedGraph, labels=None, p=None) -> dict:
-    """JSON-ready dict view of a graph, with residue labels (parallel to
-    ``g.edges``) when present."""
+    """JSON-ready dict view of a graph, with residue labels (parallel to its
+    edges) when present."""
     if labels is None:
-        edges = [[u, v] for u, v in g.edges]
+        edges = [[u, v] for u, v in zip(g.tails, g.heads)]
     else:
-        edges = [[u, v, r] for (u, v), r in zip(g.edges, labels)]
+        edges = [[u, v, r] for u, v, r in zip(g.tails, g.heads, labels)]
     out = {"n": g.n, "edges": edges}
     if p is not None:
         out["p"] = p

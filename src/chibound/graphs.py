@@ -3,10 +3,12 @@ utilities, reachability distances, and induced subgraphs.
 
 Vertices are dense integer indices ``0..n-1``; every construction in this
 package emits deterministic numbering so repeated runs are bit-for-bit
-reproducible. A graph is built with its canonical edge tuple alone; its sorted
-out-neighbour tuple per vertex, the row offsets into the edge tuple and whether
-every edge descends are found on first use. The oracles build their own
-bitset rows and in-degrees from the edge list and the out-rows.
+reproducible. A graph stores edge j once, as entry j of two parallel tuples
+``tails`` and ``heads`` in canonical order (compressed sparse rows): u's
+out-neighbours are the run of heads whose tail is u. The row offsets and
+whether every edge descends are found on first use; ``edges`` builds the pairs
+on each read, for callers outside the package. The oracles build their own
+bitset rows and in-degrees from the two tuples.
 
 ``OrientedGraph(n, edges)`` validates and canonicalizes external input. The
 package's builders call ``OrientedGraph._canonical``, which checks nothing: their
@@ -18,44 +20,29 @@ descending index order is topological; external input need not descend.
 
 from __future__ import annotations
 
-import gc
 import heapq
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, repeat, starmap
-from operator import gt
+from itertools import repeat
+from operator import gt, itemgetter
 from typing import Iterable, Iterator
 
 from .errors import CycleFound, MultiplePaths, UnknownVertex
 
 
-@contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector, then restore its previous state.
-    For bulk builds that make millions of tuples and no reference cycles,
-    where its passes over the young tuples only cost time."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 class OrientedGraph:
     """A finite simple graph together with an orientation of its edges.
 
-    Anti-parallel pairs ``(u, v), (v, u)`` are accepted at construction time so
-    that cycle detection can report them as a 2-cycle; every acyclicity-certified
-    graph produced by this package has at most one edge per unordered pair.
+    Edge j runs from ``tails[j]`` to ``heads[j]``. Anti-parallel pairs
+    ``(u, v), (v, u)`` are accepted at construction time so that cycle
+    detection can report them as a 2-cycle; every acyclicity-certified graph
+    produced by this package has at most one edge per unordered pair.
     Instances are immutable after construction and safe to share across
-    threads: the out-rows, the row offsets and the descent fact are filled
-    on first use, and a racing fill stores an equal value.
+    threads: the row offsets and the descent fact are filled on first use,
+    and a racing fill stores an equal value.
     """
 
-    __slots__ = ("n", "edges", "_out", "_first", "_desc")
+    __slots__ = ("n", "tails", "heads", "_first", "_desc")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -70,51 +57,48 @@ class OrientedGraph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-        self._set(n, pairs)
+        self._set(n, map(itemgetter(0), pairs), map(itemgetter(1), pairs))
 
     @classmethod
-    def _canonical(cls, n: int, edges) -> OrientedGraph:
-        """The builders' trusted path: ``edges`` must be canonical (module docstring)."""
-        (g := cls.__new__(cls))._set(n, edges)
+    def _canonical(cls, n: int, tails, heads) -> OrientedGraph:
+        """The builders' trusted path: ``zip(tails, heads)`` must be canonical (module docstring)."""
+        (g := cls.__new__(cls))._set(n, tails, heads)
         return g
 
-    def _set(self, n: int, edges) -> None:
-        self.n, self.edges = n, tuple(edges)
-        self._out = self._first = self._desc = None
+    def _set(self, n: int, tails, heads) -> None:
+        self.n, self.tails, self.heads = n, tuple(tails), tuple(heads)
+        self._first = self._desc = None
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (tail, head) pairs, canonical order, built on each read."""
+        return tuple(zip(self.tails, self.heads))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
-
-    def _out_rows(self) -> tuple[tuple[int, ...], ...]:
-        """``_out_rows()[u]`` holds u's out-neighbours, ascending; built on first use."""
-        if self._out is None:
-            with _gc_paused():
-                out = [[] for _ in range(self.n)]
-                for u, v in self.edges:
-                    out[u].append(v)
-                self._out = tuple(map(tuple, out))
-        return self._out
-
-    def out_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._out_rows()[u]
+        return len(self.tails)
 
     def _row_starts(self) -> tuple[int, ...]:
-        """``_row_starts()[u]`` is where u's out-edges begin in ``edges``."""
+        """u's out-edges are j in ``range(first[u], first[u + 1])``, first =
+        ``_row_starts()``; found on first use by bisecting the sorted tails."""
         if self._first is None:
-            self._first = tuple(accumulate(map(len, self._out_rows()), initial=0))
+            self._first = tuple(map(bisect_left, repeat(self.tails, self.n + 1), range(self.n + 1)))
         return self._first
 
     def _descends(self) -> bool:
         """Whether every edge u -> v has u > v, found on first use."""
         if self._desc is None:
-            self._desc = all(starmap(gt, self.edges))
+            self._desc = all(map(gt, self.tails, self.heads))
         return self._desc
 
+    def out_neighbors(self, u: int) -> tuple[int, ...]:
+        first = self._row_starts()
+        return self.heads[first[u] : first[u + 1]]
+
     def has_edge(self, u: int, v: int) -> bool:
-        out = self._out_rows()[u]
-        i = bisect_left(out, v)
-        return i < len(out) and out[i] == v
+        first = self._row_starts()
+        i = bisect_left(self.heads, v, first[u], first[u + 1])
+        return i < first[u + 1] and self.heads[i] == v
 
     def has_und_edge(self, u: int, v: int) -> bool:
         return self.has_edge(u, v) or self.has_edge(v, u)
@@ -126,7 +110,7 @@ class OrientedGraph:
         the sort merges in linear time. An anti-parallel pair shows up in both
         and is kept once."""
         rows: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in zip(self.tails, self.heads):
             if u < v:
                 rows[u].append(v)
             else:
@@ -139,10 +123,10 @@ class OrientedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrientedGraph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.n == other.n and self.tails == other.tails and self.heads == other.heads
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.tails, self.heads))
 
     def __repr__(self) -> str:
         return f"OrientedGraph(n={self.n}, m={self.m})"
@@ -153,10 +137,10 @@ class LabeledGraph:
     """An oriented graph with the optional data of a residue-labeled graph.
 
     A base graph fills ``graph`` only. A power graph also fills ``labels``
-    and the modulus ``p``: ``labels[j]`` is the residue d mod p of
-    ``graph.edges[j]``. An induced subgraph inherits labels and modulus from
-    its parent and records ``vertices``: ``vertices[i]`` is the parent id of
-    the sub-vertex ``i``.
+    and the modulus ``p``: ``labels[j]`` is the residue d mod p of edge j,
+    ``graph.tails[j]`` -> ``graph.heads[j]``. An induced subgraph inherits
+    labels and modulus from its parent and records ``vertices``:
+    ``vertices[i]`` is the parent id of the sub-vertex ``i``.
     """
 
     graph: OrientedGraph
@@ -187,15 +171,15 @@ def topological_order(g) -> list[int]:
     (``distance_table``'s MultiplePaths pair depends on it), or CycleFound."""
     g = oriented_view(g)
     indeg = [0] * g.n
-    for _, v in g.edges:
+    for v in g.heads:
         indeg[v] += 1
     heap = [v for v in range(g.n) if indeg[v] == 0]
     heapq.heapify(heap)
-    order, out = [], g._out_rows()
+    order, first, heads = [], g._row_starts(), g.heads
     while heap:
         u = heapq.heappop(heap)
         order.append(u)
-        for v in out[u]:
+        for v in heads[first[u] : first[u + 1]]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(heap, v)
@@ -271,11 +255,11 @@ def distance_table(g) -> DistanceTable:
     (counts need never grow past 2).
     """
     g = oriented_view(g)
-    order, out = topological_order(g), g._out_rows()
+    order, first, heads = topological_order(g), g._row_starts(), g.heads
     rows: list[dict[int, int] | None] = [None] * g.n
     for u in reversed(order):
         row = {u: 0}
-        for w in out[u]:
+        for w in heads[first[u] : first[u + 1]]:
             for v, dwv in rows[w].items():
                 if v in row:
                     raise MultiplePaths(u, v)
@@ -287,10 +271,11 @@ def distance_table(g) -> DistanceTable:
 def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
     """Induce on a vertex subset, keeping exactly the inherited edges and labels.
 
-    Only the out-rows of the chosen vertices are walked, so a call costs
+    Only the out-edges of the chosen vertices are walked, so a call costs
     O(n + their out-degrees), not O(parent edges), after the first call on a
-    parent has built its rows and found whether it descends. The renumbering
-    is monotone, so the subgraph of a descending parent descends."""
+    parent has found its row offsets and whether it descends. The subgraph's
+    own offsets are counted on the way. The renumbering is monotone, so the
+    subgraph of a descending parent descends."""
     parent = as_labeled(parent)
     g, labels = parent.graph, parent.labels
     chosen = sorted({int(v) for v in vs})
@@ -301,16 +286,19 @@ def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
         index[old] = new
     # the renumbering is monotone and each row is sorted, so kept edges stay
     # in canonical order; kept[i] is the parent's index of the i-th of them
-    first, out = g._row_starts(), g._out_rows()
-    edges, kept = [], []
+    first, heads = g._row_starts(), g.heads
+    tails, sub_heads, kept, starts = [], [], [], []
     for a, u in enumerate(chosen):
-        j = first[u]
-        for v in out[u]:
-            if index[v] >= 0:
-                edges.append((a, index[v]))
+        starts.append(len(kept))
+        for j in range(first[u], first[u + 1]):
+            v = index[heads[j]]
+            if v >= 0:
+                tails.append(a)
+                sub_heads.append(v)
                 kept.append(j)
-            j += 1
+    starts.append(len(kept))
     sub_labels = None if labels is None else tuple(map(labels.__getitem__, kept))
-    sub = OrientedGraph._canonical(len(chosen), edges)
+    sub = OrientedGraph._canonical(len(chosen), tails, sub_heads)
+    sub._first = tuple(starts)
     sub._desc = g._descends() or None  # a parent that does not descend tells nothing
     return LabeledGraph(sub, sub_labels, parent.p, tuple(chosen))

@@ -2,16 +2,18 @@
 uniqueness, triangle-freeness, zero-sum freeness, long-path absence, and
 coloring properness.
 
-Everything in this module is written against the raw edge list and
-out-neighbour tuples only; in-degrees and every bitset row (undirected rows for
-the searches, lower-neighbour rows for triangles, reach rows for unique
-paths) are built from them here; ``_rows`` builds the undirected rows of any
-induced subgraph, the whole graph included, from its vertices' out-rows. On
-a graph whose edges all descend the longest-path DPs walk the edge list and
-build no out-rows. A row is as wide as its highest bit, so rows cost up to
-n²/8 bytes on a sparse graph whose edges join far-apart indices. None of it
-reuses the pipeline's distance or coloring code, so a pipeline bug and an
-oracle bug would have to coincide to slip through. Every fail verdict
+Everything in this module is written against a graph's raw edge store
+only: the parallel ``tails`` and ``heads`` tuples, whose run of heads with
+tail u is u's out-row, and the row offsets into them. In-degrees and every
+bitset row (undirected rows for the searches, lower-neighbour rows for
+triangles, reach rows for unique paths) are built from them here; ``_rows``
+builds the undirected rows of any induced subgraph, the whole graph
+included, from its vertices' out-rows alone. On a graph whose edges all
+descend the longest-path DPs walk the two tuples and need no offsets. A
+row is as wide as its highest bit, so rows cost up to n²/8 bytes on a
+sparse graph whose edges join far-apart indices. None of it reuses the
+pipeline's distance or coloring code, so a pipeline bug and an oracle bug
+would have to coincide to slip through. Every fail verdict
 carries a witness that is re-checked by a few lines of direct arithmetic
 before it is reported. Searches are single-threaded with fixed tie-breaking
 by vertex index, so verdicts and witnesses are byte-stable across runs.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate, starmap
+from itertools import accumulate
 from operator import gt
 
 from .errors import BudgetExceeded, CycleFound
@@ -126,10 +128,10 @@ def _rows(graph: OrientedGraph, vertices) -> list[int]:
     at = [-1] * graph.n
     for i, v in enumerate(vertices):
         at[v] = i
-    rows, out = [0] * len(vertices), graph._out_rows()
+    rows, first, heads = [0] * len(vertices), graph._row_starts(), graph.heads
     for i, u in enumerate(vertices):
         bit, row = 1 << i, 0
-        for v in out[u]:
+        for v in heads[first[u] : first[u + 1]]:
             j = at[v]
             if j >= 0:
                 row |= 1 << j
@@ -347,12 +349,12 @@ def _fits_in_classes(und, p_mask: int, room: int) -> int:
 def _heights(graph: OrientedGraph, order: range | list[int]) -> list[int]:
     """h[v] counts the vertices of the longest directed path leaving v, by a
     DP over the edges, tails in reverse ``_kahn`` ``order``: on its range,
-    the descending order, the edge list as it stands, tails ascending."""
+    the descending order, the edges as they stand, tails ascending."""
     if isinstance(order, range):
-        pairs = graph.edges
+        pairs = zip(graph.tails, graph.heads)
     else:
-        out = graph._out_rows()
-        pairs = ((u, v) for u in reversed(order) for v in out[u])
+        first, heads = graph._row_starts(), graph.heads
+        pairs = ((u, v) for u in reversed(order) for v in heads[first[u] : first[u + 1]])
     h = [1] * graph.n
     for u, v in pairs:
         if h[v] >= h[u]:
@@ -369,10 +371,10 @@ def _path_heights(graph: OrientedGraph) -> tuple[list[int], list[int]] | None:
     if len(order) < graph.n:
         return None
     if isinstance(order, range):
-        pairs = reversed(graph.edges)
+        pairs = zip(reversed(graph.tails), reversed(graph.heads))
     else:
-        out = graph._out_rows()
-        pairs = ((u, v) for u in order for v in out[u])
+        first, heads = graph._row_starts(), graph.heads
+        pairs = ((u, v) for u in order for v in heads[first[u] : first[u + 1]])
     d = [1] * graph.n
     for u, v in pairs:
         if d[v] <= d[u]:
@@ -571,14 +573,14 @@ def _kahn(graph: OrientedGraph) -> range | list[int]:
     """Own topological sort; a short list means a cycle. Every caller's
     result is the same for any topological order, so descending index order,
     as a range, serves when every edge descends (u > v), as in built graphs."""
-    if all(starmap(gt, graph.edges)):
+    if all(map(gt, graph.tails, graph.heads)):
         return range(graph.n - 1, -1, -1)
     indeg = [0] * graph.n
-    for _, v in graph.edges:
+    for v in graph.heads:
         indeg[v] += 1
-    order, out = [v for v in range(graph.n) if indeg[v] == 0], graph._out_rows()
+    order, first, heads = [v for v in range(graph.n) if indeg[v] == 0], graph._row_starts(), graph.heads
     for u in order:  # the list grows while it is walked
-        for v in out[u]:
+        for v in heads[first[u] : first[u + 1]]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 order.append(v)
@@ -664,10 +666,10 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
         return timed_report("unique-paths", instance, "fail", {"cycle": _cycle_witness(graph, order)}, started)
     reach = [0] * graph.n
     size = [0] * graph.n  # popcount of reach
-    flagged, out = [False] * graph.n, graph._out_rows()
+    flagged, first, heads = [False] * graph.n, graph._row_starts(), graph.heads
     for u in reversed(order):
         row = total = 0
-        for w in out[u]:
+        for w in heads[first[u] : first[u + 1]]:
             if flagged[w]:
                 flagged[u] = True
             row |= reach[w] | 1 << w
@@ -682,7 +684,7 @@ def verify_unique_paths(g, instance: str | None = None) -> VerificationReport:
     count[u] = 1
     for x in order[order.index(u) :]:
         if count[x]:
-            for y in out[x]:
+            for y in heads[first[x] : first[x + 1]]:
                 count[y] = min(2, count[y] + count[x])
     v = count.index(2)
     paths = _two_paths(graph, reach, u, v)
@@ -713,17 +715,17 @@ def verify_triangle_free(g, instance: str | None = None) -> VerificationReport:
     graph = oriented_view(g)
     instance = instance or _describe(graph)
     lower = [0] * graph.n
-    for u, v in graph.edges:
+    for u, v in zip(graph.tails, graph.heads):
         if u > v:
             lower[u] |= 1 << v
         else:
             lower[v] |= 1 << u
-    hits = [(common, min(a, b)) for a, b in graph.edges if (common := lower[a] & lower[b])]
+    hits = [(common, min(a, b)) for a, b in zip(graph.tails, graph.heads) if (common := lower[a] & lower[b])]
     if not hits:
         return timed_report("triangle-free", instance, "pass", None, started)
     c, b = min(((common & -common).bit_length() - 1, low) for common, low in hits)
     rows = {c: 0, b: 0}  # undirected rows of the pair only
-    for x, y in graph.edges:
+    for x, y in zip(graph.tails, graph.heads):
         if x in rows:
             rows[x] |= 1 << y
         if y in rows:
@@ -832,7 +834,7 @@ def verify_proper(coloring, instance: str | None = None) -> VerificationReport:
                 {"vertex": v, "color": c, "palette": coloring.palette},
                 started,
             )
-    for u, v in graph.edges:
+    for u, v in zip(graph.tails, graph.heads):
         if assignment[u] == assignment[v]:
             return timed_report(
                 "proper-coloring",

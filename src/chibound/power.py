@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import DomainTooSmall, NotPrime
-from .graphs import DistanceTable, LabeledGraph, OrientedGraph, _gc_paused, distance_table, oriented_view
+from .graphs import DistanceTable, LabeledGraph, OrientedGraph, distance_table, oriented_view
 
 
 def is_prime(n: int) -> bool:
@@ -73,18 +73,16 @@ def build_power_graph(base, p: int, distances: DistanceTable | None = None) -> L
     if distances is None:
         distances = distance_table(g)
     # sorted rows in ascending u give canonical edges, labels parallel; d(u, u) = 0 drops
-    edges = []
-    labels = []
-    with _gc_paused():
-        for u in range(g.n):
-            row = distances.row(u)
-            for v in sorted(row):
-                r = row[v] % p
-                if r:
-                    edges.append((u, v))
-                    labels.append(r)
-        graph = OrientedGraph._canonical(g.n, edges)
-    return LabeledGraph(graph, tuple(labels), p)
+    tails, heads, labels = [], [], []
+    for u in range(g.n):
+        row = distances.row(u)
+        for v in sorted(row):
+            r = row[v] % p
+            if r:
+                tails.append(u)
+                heads.append(v)
+                labels.append(r)
+    return LabeledGraph(OrientedGraph._canonical(g.n, tails, heads), tuple(labels), p)
 
 
 @dataclass(frozen=True, eq=False)

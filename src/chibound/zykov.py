@@ -109,7 +109,7 @@ def build_zykov(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> ZykovGraph:
     capped_size(k, size_cap)
 
     levels: list[ZykovGraph] = [
-        ZykovGraph(OrientedGraph._canonical(1, ()), k=1, provenance=(VertexTag(1, None, None),))
+        ZykovGraph(OrientedGraph._canonical(1, (), ()), k=1, provenance=(VertexTag(1, None, None),))
     ]
     while len(levels) < k:
         levels.append(_compose(levels))
@@ -126,11 +126,13 @@ def _compose(levels: list[ZykovGraph]) -> ZykovGraph:
         offsets.append(total)
         total += zg.graph.n
 
-    edges: list[tuple[int, int]] = []
+    tails: list[int] = []
+    heads: list[int] = []
     tags: list[VertexTag] = []
     for i, zg in enumerate(levels):
         off = offsets[i]
-        edges.extend((u + off, v + off) for u, v in zg.graph.edges)
+        tails += map(off.__add__, zg.graph.tails)
+        heads += map(off.__add__, zg.graph.heads)
         # copy membership is re-tagged to the new top level
         tags.extend(
             VertexTag(t.level, i + 1, t.transversal) for t in zg.provenance
@@ -139,11 +141,12 @@ def _compose(levels: list[ZykovGraph]) -> ZykovGraph:
     ranges = [range(offsets[i], offsets[i] + levels[i].graph.n) for i in range(len(levels))]
     apex = total
     for t_index, transversal in enumerate(itertools.product(*ranges)):
-        edges.extend((apex, v) for v in transversal)
+        tails += itertools.repeat(apex, len(transversal))
+        heads += transversal
         tags.append(VertexTag(new_level, None, t_index))
         apex += 1
 
-    return ZykovGraph(OrientedGraph._canonical(apex, edges), k=new_level, provenance=tuple(tags))
+    return ZykovGraph(OrientedGraph._canonical(apex, tails, heads), k=new_level, provenance=tuple(tags))
 
 
 def provenance_json_dict(zg: ZykovGraph) -> dict:

@@ -34,10 +34,10 @@ def random_oriented_graph(rng: random.Random, max_n: int = 9) -> OrientedGraph:
 
 
 def read_outcome(read, text, size_cap=None):
-    """What an edge-list reader returns, rows included, or the type and
-    message of what it raises."""
+    """What an edge-list reader returns, its graph's tails and heads
+    included, or the type and message of what it raises."""
     try:
         g, labels, metadata = read(text, size_cap=size_cap)
     except (ValueError, GraphError) as exc:
         return type(exc), str(exc)
-    return g.n, g.edges, g._out_rows(), labels, metadata
+    return g.n, g.tails, g.heads, labels, metadata

@@ -73,19 +73,19 @@ def test_edge_partition_splits_by_class():
     g = labeled(4, [((0, 1), 1), ((1, 2), 3), ((0, 2), 2), ((2, 3), 4)], 5)
     part = residue_partition(5, 2)  # A_1 = {1,2}, A_2 = {3,4}
     ep = edge_partition(g, part)
-    assert ep.classes == (((0, 1), (0, 2)), ((1, 2), (2, 3)))
+    assert ep.classes == (((0, 0), (1, 2)), ((1, 2), (2, 3)))
     assert ep.class_graph(1).edges == ((1, 2), (2, 3))
 
 
 def test_edge_partition_empty_graph():
     ep = edge_partition(labeled(3, [], 5), residue_partition(5, 2))
-    assert ep.classes == ((), ())
+    assert ep.classes == (((), ()), ((), ()))
 
 
 def test_edge_partition_single_class_takes_all():
     g = labeled(3, [((0, 1), 1), ((1, 2), 2)], 5)
     ep = edge_partition(g, residue_partition(5, 1))
-    assert ep.classes == (((0, 1), (1, 2)),)
+    assert ep.classes == (((0, 1), (1, 2)),)  # tails (0, 1), heads (1, 2)
 
 
 def test_edge_partition_prime_mismatch():
@@ -181,27 +181,27 @@ def test_bounded_color_builds_no_graph(monkeypatch):
 
 def test_longest_paths_takes_the_descent_fact_from_an_induced_subgraph():
     """An induced subgraph inherits its parent's descent fact, so the
-    coloring DP walks its edges once and runs no descent test of its own;
-    the same edges in a fresh graph are walked twice. A cyclic graph built
-    by hand still raises CycleFound."""
+    coloring DP walks its tails and heads once and runs no descent test of
+    its own; the same edges in a fresh graph are walked twice. A cyclic
+    graph built by hand still raises CycleFound."""
 
-    class CountingEdges(tuple):
+    class Counting(tuple):
         walks = 0
 
         def __iter__(self):
-            CountingEdges.walks += 1
+            Counting.walks += 1
             return super().__iter__()
 
     pg = build_power_graph(build_zykov(4), 3)
     rng = random.Random(4)
     for _ in range(10):
         sub = induced_subgraph(pg, rng.sample(range(pg.graph.n), rng.randint(2, pg.graph.n))).graph
-        fresh = OrientedGraph._canonical(sub.n, sub.edges)
+        fresh = OrientedGraph._canonical(sub.n, sub.tails, sub.heads)
         for g, walks in ((sub, 1), (fresh, 2)):
-            g.edges = CountingEdges(g.edges)
-            CountingEdges.walks = 0
+            g.tails, g.heads = Counting(g.tails), Counting(g.heads)
+            Counting.walks = 0
             longest_paths(g, [0] * g.m, 1, g.n + 1)
-            assert CountingEdges.walks == walks
+            assert Counting.walks == 2 * walks  # each walk reads both tuples
     # a parent whose edges ascend passes on no fact, and the heap order serves
     ascending = induced_subgraph(OrientedGraph(3, [(0, 1), (1, 2)]), [0, 1, 2]).graph
     assert longest_paths(ascending, [0, 0], 1, 5) == [[2, 1, 0]]

@@ -100,6 +100,22 @@ def test_written_power_graph_takes_the_bulk_path():
     assert _read_bulk(text, pg.graph.n - 1) is None  # the line parser refuses it
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ["0 1", "1 2", "1 2"],  # a repeated edge
+        ["0 1", "1 3", "1 2"],  # equal tails, descending heads
+        ["0 1", "2 1", "1 3"],  # descending tails, the head rising
+    ],
+)
+@pytest.mark.parametrize("labeled", [False, True])
+def test_bulk_reader_leaves_edges_out_of_order_to_the_line_parser(edges, labeled):
+    lines = [f"{e} {r}" for r, e in enumerate(edges, start=1)] if labeled else edges
+    text = "\n".join(["# p: 5", f"n 4 {len(lines)}", *lines]) + "\n"
+    assert _read_bulk(text, None) is None
+    assert read_outcome(read_edgelist, text) == read_outcome(_read_lines, text)
+
+
 def test_bulk_reader_peaks_no_higher_than_the_line_parser():
     pg = build_power_graph(build_zykov(5), 7)
     text = write_edgelist(pg.graph, pg.labels, metadata={"p": 7})

@@ -10,11 +10,14 @@ from chibound import (
     MultiplePaths,
     OrientedGraph,
     UnknownVertex,
+    UnlabeledEdge,
     bounded_color,
     build_power_graph,
     build_zykov,
     distance_table,
     edge_partition,
+    exact_chromatic_number,
+    graph_json_dict,
     induced_subgraph,
     max_clique,
     read_edgelist,
@@ -22,9 +25,13 @@ from chibound import (
     topological_order,
     verify_no_long_path,
     verify_proper,
+    verify_triangle_free,
+    verify_unique_paths,
+    write_dimacs,
     write_edgelist,
 )
 from chibound.cli import main
+from chibound.formats import _read_lines
 from chibound.oracles import _kahn
 from helpers import random_dag
 
@@ -367,45 +374,105 @@ def test_every_built_graph_descends_so_index_order_is_topological(tmp_path, monk
     assert bounded_color(pg, omega, residue_partition(7, omega)).palette > 0
 
 
-def test_out_rows_are_built_on_first_read(monkeypatch):
-    """A graph is built with its edge tuple alone. The coloring, its
+def test_row_offsets_are_found_on_first_use(monkeypatch):
+    """A graph is built with its tails and heads alone. The coloring, its
     properness check, the class graphs and their long-path check on a
-    descending graph read only the edge list, so they build no out-rows;
-    ``max_clique`` builds them once. The first out-row read builds the rows
-    an eager builder would, anti-parallel pairs and n = 0 included."""
-    fills = []
-    out_rows = OrientedGraph._out_rows
+    descending graph read only the two tuples, so they never ask for row
+    offsets; ``max_clique`` finds them once. An induced subgraph counts its
+    own offsets while it walks its parent's rows."""
+    calls, found = [], []
+    row_starts = OrientedGraph._row_starts
 
     def counting(self):
-        if self._out is None:
-            fills.append(self.n)
-        return out_rows(self)
+        calls.append(self.n)
+        if self._first is None:
+            found.append(self.n)
+        return row_starts(self)
 
-    monkeypatch.setattr(OrientedGraph, "_out_rows", counting)
+    monkeypatch.setattr(OrientedGraph, "_row_starts", counting)
     pg = build_power_graph(build_zykov(4), 5)  # from _canonical
     back, labels, _ = read_edgelist(write_edgelist(pg.graph, pg.labels))  # the bulk reader
-    fills.clear()  # distance_table walked the base's rows
+    calls.clear()  # distance_table walked the base's rows
     part = residue_partition(5, 4)
     for g in (pg, LabeledGraph(back, labels, 5)):
         assert verify_proper(bounded_color(g, 4, part)).passed
         ep = edge_partition(g, part)
         for i in range(len(ep.classes)):
             assert verify_no_long_path(ep.class_graph(i), 4).passed
-    assert fills == []
+    assert calls == []
+    found.clear()
     assert max_clique(pg)[0] == 4
-    assert fills == [pg.graph.n]
+    assert found == [pg.graph.n]
+    found.clear()
+    sub = induced_subgraph(pg, range(0, pg.graph.n, 2)).graph
+    assert sub._first is not None and found == []
+    assert sub._first == row_starts(OrientedGraph(sub.n, zip(sub.tails, sub.heads)))
 
-    rng = random.Random(7)
-    for n in [0] + [rng.randint(1, 25) for _ in range(40)]:
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+
+def test_flat_store_matches_the_sorted_unique_pairs():
+    """On seeded graphs with anti-parallel pairs, isolated vertices, repeated
+    input pairs and n = 0, the validating constructor and the trusted one
+    give the same graph, and every reader of the two tuples agrees with the
+    definition by sorted unique pairs."""
+    rng = random.Random(20)
+    isolated = 0
+    for n in [0, 1] + [rng.randint(2, 25) for _ in range(48)]:
+        span = rng.randint(1, n) if n else 0  # vertices from span up are isolated
+        pairs = [(rng.randrange(span), rng.randrange(span)) for _ in range(rng.randint(0, 3 * span))]
         pairs = [(u, v) for u, v in pairs if u != v]
-        pairs += [(v, u) for u, v in pairs[:3]]  # anti-parallel pairs
+        pairs += [(v, u) for u, v in pairs[:3]] + pairs[:2]  # anti-parallel and repeated pairs
         rng.shuffle(pairs)
+        canon = sorted(set(pairs))
+        isolated += n - len({v for e in canon for v in e})
         g = OrientedGraph(n, pairs)
-        eager = tuple(tuple(sorted({v for u, v in pairs if u == a})) for a in range(n))
-        fills.clear()
-        assert g._out is None
-        if n:
-            assert g.out_neighbors(0) == eager[0]
-        assert g._out_rows() == eager
-        assert fills == [n]
+        flat = OrientedGraph._canonical(n, [u for u, _ in canon], [v for _, v in canon])
+        assert g == flat and hash(g) == hash(flat)
+        first = tuple(sum(u < a for u, _ in canon) for a in range(n + 1))
+        und = tuple(sorted({(min(e), max(e)) for e in canon}))
+        for h in (g, flat):
+            assert h.edges == tuple(canon) and h.m == len(canon)
+            assert h._row_starts() == first
+            assert h.undirected_edges() == und
+            for u in range(n):
+                assert h.out_neighbors(u) == tuple(v for a, v in canon if a == u)
+                for v in range(n):
+                    assert h.has_edge(u, v) == ((u, v) in canon)
+                    assert h.has_und_edge(u, v) == ((u, v) in canon or (v, u) in canon)
+    assert isolated > 0
+
+
+def test_no_package_code_reads_the_edge_pairs(tmp_path, monkeypatch):
+    """``OrientedGraph.edges`` builds pairs for callers outside the package.
+    With it raising, every layer on power(4, 5), both edge-list readers, the
+    writers, three CLI commands and the unlabeled-edge errors still run."""
+
+    def no_pairs(self):
+        raise AssertionError("OrientedGraph.edges read inside the package")
+
+    monkeypatch.setattr(OrientedGraph, "edges", property(no_pairs))
+    zg = build_zykov(4)
+    pg = build_power_graph(zg, 5, distance_table(zg))
+    omega, _ = max_clique(pg)
+    part = residue_partition(5, omega)
+    ep = edge_partition(pg, part)
+    for i in range(len(ep.classes)):
+        assert verify_no_long_path(ep.class_graph(i), omega).passed
+    assert verify_proper(bounded_color(pg, omega, part)).passed
+    assert verify_unique_paths(zg).passed and verify_triangle_free(zg).passed
+    assert not verify_unique_paths(pg).passed and not verify_triangle_free(pg).passed  # the witness paths
+    sub = induced_subgraph(pg, range(0, pg.graph.n, 3))
+    assert (exact_chromatic_number(pg), exact_chromatic_number(sub)) == (4, 2)
+    for g, labels in ((pg.graph, pg.labels), (zg.graph, None)):
+        text = write_edgelist(g, labels, metadata={"p": 5})
+        assert read_edgelist(text)[0] == _read_lines(text, None)[0] == g
+        assert len(graph_json_dict(g, labels, 5)["edges"]) == g.m
+    assert write_dimacs(pg.graph).startswith(f"p edge {pg.graph.n} ")
+    out = tmp_path / "power.edges"
+    assert main(["construct", "power", "--k", "4", "--p", "5", "--out", str(out)]) == 0
+    assert main(["color", str(out), "--out", str(tmp_path / "color.json")]) == 0
+    assert main(["verify", "all", "--k", "4", "--p", "5", "--out", str(tmp_path / "verify.json")]) == 0
+    with pytest.raises(UnlabeledEdge, match=r"^edge \(0, 1\) has no residue label$"):
+        edge_partition(OrientedGraph(3, [(0, 1), (1, 2)]), residue_partition(5, 2))
+    zero = LabeledGraph(OrientedGraph(3, [(0, 1), (1, 2)]), (1, 0), 5)
+    with pytest.raises(UnlabeledEdge, match=r"^edge \(1, 2\) has residue label 0 outside 1..p-1$"):
+        edge_partition(zero, residue_partition(5, 2))
