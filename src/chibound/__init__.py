@@ -47,7 +47,6 @@ from .formats import (
     write_edgelist,
 )
 from .graphs import (
-    DistanceTable,
     LabeledGraph,
     OrientedGraph,
     distance_table,
@@ -82,7 +81,6 @@ __all__ = [
     "CliqueTooLarge",
     "Coloring",
     "CycleFound",
-    "DistanceTable",
     "DomainTooSmall",
     "FareySequence",
     "GraphError",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import islice
+from itertools import islice, starmap
 from operator import eq, le, lt, or_
 
 from .errors import SizeBudgetExceeded
@@ -56,20 +56,23 @@ def _indented_json(v, indent: str) -> str:
 
 def write_edgelist(g: OrientedGraph, labels=None, metadata=None) -> str:
     """Serialize a graph to edge-list text, with ``labels[j]`` as the residue
-    of edge j when labels are given."""
-    lines = []
+    of edge j when labels are given. The edge lines are formatted a bounded
+    run at a time, so no string per line of the whole graph is ever alive."""
+    parts = []
     if metadata:
         for key in metadata:
             value = metadata[key]
             if not isinstance(value, str):
                 value = json.dumps(value, sort_keys=True)
-            lines.append(f"# {key}: {value}")
-    lines.append(f"n {g.n} {g.m}")
+            parts.append(f"# {key}: {value}\n")
+    parts.append(f"n {g.n} {g.m}\n")
     if labels is None:
-        lines.extend(f"{u} {v}" for u, v in zip(g.tails, g.heads))
+        line, edges = "{} {}\n", zip(g.tails, g.heads)
     else:
-        lines.extend(f"{u} {v} {r}" for u, v, r in zip(g.tails, g.heads, labels))
-    return "\n".join(lines) + "\n"
+        line, edges = "{} {} {}\n", zip(g.tails, g.heads, labels)
+    while run := "".join(starmap(line.format, islice(edges, 1 << 16))):
+        parts.append(run)
+    return "".join(parts)
 
 
 def read_edgelist(text: str, *, size_cap: int | None = None):

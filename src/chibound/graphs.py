@@ -1,5 +1,6 @@
 """Oriented-graph core: immutable carrier, the labeled graph built on it, DAG
-utilities, reachability distances, and induced subgraphs.
+utilities, the reachability closure labeled with unique-path distances, and
+induced subgraphs.
 
 Vertices are dense integer indices ``0..n-1``; every construction in this
 package emits deterministic numbering so repeated runs are bit-for-bit
@@ -25,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
 from operator import gt, itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import CycleFound, MultiplePaths, UnknownVertex
 
@@ -136,9 +137,11 @@ class OrientedGraph:
 class LabeledGraph:
     """An oriented graph with the optional data of a residue-labeled graph.
 
-    A base graph fills ``graph`` only. A power graph also fills ``labels``
-    and the modulus ``p``: ``labels[j]`` is the residue d mod p of edge j,
-    ``graph.tails[j]`` -> ``graph.heads[j]``. An induced subgraph inherits
+    A base graph fills ``graph`` only. A reachability closure
+    (``distance_table``) also fills ``labels``, with ``p`` None:
+    ``labels[j]`` is the path length d of edge j, ``graph.tails[j]`` ->
+    ``graph.heads[j]``. A power graph fills the modulus ``p`` as well, and
+    its ``labels[j]`` is the residue d mod p. An induced subgraph inherits
     labels and modulus from its parent and records ``vertices``:
     ``vertices[i]`` is the parent id of the sub-vertex ``i``.
     """
@@ -219,53 +222,41 @@ def _find_cycle(g: OrientedGraph, within: set[int]) -> list[int]:
     raise ValueError("no cycle found in the given vertex set")
 
 
-class DistanceTable:
-    """All-pairs unique-directed-path lengths over a verified DAG.
-
-    ``d(u, v)`` is defined exactly on reachable pairs, with ``d(u, u) = 0``;
-    the reachability order is ``u <= v iff d(u, v) is not None``.
-    """
-
-    __slots__ = ("n", "_rows")
-
-    def __init__(self, n: int, rows):
-        self.n = n
-        self._rows = rows
-
-    def d(self, u: int, v: int) -> int | None:
-        return self._rows[u].get(v)
-
-    def row(self, u: int) -> dict[int, int]:
-        """``{v: d(u, v)}`` for every v that u reaches, u included (not a copy)."""
-        return self._rows[u]
-
-    def pairs(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (u, v, d) over all reachable pairs with u != v, ascending u."""
-        for u in range(self.n):
-            for v, duv in sorted(self._rows[u].items()):
-                if v != u:
-                    yield u, v, duv
-
-
-def distance_table(g) -> DistanceTable:
-    """Compute unique-path distances; raise on a cycle or a duplicated path.
+def distance_table(g) -> LabeledGraph:
+    """The reachability closure of g, labeled with path lengths: an edge
+    u -> v labeled d for every v != u that u reaches, d the length of the one
+    u -> v path, and ``p`` None. Raises CycleFound on a cycle and
+    MultiplePaths on a pair reached through two paths.
 
     The merge over out-neighbors rejects any pair reachable through two
     different branches, which is exactly the 0/1/>=2 path-count distinction
-    (counts need never grow past 2).
+    (counts need never grow past 2). Each child w goes in as ``w: 1`` before
+    its row, so the pair reported is the first one the merge meets twice.
     """
     g = oriented_view(g)
     order, first, heads = topological_order(g), g._row_starts(), g.heads
     rows: list[dict[int, int] | None] = [None] * g.n
     for u in reversed(order):
-        row = {u: 0}
+        row = {}
         for w in heads[first[u] : first[u + 1]]:
+            if w in row:
+                raise MultiplePaths(u, w)
+            row[w] = 1
             for v, dwv in rows[w].items():
                 if v in row:
                     raise MultiplePaths(u, v)
                 row[v] = dwv + 1
         rows[u] = row
-    return DistanceTable(g.n, rows)
+    # sorted rows in ascending u give canonical edges; each row is dropped as
+    # it is emitted, so the dicts and the finished columns never all coexist
+    tails, reached, labels = [], [], []
+    for u in range(g.n):
+        row, rows[u] = rows[u], None
+        vs = sorted(row)
+        tails += repeat(u, len(vs))
+        reached += vs
+        labels += map(row.__getitem__, vs)
+    return LabeledGraph(OrientedGraph._canonical(g.n, tails, reached), tuple(labels))
 
 
 def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:

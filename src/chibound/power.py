@@ -3,18 +3,21 @@
 Given a base graph in which every reachable pair is joined by a unique
 directed path, the power graph for a prime p keeps the same vertices and
 joins every comparable pair whose path length is nonzero mod p, oriented
-low-to-high in the reachability order and labeled with the residue. Residues
-are stored per edge at build time because induced subgraphs cannot recompute
-them from their own edges alone.
+low-to-high in the reachability order and labeled with the residue: it is
+the base's reachability closure (``graphs.distance_table``) less the pairs
+whose length p divides, with each length taken mod p. Residues are stored
+per edge at build time because induced subgraphs cannot recompute them from
+their own edges alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Mapping
 
 from .errors import DomainTooSmall, NotPrime
-from .graphs import DistanceTable, LabeledGraph, OrientedGraph, distance_table, oriented_view
+from .graphs import LabeledGraph, OrientedGraph, distance_table
 
 
 def is_prime(n: int) -> bool:
@@ -57,32 +60,29 @@ def primes_through_first_exceeding(n_max: int) -> list[int]:
     raise AssertionError("sieve limit too small")
 
 
-def build_power_graph(base, p: int, distances: DistanceTable | None = None) -> LabeledGraph:
+def build_power_graph(base, p: int, distances: LabeledGraph | None = None) -> LabeledGraph:
     """Build the power graph of a verified unique-path base for prime p.
 
     Edges are exactly the pairs (u, v) with u below v in the base reachability
     order and path length d(u, v) not divisible by p; the label is d mod p.
-    The base is a subgraph: its edges all carry label 1.
+    The base is a subgraph: its edges all carry label 1. ``distances`` is the
+    base's closure from ``distance_table``, computed here when not given.
+    When every distance is below p, the power graph is the closure itself and
+    shares its graph and labels; otherwise the pairs with d % p == 0 are
+    filtered out of a copy.
 
     Propagates CycleFound/MultiplePaths from the distance computation when the
     base breaks the unique-path contract.
     """
     if not is_prime(p):
         raise NotPrime(p)
-    g = oriented_view(base)
-    if distances is None:
-        distances = distance_table(g)
-    # sorted rows in ascending u give canonical edges, labels parallel; d(u, u) = 0 drops
-    tails, heads, labels = [], [], []
-    for u in range(g.n):
-        row = distances.row(u)
-        for v in sorted(row):
-            r = row[v] % p
-            if r:
-                tails.append(u)
-                heads.append(v)
-                labels.append(r)
-    return LabeledGraph(OrientedGraph._canonical(g.n, tails, heads), tuple(labels), p)
+    closure = distance_table(base) if distances is None else distances
+    g, d = closure.graph, closure.labels
+    if max(d, default=0) < p:
+        return LabeledGraph(g, d, p)
+    residues = [x % p for x in d]  # true exactly where the pair is kept
+    kept = OrientedGraph._canonical(g.n, compress(g.tails, residues), compress(g.heads, residues))
+    return LabeledGraph(kept, tuple(compress(residues, residues)), p)
 
 
 @dataclass(frozen=True, eq=False)

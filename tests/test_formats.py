@@ -175,6 +175,31 @@ def test_edgelist_roundtrip_random(seed, with_labels, with_metadata):
     assert read_outcome(read_edgelist, text) == read_outcome(_read_lines, text)
 
 
+def _joined_edgelist(g, labels=None, metadata=None) -> str:
+    """``write_edgelist``'s text by definition: every line, joined by newlines."""
+    lines = []
+    for key, value in (metadata or {}).items():
+        lines.append(f"# {key}: {value if isinstance(value, str) else json.dumps(value, sort_keys=True)}")
+    lines.append(f"n {g.n} {g.m}")
+    if labels is None:
+        lines += (f"{u} {v}" for u, v in zip(g.tails, g.heads))
+    else:
+        lines += (f"{u} {v} {r}" for u, v, r in zip(g.tails, g.heads, labels))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("m", [0, 1 << 16, (1 << 16) + 1])  # none, one run of lines, one run and one line
+@pytest.mark.parametrize("labeled", [False, True])
+@pytest.mark.parametrize("metadata", [None, {"p": 5, "note": "x: y", "config": {"k": [1, 2]}}])
+def test_edgelist_writer_runs_join_to_the_lines(m, labeled, metadata):
+    pairs = [(u, v) for u in range(400) for v in range(u)][:m]  # canonical order
+    g = OrientedGraph._canonical(400, [u for u, _ in pairs], [v for _, v in pairs])
+    labels = tuple((u + v) % 4 + 1 for u, v in pairs) if labeled else None
+    text = write_edgelist(g, labels, metadata)
+    assert text == _joined_edgelist(g, labels, metadata)
+    assert text.count("\n") == m + 1 + len(metadata or ())
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text() | st.integers(), inner),

@@ -118,16 +118,16 @@ def test_cycle_witness_is_a_real_cycle():
 
 def test_distance_table_path():
     t = distance_table(OrientedGraph(3, [(0, 1), (1, 2)]))
-    assert t.d(0, 1) == 1 and t.d(1, 2) == 1 and t.d(0, 2) == 2
-    assert t.d(2, 0) is None
-    assert t.d(0, 0) == 0
-    assert list(t.pairs()) == [(0, 1, 1), (0, 2, 2), (1, 2, 1)]
+    assert t.p is None and t.vertices is None
+    assert list(zip(t.graph.tails, t.graph.heads, t.labels)) == [(0, 1, 1), (0, 2, 2), (1, 2, 1)]
+    assert not t.graph.has_edge(2, 0)  # an unreachable pair is absent
+    assert not any(t.graph.has_edge(u, u) for u in range(3))  # no diagonal edge
 
 
 def test_distance_table_single_vertex():
     t = distance_table(OrientedGraph(1))
-    assert t.d(0, 0) == 0
-    assert list(t.pairs()) == []
+    assert t.graph == OrientedGraph(1) and t.labels == () and t.p is None
+    assert not t.graph.has_edge(0, 0)
 
 
 def test_distance_table_diamond_reports_duplicate():
@@ -146,14 +146,15 @@ def test_distances_telescope_on_unique_path_graphs():
     # with unique paths, any w between u and v lies on THE u->v path
     zg = build_zykov(4)
     t = distance_table(zg.graph)
+    assert t.graph == OrientedGraph(t.graph.n, t.graph.edges)  # canonical, loop-free
+    d = dict(zip(t.graph.edges, t.labels))
     rows: dict[int, dict[int, int]] = {}
-    for u, v, duv in t.pairs():
-        assert t.d(u, v) == duv
+    for (u, v), duv in d.items():
         rows.setdefault(u, {})[v] = duv
     for u, row in rows.items():
         for w, duw in row.items():
             for v, dwv in rows.get(w, {}).items():
-                assert t.d(u, v) == duw + dwv
+                assert d[(u, v)] == duw + dwv
 
 
 def test_induced_subgraph_full_subset_is_identity():

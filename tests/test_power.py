@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import deque
 
 import pytest
 
@@ -8,6 +10,7 @@ from chibound import (
     MultiplePaths,
     NotPrime,
     OrientedGraph,
+    UniquePathViolation,
     build_power_graph,
     build_zykov,
     class_parameters,
@@ -88,15 +91,31 @@ def _relabeled_zykov4() -> OrientedGraph:
     return g
 
 
+def _bfs_distances(base: OrientedGraph) -> dict[tuple[int, int], int]:
+    """{(u, v): length} over the pairs u != v with v reachable from u, by a
+    breadth-first search from each vertex; on a unique-path graph the
+    shortest path is the only one."""
+    out = {}
+    for u, v in base.edges:
+        out.setdefault(u, []).append(v)
+    dist = {}
+    for s in range(base.n):
+        seen, queue = {s: 0}, deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in out.get(u, ()):
+                if v not in seen:
+                    seen[v] = seen[u] + 1
+                    queue.append(v)
+        dist.update(((s, v), d) for v, d in seen.items() if v != s)
+    return dist
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_edges_are_exactly_nonzero_residue_pairs(p):
     for base in [build_zykov(k).graph for k in range(1, 6)] + [_relabeled_zykov4()]:
         pg = build_power_graph(base, p)
-        t = distance_table(base)
-        expected = {}
-        for u, v, d in t.pairs():
-            if d % p:
-                expected[(u, v)] = d % p
+        expected = {e: d % p for e, d in sorted(_bfs_distances(base).items()) if d % p}
         assert dict(zip(pg.graph.edges, pg.labels)) == expected
         assert pg.graph.edges == tuple(expected)
         assert all(1 <= r <= p - 1 for r in pg.labels)
@@ -106,8 +125,53 @@ def test_large_modulus_gives_full_comparability_graph():
     # longest distance in the level-4 graph is 3, so p=5 keeps every pair
     zg = build_zykov(4)
     pg = build_power_graph(zg, 5)
-    t = distance_table(zg.graph)
-    assert pg.graph.m == sum(1 for _ in t.pairs())
+    assert pg.graph.m == len(_bfs_distances(zg.graph))
+
+
+def test_power_graph_shares_the_closure_when_every_distance_is_below_p():
+    zg = build_zykov(4)  # distances 1..3
+    closure = distance_table(zg)
+    assert closure.p is None and max(closure.labels) == 3
+    for p in (5, 7):
+        pg = build_power_graph(zg, p, closure)
+        assert pg.graph is closure.graph and pg.labels == closure.labels and pg.p == p
+    for p in (2, 3):
+        pg = build_power_graph(zg, p, closure)
+        kept = {e: d % p for e, d in zip(closure.graph.edges, closure.labels) if d % p}
+        assert pg.graph is not closure.graph and pg.graph.m == len(kept) < closure.graph.m
+        assert dict(zip(pg.graph.edges, pg.labels)) == kept and pg.p == p
+
+
+def _unique_path_corpus():
+    """3,000 seeded graphs of at most 12 vertices: the even seeds descend,
+    the odd ones orient each edge at random, so they also hold cycles."""
+    for seed in range(3000):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        density = rng.uniform(0.05, 0.4)
+        pairs = [(u, v) for u in range(n) for v in range(u) if rng.random() < density]
+        if seed % 2:
+            pairs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs]
+        yield OrientedGraph(n, pairs)
+
+
+# sha256 of repr([(tails, heads, labels) or (error type name, message), ...])
+# of build_power_graph(g, 3) over _unique_path_corpus(): 1,971 power graphs,
+# 747 MultiplePaths and 282 CycleFound; recorded from the per-vertex table
+# of distance dicts that the closure replaced
+PINNED_UNIQUE_PATH_OUTCOMES_SHA256 = "8e92a2f40025859e4aaa1ef50380e5c4e28222438f877954a7b934f036cd16f5"
+
+
+def test_unique_path_errors_are_pinned():
+    rows = []
+    for g in _unique_path_corpus():
+        try:
+            pg = build_power_graph(g, 3)
+        except UniquePathViolation as exc:
+            rows.append((type(exc).__name__, str(exc)))
+        else:
+            rows.append((pg.graph.tails, pg.graph.heads, pg.labels))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_UNIQUE_PATH_OUTCOMES_SHA256
 
 
 def test_chromatic_number_at_least_base():
