@@ -21,7 +21,9 @@ by vertex index, so verdicts and witnesses are byte-stable across runs.
 
 from __future__ import annotations
 
+import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import gt
@@ -166,37 +168,31 @@ def _bits(mask: int):
 # ---------------------------------------------------------------- chromatic
 
 
-def _greedy_clique(und, n: int) -> list[int]:
-    """Maximal clique by repeatedly taking the candidate with most candidate
-    neighbors (lowest index on ties); a cheap lower bound, never exact."""
+def _greedy_clique(rows: list[int], order: list[int]) -> list[int]:
+    """Maximal clique on ``_rows(graph, order)`` by repeatedly taking the
+    candidate with most candidate neighbors, lowest original index
+    ``order[v]`` on ties; a cheap lower bound, never exact. Returns
+    positions in ``order``."""
     clique = []
-    cand = (1 << n) - 1
+    cand = (1 << len(rows)) - 1
     while cand:
         best_v, best_key = -1, None
         for v in _bits(cand):
-            key = ((und[v] & cand).bit_count(), -v)
+            key = ((rows[v] & cand).bit_count(), -order[v])
             if best_key is None or key > best_key:
                 best_key, best_v = key, v
         clique.append(best_v)
-        cand &= und[best_v]
+        cand &= rows[best_v]
     return clique
-
-
-def _shift(levels: list[int], new: int, span: range, step: int) -> None:
-    """Move the members of ``new`` in ``levels[s]`` to ``levels[s + step]``
-    for each s in ``span``, which runs against ``step`` so none moves twice."""
-    for s in span:
-        moved = levels[s] & new
-        if moved:
-            levels[s] ^= moved
-            levels[s + step] |= moved
 
 
 def _dsatur_greedy(rows: list[int], order: list[int]) -> tuple[int, list[int]]:
     """Greedy coloring in saturation order on ``_rows(graph, order)``;
     returns (colors used, assignment by vertex). ``levels[s]`` holds the
     uncolored vertices with s distinct neighbour colors, ``adj[c]`` those
-    next to color c; each pick is the lowest vertex of the top level."""
+    next to color c; each pick is the lowest vertex of the top level. A
+    color's new neighbours move up one level, scanning the levels downward
+    so none moves twice."""
     colors = [0] * len(rows)
     levels = [0] * (len(rows) + 1)
     levels[0] = (1 << len(rows)) - 1
@@ -211,12 +207,17 @@ def _dsatur_greedy(rows: list[int], order: list[int]) -> tuple[int, list[int]]:
         c = 0
         while adj[c] & low:
             c += 1
-        used = max(used, c + 1)
+        if c >= used:
+            used = c + 1
         v = low.bit_length() - 1
         colors[order[v]] = c
         new = rows[v] ^ (rows[v] & adj[c])  # rows[v] minus adj[c], with no negative int
         adj[c] |= new
-        _shift(levels, new, range(top, -1, -1), 1)
+        for t in range(top, -1, -1):
+            moved = levels[t] & new
+            if moved:
+                levels[t] ^= moved
+                levels[t + 1] |= moved
         if levels[top + 1]:
             top += 1
     return used, colors
@@ -231,47 +232,71 @@ def _k_colorable(rows: list[int], order: list[int], k: int, tracker: _Tracker) -
     search runs on an explicit stack of frames (vertex, its level, next color,
     ``used`` before it, the bits its color added to ``adj``), one per selected
     vertex, which stays out of the levels until its frame is popped. A frame
-    keeps the vertex, not its one-bit mask, which is as wide as its index. The
-    tracker ticks once per node entered, the final all-colored node included.
+    keeps the vertex, not its one-bit mask, which is as wide as its index.
+    Coloring a vertex moves the bits its color adds up one level and undoing
+    it moves them back down, each pass scanning against the move.
+
+    A node is counted each time the loop enters it, the final all-colored
+    node included, against the tracker's node cap, and the deadline is read
+    every 256th node, as ``_Tracker.tick`` does; the count runs in a local
+    and is written back to ``tracker.nodes`` on return and on raise.
     """
+    n = len(rows)
     levels = [0] * (k + 1)
-    levels[0] = (1 << len(rows)) - 1
+    levels[0] = (1 << n) - 1
     adj = [0] * k
     stack: list[tuple[int, int, int, int, int]] = []
     used = 0
-    while True:
-        tracker.tick()
-        if len(stack) == len(rows):
-            colors = [0] * len(rows)
-            for v, _, c, _, _ in stack:
-                colors[order[v]] = c - 1
-            return colors
-        s = used
-        while not levels[s]:
-            s -= 1
-        lv = levels[s]
-        low = lv & -lv
-        levels[s] = lv ^ low
-        stack.append((low.bit_length() - 1, s, 0, used, 0))
-        while stack:
-            v, s, c, used, new = stack[-1]
-            if c:  # colored c - 1: take its bits back and move them down a level
-                adj[c - 1] ^= new
-                _shift(levels, new, range(1, max(used, c) + 1), -1)
-            limit = min(used + 1, k)
-            while c < limit and adj[c] >> v & 1:
-                c += 1
-            if c < limit:
-                new = rows[v] ^ (rows[v] & adj[c])
-                adj[c] |= new
-                _shift(levels, new, range(used, -1, -1), 1)
-                stack[-1] = (v, s, c + 1, used, new)
-                used = max(used, c + 1)
-                break
-            stack.pop()
-            levels[s] |= 1 << v
-        else:
-            return None
+    nodes, deadline = tracker.nodes, tracker.deadline
+    cap = sys.maxsize if tracker.max_nodes is None else tracker.max_nodes
+    try:
+        while True:
+            nodes += 1
+            if nodes > cap or (deadline is not None and not nodes & 255 and time.monotonic() > deadline):
+                raise BudgetExceeded(tracker.what, nodes)
+            if len(stack) == n:
+                colors = [0] * n
+                for v, _, c, _, _ in stack:
+                    colors[order[v]] = c - 1
+                return colors
+            s = used
+            while not levels[s]:
+                s -= 1
+            lv = levels[s]
+            low = lv & -lv
+            levels[s] = lv ^ low
+            stack.append((low.bit_length() - 1, s, 0, used, 0))
+            while stack:
+                v, s, c, used, new = stack[-1]
+                if c:  # colored c - 1: take its bits back and move them down a level
+                    adj[c - 1] ^= new
+                    for t in range(1, (c if c > used else used) + 1):
+                        moved = levels[t] & new
+                        if moved:
+                            levels[t] ^= moved
+                            levels[t - 1] |= moved
+                limit = used + 1 if used < k else k
+                while c < limit and adj[c] >> v & 1:
+                    c += 1
+                if c < limit:
+                    row = rows[v]
+                    new = row ^ (row & adj[c])
+                    adj[c] |= new
+                    for t in range(used, -1, -1):
+                        moved = levels[t] & new
+                        if moved:
+                            levels[t] ^= moved
+                            levels[t + 1] |= moved
+                    stack[-1] = (v, s, c + 1, used, new)
+                    if c >= used:
+                        used = c + 1
+                    break
+                stack.pop()
+                levels[s] |= 1 << v
+            else:
+                return None
+    finally:
+        tracker.nodes = nodes
 
 
 def exact_chromatic_number(g, budget: Budget | None = None) -> int:
@@ -279,20 +304,29 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
 
     Iterative deepening on k from a greedy clique lower bound, each step a
     DSATUR backtracking search on bitset saturation levels; a greedy DSATUR
-    coloring bounds the deepening from above. Both colorings run on the rows
-    of the vertices by descending degree, ties by index, so the lowest bit
-    of a vertex set is its vertex of greatest degree, then lowest index.
-    BudgetExceeded carries the bracketing bounds proven so far.
+    coloring bounds the deepening from above. The degrees come from the edge
+    store: each edge counts at both ends, and an anti-parallel pair, which
+    needs an ascending edge, once. The clique and both colorings run on the
+    one set of rows built over the vertices by descending degree, ties by
+    index, so the lowest bit of a vertex set is its vertex of greatest
+    degree, then lowest index. BudgetExceeded carries the bracketing bounds
+    proven so far.
     """
     graph = oriented_view(g)
     n = graph.n
     if n == 0:
         return 0
-    und = _rows(graph, range(n))
-    tracker = _Tracker("chromatic-number", budget)
-    lb = max(1, len(_greedy_clique(und, n)))
-    order = sorted(range(n), key=lambda v: -und[v].bit_count())
+    degree = Counter(graph.tails)
+    degree.update(graph.heads)
+    if not graph._descends():
+        for u, v in zip(graph.tails, graph.heads):
+            if u < v and graph.has_edge(v, u):
+                degree[u] -= 1
+                degree[v] -= 1
+    order = sorted(range(n), key=degree.__getitem__, reverse=True)  # stable: ties by index
     rows = _rows(graph, order)
+    tracker = _Tracker("chromatic-number", budget)
+    lb = max(1, len(_greedy_clique(rows, order)))
     ub, _ = _dsatur_greedy(rows, order)
     for k in range(lb, ub):
         try:

@@ -195,6 +195,37 @@ def _differential_graphs():
         yield n, pairs, OrientedGraph(n, edges)
 
 
+@pytest.mark.parametrize("budget", [Budget(max_millis=0), Budget(max_nodes=255)])
+def test_chromatic_deadline_stops_on_level_five_where_the_node_cap_does(budget):
+    # the deadline is read every 256th node, so a spent time budget stops at
+    # node 256, where a cap of 255 nodes stops
+    with pytest.raises(BudgetExceeded) as exc:
+        exact_chromatic_number(build_zykov(5), budget)
+    assert (exc.value.nodes, exc.value.best_lower, exc.value.best_upper) == (256, 4, 5)
+
+
+def test_k_colorable_leaves_the_node_count_on_its_tracker():
+    order, rows = _ranked(build_zykov(5).graph)
+    tracker = oracles._Tracker("k-colorable", Budget(max_nodes=300))
+    assert oracles._k_colorable(rows, order, 3, tracker) is None
+    searched = tracker.nodes
+    with pytest.raises(BudgetExceeded) as exc:
+        oracles._k_colorable(rows, order, 4, tracker)
+    assert 0 < searched < exc.value.nodes == tracker.nodes == 301
+
+
+def test_chromatic_search_builds_rows_once_in_degree_order(monkeypatch):
+    # the degrees come from the edge store, counting an anti-parallel pair
+    # once; they must rank the vertices as the popcounts of _ranked's rows do
+    rows, calls = oracles._rows, []
+    monkeypatch.setattr(oracles, "_rows", lambda graph, vs: calls.append(list(vs)) or rows(graph, vs))
+    for n, pairs, g in _differential_graphs():
+        order = _ranked(g)[0]
+        calls.clear()
+        exact_chromatic_number(g)
+        assert calls == ([order] if n else [])
+
+
 def _ranked(g: OrientedGraph) -> tuple[list[int], list[int]]:
     """(order, rows) as ``exact_chromatic_number`` builds them: the vertices
     by descending degree, ties by index, and their rows in that order."""
@@ -207,11 +238,18 @@ def _proper(colors, palette: int, n: int, pairs) -> bool:
     return len(colors) == n and all(0 <= c < palette for c in colors) and all(colors[u] != colors[v] for u, v in pairs)
 
 
+# sha256 of repr() of each outcome of exact_chromatic_number under node caps
+# 0, 1, 2, ... up to completion over _differential_graphs(): chi, or (nodes,
+# best_lower, best_upper) for a stop; recorded from the search that built
+# the rows twice, once in index order for the degrees and the greedy clique
+PINNED_BUDGET_OUTCOMES_SHA256 = "a1a6d25520a2729da56d50db47288afcfbbc0435b174b998b14b1b43cc962f5f"
+
+
 def test_chromatic_search_matches_enumeration_under_every_budget():
     # the greedy and every k-colorable coloring are proper within their
     # palettes, k-colorability holds from chi on, and each budget stop counts
     # one node past its cap and brackets chi
-    stops = 0
+    stops, outcomes = 0, []
     for n, pairs, g in _differential_graphs():
         chi = _chi_by_subsets(n, pairs)
         order, rows = _ranked(g)
@@ -224,12 +262,15 @@ def test_chromatic_search_matches_enumeration_under_every_budget():
         for max_nodes in itertools.count():
             try:
                 assert exact_chromatic_number(g, Budget(max_nodes=max_nodes)) == chi
+                outcomes.append(chi)
                 break
             except BudgetExceeded as exc:
                 stops += 1
                 assert exc.nodes == max_nodes + 1
                 assert exc.best_lower <= chi <= exc.best_upper
+                outcomes.append((exc.nodes, exc.best_lower, exc.best_upper))
     assert stops > 20
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == PINNED_BUDGET_OUTCOMES_SHA256
 
 
 # seeds of graphs on which DSATUR's first descent fails at k = chi, so the
