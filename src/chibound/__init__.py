@@ -72,7 +72,7 @@ from .power import (
     sieve_primes,
     tabulate_f,
 )
-from .zykov import VertexTag, ZykovGraph, build_zykov, predict_size
+from .zykov import build_zykov, predict_size
 
 __all__ = [
     "Budget",
@@ -99,8 +99,6 @@ __all__ = [
     "UnknownVertex",
     "UnlabeledEdge",
     "VerificationReport",
-    "VertexTag",
-    "ZykovGraph",
     "bounded_color",
     "build_power_graph",
     "build_zykov",

@@ -147,6 +147,16 @@ def _resolve_power_params(args):
 
 
 def cmd_construct(args) -> int:
+    # refuse an option this build would ignore, before it enters the config bytes
+    if args.kind == "zykov":
+        unread, case = ("p", "n", "f"), ""
+    elif args.f is not None:
+        unread, case = ("k", "p"), " with --f"
+    else:
+        unread, case = ("n",), " without --f"
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise ValueError(f"construct {args.kind} does not read --{name}{case}")
     if args.kind == "zykov":
         if args.k is None:
             raise ValueError("construct zykov needs --k")
@@ -159,7 +169,7 @@ def cmd_construct(args) -> int:
         if (zg.graph.n, zg.graph.m) != (pv, pe):
             raise AssertionError(f"built size {(zg.graph.n, zg.graph.m)} != predicted {(pv, pe)}")
         graph, labels, p = zg.graph, None, None
-        extra = {"provenance": provenance_json_dict(zg)}
+        extra = {"provenance": provenance_json_dict(args.k)}
     else:
         k, p, params_json = _resolve_power_params(args)
         # k = g(p) of a fast-growing f may be too long to print; refuse it first

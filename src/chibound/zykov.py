@@ -12,59 +12,22 @@ Vertex numbering is deterministic: copies are laid out consecutively in level
 order, then apexes in lexicographic transversal order, so runs are
 reproducible bit-for-bit. Apexes come after the copies they point into, so
 every edge descends (u -> v, u > v), and power graphs and subgraphs inherit it.
+
+``build_zykov`` returns a plain ``LabeledGraph`` that fills ``graph`` only.
+The layout fixes where every vertex came from, so nothing is recorded per
+vertex while building: ``provenance_json_dict(k)`` derives each vertex's
+creation level, top-level copy and transversal from k alone, for output.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import SizeBudgetExceeded
 from .graphs import LabeledGraph, OrientedGraph
 
 DEFAULT_SIZE_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class VertexTag:
-    """Where a vertex came from.
-
-    ``level`` is the construction level that created the vertex (1 for base
-    vertices, the apex's level otherwise), ``copy`` is the 1-based top-level
-    copy containing it (None for vertices created at the top level), and
-    ``transversal`` is the creation transversal index for apex vertices.
-    """
-
-    level: int
-    copy: int | None
-    transversal: int | None
-
-    def as_dict(self) -> dict:
-        return {"level": self.level, "copy": self.copy, "transversal": self.transversal}
-
-
-@dataclass(frozen=True, eq=False, kw_only=True)
-class ZykovGraph(LabeledGraph):
-    """A tower graph: an unlabeled LabeledGraph with its level and provenance."""
-
-    k: int
-    provenance: tuple[VertexTag, ...]
-
-    def copy_vertices(self, j: int) -> list[int]:
-        """Vertices of the embedded level-j copy (ascending, contiguous)."""
-        return [v for v, tag in enumerate(self.provenance) if tag.copy == j]
-
-    def level_coloring(self) -> list[int]:
-        """The proper coloring induced by creation levels (color = level - 1).
-
-        Every edge runs from an apex to a strictly lower-level vertex, so
-        levels strictly decrease along edges.
-        """
-        return [tag.level - 1 for tag in self.provenance]
-
-    def __repr__(self) -> str:
-        return f"ZykovGraph(k={self.k}, n={self.graph.n}, m={self.graph.m})"
 
 
 def _level_sizes(k: int) -> Iterator[tuple[int, int]]:
@@ -104,51 +67,57 @@ def capped_size(k: int, size_cap: int) -> tuple[int, int]:
     return pv, pe
 
 
-def build_zykov(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> ZykovGraph:
-    """Build the level-k tower graph with its acyclic orientation and provenance."""
+def build_zykov(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> LabeledGraph:
+    """Build the level-k tower graph with its acyclic orientation."""
     capped_size(k, size_cap)
 
-    levels: list[ZykovGraph] = [
-        ZykovGraph(OrientedGraph._canonical(1, (), ()), k=1, provenance=(VertexTag(1, None, None),))
-    ]
+    levels = [OrientedGraph._canonical(1, (), ())]
     while len(levels) < k:
         levels.append(_compose(levels))
-    return levels[k - 1]
+    return LabeledGraph(levels[k - 1])
 
 
-def _compose(levels: list[ZykovGraph]) -> ZykovGraph:
+def _compose(levels: list[OrientedGraph]) -> OrientedGraph:
     """One tower step: copies of every built level, plus one apex per transversal.
     Copies in level order, then apexes in order, emit the edges canonically."""
-    new_level = len(levels) + 1
-    offsets = []
+    ranges: list[range] = []  # each copy's vertices
     total = 0
-    for zg in levels:
-        offsets.append(total)
-        total += zg.graph.n
+    for g in levels:
+        ranges.append(range(total, total + g.n))
+        total += g.n
 
     tails: list[int] = []
     heads: list[int] = []
-    tags: list[VertexTag] = []
-    for i, zg in enumerate(levels):
-        off = offsets[i]
-        tails += map(off.__add__, zg.graph.tails)
-        heads += map(off.__add__, zg.graph.heads)
-        # copy membership is re-tagged to the new top level
-        tags.extend(
-            VertexTag(t.level, i + 1, t.transversal) for t in zg.provenance
-        )
+    for r, g in zip(ranges, levels):
+        tails += map(r.start.__add__, g.tails)
+        heads += map(r.start.__add__, g.heads)
 
-    ranges = [range(offsets[i], offsets[i] + levels[i].graph.n) for i in range(len(levels))]
     apex = total
-    for t_index, transversal in enumerate(itertools.product(*ranges)):
+    for transversal in itertools.product(*ranges):
         tails += itertools.repeat(apex, len(transversal))
         heads += transversal
-        tags.append(VertexTag(new_level, None, t_index))
         apex += 1
 
-    return ZykovGraph(OrientedGraph._canonical(apex, tails, heads), k=new_level, provenance=tuple(tags))
+    return OrientedGraph._canonical(apex, tails, heads)
 
 
-def provenance_json_dict(zg: ZykovGraph) -> dict:
-    """JSON-ready provenance sidecar: vertex index -> tag."""
-    return {"k": zg.k, "vertices": [tag.as_dict() for tag in zg.provenance]}
+def provenance_json_dict(k: int) -> dict:
+    """JSON-ready provenance sidecar of build_zykov(k): vertex index -> the
+    level that created it, the top-level copy holding it (None for vertices
+    created at level k) and its creation transversal (None for base vertices).
+
+    The layout alone fixes these, so they are derived from k: copies of
+    levels 1..k-1 in order, each vertex keeping the level and transversal it
+    has in its own tower, then level k's apexes numbered 0, 1, ...; level 1 is
+    the one base vertex.
+    """
+    towers: list[list[tuple[int, int | None]]] = []  # (level, transversal) per vertex of each level
+    for level, (n, _) in enumerate(_level_sizes(k), start=1):
+        below = [tag for tower in towers for tag in tower]
+        created = [(level, t) for t in range(n - len(below))] if level > 1 else [(1, None)]
+        towers.append(below + created)
+    vertices = [
+        {"level": lv, "copy": c, "transversal": t} for c, tower in enumerate(towers[:-1], start=1) for lv, t in tower
+    ]
+    vertices += [{"level": lv, "copy": None, "transversal": t} for lv, t in created]
+    return {"k": k, "vertices": vertices}

@@ -103,6 +103,33 @@ def test_construct_refuses_a_growth_table_that_is_not_an_object_of_integers(tmp_
     assert err == f"error: growth table {table} is not a JSON object of integers {{order: value}}\n"
 
 
+# sha256 of the stdout of `construct zykov --k K --format json`, K = 1..5, and of
+# the `.provenance.json` sidecar of `construct zykov --k 4 --out F`, recorded
+# while every vertex's provenance was still tagged during the build
+PINNED_ZYKOV_JSON_SHA256 = {
+    1: "9def85e6dd126cdf8f8ffe57786cc9d43963013f53c98b7137336465a5651621",
+    2: "9e58168e8f58bcc92197bbd3c4b49ad8ff49640965eb686b809ef03e0df31208",
+    3: "8fb610e47c1934decf5bf729b14eaa232c494a4c301ea6dc901b777e2f905199",
+    4: "0b3fde109355d5eba82c4512d6ac6c81a6fdaab0ece4745faa2c880005393512",
+    5: "ae06ba8b71509f63eacc1c85a546083f4bd68ccebaa60a5a98f478b3afb6cd9d",
+}
+PINNED_ZYKOV4_SIDECAR_SHA256 = "c7098468cc78dfde4d17a1003220c9ad80924c92e6741e628e9ce598cb64e320"
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_ZYKOV_JSON_SHA256))
+def test_construct_zykov_json_bytes_are_pinned(capsys, k):
+    code, out, _ = run(capsys, "construct", "zykov", "--k", str(k), "--format", "json")
+    assert code == PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ZYKOV_JSON_SHA256[k]
+
+
+def test_construct_zykov_provenance_sidecar_bytes_are_pinned(tmp_path, capsys):
+    out = tmp_path / "g4.edges"
+    assert run(capsys, "construct", "zykov", "--k", "4", "--out", str(out))[0] == PASS
+    sidecar = (tmp_path / "g4.edges.provenance.json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == PINNED_ZYKOV4_SIDECAR_SHA256
+
+
 def test_construct_dimacs(capsys):
     code, out, _ = run(capsys, "construct", "zykov", "--k", "3", "--format", "dimacs")
     assert code == PASS
@@ -121,6 +148,25 @@ def test_construct_errors(capsys):
     assert code == OPERATIONAL and "--n" in err
     code, _, err = run(capsys, "construct", "zykov", "--k", "4", "--size-cap", "10")
     assert code == OPERATIONAL and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["zykov", "--k", "3", "--p", "5"], "--p"),
+        (["zykov", "--k", "3", "--n", "2"], "--n"),
+        (["zykov", "--k", "3", "--f", "n^2"], "--f"),
+        (["power", "--k", "3", "--p", "5", "--n", "4"], "--n"),
+        (["power", "--f", "2^n", "--n", "2", "--k", "3"], "--k"),
+        (["power", "--f", "2^n", "--n", "2", "--p", "5"], "--p"),
+    ],
+)
+def test_construct_refuses_an_option_it_does_not_read(tmp_path, capsys, argv, flag):
+    out = tmp_path / "g.edges"
+    code, stdout, err = run(capsys, "construct", *argv, "--out", str(out))
+    assert code == OPERATIONAL and stdout == ""
+    assert err.startswith("error: ") and f" does not read {flag}" in err
+    assert not out.exists()
 
 
 def test_construct_refuses_a_huge_tower_before_printing_its_size(capsys):

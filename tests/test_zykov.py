@@ -1,9 +1,12 @@
 """The tower construction: exact sizes, structure, provenance, and the
 self-embedding of lower levels."""
 
+import hashlib
+
 import pytest
 
 from chibound import (
+    LabeledGraph,
     SizeBudgetExceeded,
     build_zykov,
     induced_subgraph,
@@ -33,6 +36,8 @@ def test_predict_size_rejects_nonpositive():
 def test_build_matches_prediction(k):
     zg = build_zykov(k)
     assert (zg.graph.n, zg.graph.m) == predict_size(k)
+    assert type(zg) is LabeledGraph  # a plain base graph, as every builder returns
+    assert (zg.labels, zg.p, zg.vertices) == (None, None, None)
 
 
 def test_level_one_is_single_vertex():
@@ -67,40 +72,48 @@ def test_level_three_underlying_graph_is_a_five_cycle():
     assert seen == set(range(5))
 
 
+def _tags(k):
+    """Each vertex's provenance tag, derived from k apart from the build."""
+    return provenance_json_dict(k)["vertices"]
+
+
 def test_level_four_apex_structure():
-    zg = build_zykov(4)
-    apexes = [v for v, t in enumerate(zg.provenance) if t.level == 4]
+    g, tags = build_zykov(4).graph, _tags(4)
+    apexes = [v for v, t in enumerate(tags) if t["level"] == 4]
     assert len(apexes) == 10
-    assert not any(v in apexes for _, v in zg.graph.edges)  # nothing enters an apex
+    assert not any(v in apexes for v in g.heads)  # nothing enters an apex
     for w in apexes:
-        outs = zg.graph.out_neighbors(w)
+        outs = g.out_neighbors(w)
         assert len(outs) == 3
         # one out-neighbor in each of the three copies
-        assert sorted(zg.provenance[v].copy for v in outs) == [1, 2, 3]
+        assert sorted(tags[v]["copy"] for v in outs) == [1, 2, 3]
 
 
 def test_apexes_are_numbered_after_copies():
-    zg = build_zykov(4)
-    n_copies = sum(1 for t in zg.provenance if t.copy is not None)
+    tags = _tags(4)
+    assert len(tags) == build_zykov(4).graph.n
+    n_copies = sum(1 for t in tags if t["copy"] is not None)
     assert n_copies == 8
-    assert all(t.copy is None for t in zg.provenance[n_copies:])
-    assert [t.transversal for t in zg.provenance[n_copies:]] == list(range(10))
+    assert all(t["copy"] is None for t in tags[n_copies:])
+    assert [t["transversal"] for t in tags[n_copies:]] == list(range(10))
 
 
 def test_level_coloring_is_proper_with_k_colors():
     for k in range(1, 6):
-        zg = build_zykov(k)
-        colors = zg.level_coloring()
+        g = build_zykov(k).graph
+        colors = [t["level"] - 1 for t in _tags(k)]
+        assert len(colors) == g.n
         assert set(colors) == set(range(k))
-        for u, v in zg.graph.edges:
+        for u, v in g.edges:
             assert colors[u] != colors[v]
             assert colors[u] > colors[v]  # levels strictly decrease along edges
 
 
 def test_lower_levels_embed_via_provenance():
-    zg = build_zykov(4)
+    zg, tags = build_zykov(4), _tags(4)
     for j in (1, 2, 3):
-        copy = zg.copy_vertices(j)
+        copy = [v for v, t in enumerate(tags) if t["copy"] == j]
+        assert copy == list(range(copy[0], copy[0] + len(copy)))  # contiguous
         sub = induced_subgraph(zg.graph, copy)
         assert sub.graph.edges == build_zykov(j).graph.edges
 
@@ -125,8 +138,25 @@ def test_level_six_still_matches_prediction():
     assert (zg.graph.n, zg.graph.m) == predict_size(6) == (37312, 186204)
 
 
+# sha256 of repr((tails, heads)) of build_zykov(k), recorded while the build
+# still tagged every vertex with its provenance
+PINNED_EDGES_SHA256 = {
+    5: "7c1fb093fb4a90d64f35664153f272fdd5ac000a8cce965653845ef19a7971d0",
+    6: "867e8c65a6c4b3e254a7add456bc9cdf915db8aa4a1cb532696e034838bba99a",
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_EDGES_SHA256))
+def test_edges_are_pinned(k):
+    g = build_zykov(k).graph
+    assert hashlib.sha256(repr((g.tails, g.heads)).encode()).hexdigest() == PINNED_EDGES_SHA256[k]
+
+
 def test_provenance_json_shape():
-    doc = provenance_json_dict(build_zykov(3))
+    doc = provenance_json_dict(3)
     assert doc["k"] == 3
-    assert len(doc["vertices"]) == 5
+    assert len(doc["vertices"]) == build_zykov(3).graph.n == 5
     assert doc["vertices"][0] == {"level": 1, "copy": 1, "transversal": None}
+    # the single vertex of level 1 is the base vertex, created by no transversal
+    assert provenance_json_dict(1) == {"k": 1, "vertices": [{"level": 1, "copy": None, "transversal": None}]}
+
