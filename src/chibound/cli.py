@@ -5,9 +5,12 @@ all as reproducible runs with machine-readable reports.
 Every output file embeds the run configuration and a content hash of the
 inputs. Report files are canonical JSON sorted by (check, instance) with wall
 times omitted, so identical configurations produce byte-identical files.
+Which options each command variant reads and requires is the table
+``_VARIANTS``; a run that gives any other option is refused, so an ignored
+option never enters a report's config bytes.
 Exit codes: 0 all checks passed, 1 a property was violated (witness included
-in the report), 2 operational errors (bad arguments, non-prime modulus,
-exceeded budgets or size caps, IO).
+in the report), 2 operational errors (bad arguments, an option the command
+does not read, non-prime modulus, exceeded budgets or size caps, IO).
 """
 
 from __future__ import annotations
@@ -44,20 +47,70 @@ from .zykov import DEFAULT_SIZE_CAP, build_zykov, capped_size, provenance_json_d
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
+# One row per command variant: the command, the options whose presence or
+# absence selects the variant, the options it reads, and those it requires.
+# Every variant also reads --size-cap and --out. A run is refused with exit 2,
+# before anything is built, read or written, when it gives an option its
+# variant does not read or lacks one that the variant requires; each
+# subparser takes the options its command's rows read.
+_VARIANTS = [
+    ("construct zykov", {}, "k format", "k"),
+    ("construct power", {"f": True}, "f n format", "n"),
+    ("construct power", {"f": False}, "k p format", "k p"),
+    ("verify lemma21", {}, "k budget_ms budget_nodes", "k"),
+    ("verify lemma22", {}, "k p budget_ms budget_nodes", "k p"),
+    ("verify lemma24", {}, "p n", "p"),
+    ("verify claim26", {"n": True}, "k p n", "k p"),
+    ("verify claim26", {"n": False}, "k p budget_ms budget_nodes", "k p"),
+    ("verify all", {}, "k p n budget_ms budget_nodes", "k p"),
+    ("color", {"input": True, "n": True}, "input p n", ""),
+    ("color", {"input": True, "n": False}, "input p budget_ms budget_nodes", ""),
+    ("color", {"input": False, "n": True}, "k p n", "k p"),
+    ("color", {"input": False, "n": False}, "k p budget_ms budget_nodes", "k p"),
+    ("sample-hereditary", {"input": True}, "input p budget_ms budget_nodes seed density count", ""),
+    ("sample-hereditary", {"input": False}, "k p budget_ms budget_nodes seed density count", "k p"),
+]
 
-def _make_config(args, command: str, parameters: dict, input_bytes: bytes | None) -> dict:
-    """Everything that determines a run's output, minus where it is written."""
-    params = {k: v for k, v in sorted(parameters.items()) if v is not None}
+
+def _flag(name: str) -> str:
+    return "an input file" if name == "input" else "--" + name.replace("_", "-")
+
+
+def _variant(args) -> tuple[str, dict]:
+    """The command of the table row this run selects, and the options that
+    row reads with their values; refuses an option the row does not read
+    and a missing one that it requires."""
+    options = vars(args)
+    command = " ".join(filter(None, (args.command, options.get("kind"))))
+    rows = [row for row in _VARIANTS if row[0].split()[0] == args.command]
+    _, when, reads, requires = next(
+        row
+        for row in rows
+        if row[0] == command and all((options[name] is not None) == given for name, given in row[1].items())
+    )
+    reads = reads.split()
+    case = " and ".join(f"{'with' if given else 'without'} {_flag(name)}" for name, given in when.items())
+    case = case and " " + case
+    for name, value in options.items():
+        if value is not None and name not in reads and any(name in row[2].split() for row in rows):
+            raise ValueError(f"{command} does not read {_flag(name)}{case}")
+    for name in requires.split():
+        if options[name] is None:
+            raise ValueError(f"{command} needs {_flag(name)}{case}")
+    return command, {name: options[name] for name in reads}
+
+
+def _make_config(args, variant, input_bytes: bytes | None = None, **derived) -> dict:
+    """Everything that determines a run's output, minus where it is written:
+    the options its variant reads, the values derived from them, and the cap.
+    The seed and the budgets stand beside the parameters."""
+    command, read = variant
+    top = {name: read.get(name) for name in ("seed", "budget_ms", "budget_nodes")}
+    params = {name: value for name, value in read.items() if name not in top} | derived | {"size_cap": args.size_cap}
+    params = {k: v for k, v in sorted(params.items()) if v is not None}
     if input_bytes is None:
         input_bytes = canonical_json({"command": command, "parameters": params}).encode()
-    return {
-        "command": command,
-        "parameters": params,
-        "seed": getattr(args, "seed", None),
-        "budget_ms": getattr(args, "budget_ms", None),
-        "budget_nodes": getattr(args, "budget_nodes", None),
-        "input_sha256": hashlib.sha256(input_bytes).hexdigest(),
-    }
+    return top | {"command": command, "parameters": params, "input_sha256": hashlib.sha256(input_bytes).hexdigest()}
 
 
 def _budget(args) -> Budget:
@@ -134,35 +187,17 @@ def _resolve_power_params(args):
     by taking p as the largest prime at or below n and k as the growth target
     g(p), which makes the built power graph the witness for target n."""
     if args.f is not None:
-        if args.n is None:
-            raise ValueError("--f requires --n (the target order)")
         table = _load_f_table(args.f, _capped_span(args.n, args.size_cap, "orders"))
         params = class_parameters(table, args.n)
         p = params.witness_for(args.n)
         k = params.g[p]
         return k, p, params.to_json_dict()
-    if args.k is None or args.p is None:
-        raise ValueError("construct power needs --k and --p, or --f and --n")
     return args.k, _capped_span(args.p, args.size_cap), None
 
 
-def cmd_construct(args) -> int:
-    # refuse an option this build would ignore, before it enters the config bytes
+def cmd_construct(args, variant) -> int:
     if args.kind == "zykov":
-        unread, case = ("p", "n", "f"), ""
-    elif args.f is not None:
-        unread, case = ("k", "p"), " with --f"
-    else:
-        unread, case = ("n",), " without --f"
-    for name in unread:
-        if getattr(args, name) is not None:
-            raise ValueError(f"construct {args.kind} does not read --{name}{case}")
-    if args.kind == "zykov":
-        if args.k is None:
-            raise ValueError("construct zykov needs --k")
-        config = _make_config(
-            args, "construct zykov", {"k": args.k, "size_cap": args.size_cap, "format": args.format}, None
-        )
+        config = _make_config(args, variant)
         pv, pe = capped_size(args.k, args.size_cap)
         print(f"predicted size: {pv} vertices, {pe} edges", file=sys.stderr)
         zg = build_zykov(args.k, size_cap=args.size_cap)
@@ -174,12 +209,7 @@ def cmd_construct(args) -> int:
         k, p, params_json = _resolve_power_params(args)
         # k = g(p) of a fast-growing f may be too long to print; refuse it first
         pv, pe = capped_size(k, args.size_cap)
-        config = _make_config(
-            args,
-            "construct power",
-            {"k": k, "p": p, "f": args.f, "n": args.n, "size_cap": args.size_cap, "format": args.format},
-            None,
-        )
+        config = _make_config(args, variant, k=k, p=p)
         print(f"predicted base size: {pv} vertices, {pe} edges", file=sys.stderr)
         zg = build_zykov(k, size_cap=args.size_cap)
         pg = build_power_graph(zg, p)
@@ -301,21 +331,11 @@ def _verify_class_paths(pg: LabeledGraph, k: int, n: int, strict: bool) -> list[
     return reports + _color_reports(pg, n, part, inst)[0]
 
 
-def cmd_verify(args) -> int:
-    target = args.target
+def cmd_verify(args, variant) -> int:
+    target = args.kind
     budget = _budget(args)
-    need = {
-        "lemma21": ("k",),
-        "lemma22": ("k", "p"),
-        "lemma24": ("p",),
-        "claim26": ("k", "p"),
-        "all": ("k", "p"),
-    }[target]
-    for name in need:
-        if getattr(args, name) is None:
-            raise ValueError(f"verify {target} needs --{name}")
     k, p, n = args.k, args.p, args.n
-    if "p" in need:
+    if p is not None:
         _capped_span(p, args.size_cap)
     if n is not None and n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
@@ -349,12 +369,7 @@ def cmd_verify(args) -> int:
         part = residue_partition(p, order)
         inst = f"partition(p={p}, n={order})"
         reports += [_cover_report(part, inst), verify_partition_sums(part, instance=inst)]
-    config = _make_config(
-        args,
-        f"verify {target}",
-        {"k": k, "p": p, "n": n, "size_cap": args.size_cap},
-        None,
-    )
+    config = _make_config(args, variant, n=n)
     return _emit_reports(reports, config, args.out)
 
 
@@ -384,29 +399,21 @@ def _load_labeled_input(args):
         if labels is None and graph.m > 0:
             raise ValueError("input graph has unlabeled edges; coloring needs residue labels")
         return LabeledGraph(graph, labels or (), p), f"file({args.input})", raw
-    if args.k is None or args.p is None:
-        raise ValueError("need an input file, or --k and --p to build one")
     _capped_span(args.p, args.size_cap)
     zg = build_zykov(args.k, size_cap=args.size_cap)
     return build_power_graph(zg, args.p), f"power(k={args.k}, p={args.p})", None
 
 
-def cmd_color(args) -> int:
+def cmd_color(args, variant) -> int:
     g, inst, raw = _load_labeled_input(args)
     p = g.p
-    budget = _budget(args)
     n = args.n
     if n is None:
-        n, _ = max_clique(g, budget)
+        n, _ = max_clique(g, _budget(args))
         n = max(1, n)
     if n >= p:
         raise ValueError(f"clique order n={n} must be below p={p}")
-    config = _make_config(
-        args,
-        "color",
-        {"k": args.k, "p": p, "n": n, "input": args.input, "size_cap": args.size_cap},
-        raw,
-    )
+    config = _make_config(args, variant, raw, p=p, n=n)
     reports, coloring = _color_reports(g, n, residue_partition(p, n), f"{inst} n={n}")
     return _emit_reports(reports, config, args.out, coloring=coloring)
 
@@ -414,7 +421,7 @@ def cmd_color(args) -> int:
 # ---------------------------------------------------------- sample-hereditary
 
 
-def cmd_sample_hereditary(args) -> int:
+def cmd_sample_hereditary(args, variant) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be nonnegative, got {args.count}")
     if not 0.0 <= args.density <= 1.0:
@@ -422,19 +429,7 @@ def cmd_sample_hereditary(args) -> int:
     g, inst, raw = _load_labeled_input(args)
     p = g.p
     budget = _budget(args)
-    config = _make_config(
-        args,
-        "sample-hereditary",
-        {
-            "k": args.k,
-            "p": p,
-            "input": args.input,
-            "count": args.count,
-            "density": args.density,
-            "size_cap": args.size_cap,
-        },
-        raw,
-    )
+    config = _make_config(args, variant, raw, p=p)
     rng = random.Random(args.seed)
     reports: list[VerificationReport] = []
     for i in range(args.count):
@@ -463,62 +458,54 @@ def _parser() -> argparse.ArgumentParser:
         "while their chromatic number grows beyond any polynomial function of it.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p_, *, ordered=True, searched=True, seeded=False, formatted=False, takes_input=False):
-        p_.add_argument("--k", type=int, default=None, help="construction level of the base graph")
-        p_.add_argument("--p", type=int, default=None, help="prime modulus")
-        if ordered:
-            p_.add_argument("--n", type=int, default=None, help="order (clique bound / partition order)")
-        if searched:
-            p_.add_argument("--budget-ms", type=float, default=None, help="wall-time cap per exact search")
-            p_.add_argument(
-                "--budget-nodes",
-                type=int,
-                default=None,
-                help=f"search-node cap per exact search (default {DEFAULT_NODE_BUDGET} when no budget given)",
-            )
+    specs = {  # every option a row of _VARIANTS reads, in help order
+        "k": dict(type=int, help="construction level of the base graph"),
+        "p": dict(type=int, help="prime modulus"),
+        "n": dict(type=int, help="order (clique bound / partition order)"),
+        "f": dict(help="growth table: n^2, 2^n, or a JSON file {order: value}"),
+        "budget_ms": dict(type=float, help="wall-time cap per exact search"),
+        "budget_nodes": dict(
+            type=int, help=f"search-node cap per exact search (default {DEFAULT_NODE_BUDGET} when no budget given)"
+        ),
+        "seed": dict(type=int, default=0, help="PRNG seed for subset sampling"),
+        "density": dict(type=float, default=0.5, help="per-vertex selection probability"),
+        "count": dict(type=int, default=100, help="number of sampled subgraphs"),
+        "format": dict(choices=["edgelist", "dimacs", "json"], default="edgelist"),
+    }
+    for command, func, help_, kind_help in (
+        ("construct", cmd_construct, "build a base graph or its residue power graph", None),
+        (
+            "verify",
+            cmd_verify,
+            "run certification suites and write a report",
+            "lemma21: base-graph structure and chromatic number; lemma22: clique bound "
+            "of the power graph; lemma24: residue partition zero-sum freeness; claim26: "
+            "per-class long-path absence plus the product coloring",
+        ),
+        ("color", cmd_color, "run the bounding product coloring on a labeled graph", None),
+        ("sample-hereditary", cmd_sample_hereditary, "check sampled induced subgraphs end to end", None),
+    ):
+        rows = [row for row in _VARIANTS if row[0].split()[0] == command]
+        reads = {name for row in rows for name in row[2].split()}
+        p_ = sub.add_parser(command, help=help_)
+        kinds = [row[0].split()[1] for row in rows if " " in row[0]]
+        if kinds:
+            p_.add_argument("kind", choices=list(dict.fromkeys(kinds)), help=kind_help)
+        if "input" in reads:
+            p_.add_argument("input", nargs="?", help="labeled edge-list file (built from --k/--p when omitted)")
+        for name, spec in specs.items():
+            if name in reads:
+                p_.add_argument(_flag(name), **spec)
         p_.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP, help="refuse graphs, moduli p and --f domains above this size")
         p_.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        if seeded:
-            p_.add_argument("--seed", type=int, default=0, help="PRNG seed for subset sampling")
-            p_.add_argument("--density", type=float, default=0.5, help="per-vertex selection probability")
-            p_.add_argument("--count", type=int, default=100, help="number of sampled subgraphs")
-        if formatted:
-            p_.add_argument("--format", choices=["edgelist", "dimacs", "json"], default="edgelist")
-        if takes_input:
-            p_.add_argument("input", nargs="?", default=None, help="labeled edge-list file (built from --k/--p when omitted)")
-
-    pc = sub.add_parser("construct", help="build a base graph or its residue power graph")
-    pc.add_argument("kind", choices=["zykov", "power"])
-    common(pc, searched=False, formatted=True)
-    pc.add_argument("--f", default=None, help="growth table: n^2, 2^n, or a JSON file {order: value}")
-    pc.set_defaults(func=cmd_construct)
-
-    pv = sub.add_parser("verify", help="run certification suites and write a report")
-    pv.add_argument(
-        "target",
-        choices=["lemma21", "lemma22", "lemma24", "claim26", "all"],
-        help="lemma21: base-graph structure and chromatic number; lemma22: clique bound "
-        "of the power graph; lemma24: residue partition zero-sum freeness; claim26: "
-        "per-class long-path absence plus the product coloring",
-    )
-    common(pv)
-    pv.set_defaults(func=cmd_verify)
-
-    pcol = sub.add_parser("color", help="run the bounding product coloring on a labeled graph")
-    common(pcol, takes_input=True)
-    pcol.set_defaults(func=cmd_color)
-
-    ps = sub.add_parser("sample-hereditary", help="check sampled induced subgraphs end to end")
-    common(ps, ordered=False, seeded=True, takes_input=True)
-    ps.set_defaults(func=cmd_sample_hereditary)
+        p_.set_defaults(func=func)
     return top
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _variant(args))
     except (ValueError, OSError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,10 +37,6 @@ class Coloring:
     target: OrientedGraph
     tuples: tuple[tuple[int, ...], ...] | None = None
 
-    @property
-    def colors_used(self) -> int:
-        return len(set(self.assignment))
-
     def to_json_dict(self) -> dict:
         out = {"palette": self.palette, "assignment": list(self.assignment)}
         if self.tuples is not None:

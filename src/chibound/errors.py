@@ -30,11 +30,10 @@ class CycleFound(UniquePathViolation):
 
 
 class MultiplePaths(UniquePathViolation):
-    def __init__(self, u, v, paths=None):
+    def __init__(self, u, v):
         super().__init__(f"more than one directed path from {u} to {v}")
         self.u = u
         self.v = v
-        self.paths = list(paths) if paths is not None else None
 
 
 def _count_text(x: int, exact: bool) -> str:
@@ -70,8 +69,7 @@ class NotPrime(ValueError):
 
 
 class DomainTooSmall(ValueError):
-    def __init__(self, message):
-        super().__init__(message)
+    """A growth domain below 2, with no prime at or below the target, or missing a value of f."""
 
 
 class OrderTooLarge(ValueError):

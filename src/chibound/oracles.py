@@ -43,6 +43,12 @@ class Budget:
 
 
 class _Tracker:
+    """A search's budget and its node count so far. Each search loop counts
+    the nodes it enters in a local, raises BudgetExceeded once the count
+    passes ``max_nodes`` or, read every 256th node, the clock passes
+    ``deadline``, and writes the count back to ``nodes`` on return and on
+    raise."""
+
     __slots__ = ("what", "max_nodes", "deadline", "nodes")
 
     def __init__(self, what: str, budget: Budget | None):
@@ -52,17 +58,6 @@ class _Tracker:
         if budget and budget.max_millis is not None:
             self.deadline = time.monotonic() + budget.max_millis / 1000.0
         self.nodes = 0
-
-    def tick(self):
-        self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise BudgetExceeded(self.what, self.nodes)
-        if (
-            self.deadline is not None
-            and self.nodes % 256 == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise BudgetExceeded(self.what, self.nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +232,7 @@ def _k_colorable(rows: list[int], order: list[int], k: int, tracker: _Tracker) -
     it moves them back down, each pass scanning against the move.
 
     A node is counted each time the loop enters it, the final all-colored
-    node included, against the tracker's node cap, and the deadline is read
-    every 256th node, as ``_Tracker.tick`` does; the count runs in a local
-    and is written back to ``tracker.nodes`` on return and on raise.
+    node included, against the tracker's budget (see ``_Tracker``).
     """
     n = len(rows)
     levels = [0] * (k + 1)
@@ -523,51 +516,58 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
         r: list[int] = []
         frames: list[tuple[int, int, int]] = []
         p, x = (1 << len(und)) - 1, 0
-        while True:
-            tracker.tick()
-            if len(r) == t or len(r) > len(best):
-                best[:] = map(keep.__getitem__, r)
-                if len(r) == t:
-                    return True
-            room = (len(best) if t is None else t - 1) - len(r)
-            if not r and root is not None:
-                frames.append(root)
-            elif not (
-                p.bit_count() <= room
-                # at room 0 the count has failed, so p is not empty and
-                # neither bound below can cut it
-                or room > 0
-                and (
-                    (r and hd and (split or (split := _Split(*hd))).bound(p, r[-1]) <= room)
-                    or (classes := _fits_in_classes(und, p, room))
-                )
-            ):
-                pivot, cover = -1, -1
-                for u in _bits(p | x):
-                    c = (und[u] & p).bit_count()
-                    if c > cover:
-                        cover, pivot = c, u
-                frames.append((p, x, p & ~und[pivot]))
-                if not r:
-                    root = frames[0]
-            elif not r and len(keep) == n:
-                # t <= n and r is empty, so neither the count nor the split
-                # bound cut the root: the coloring did, with `classes` sets.
-                # On a core that bounds only the core's clique number.
-                ceiling = classes
-            while frames:
-                p, x, cand = frames[-1]
-                del r[len(frames) - 1 :]
-                if cand:
-                    bit = cand & -cand
-                    frames[-1] = (p ^ bit, x | bit, cand ^ bit)
-                    v = bit.bit_length() - 1
-                    r.append(v)
-                    p, x = p & und[v], x & und[v]
-                    break
-                frames.pop()
-            else:
-                return False
+        nodes, deadline = tracker.nodes, tracker.deadline
+        cap = sys.maxsize if tracker.max_nodes is None else tracker.max_nodes
+        try:
+            while True:
+                nodes += 1
+                if nodes > cap or (deadline is not None and not nodes & 255 and time.monotonic() > deadline):
+                    raise BudgetExceeded(tracker.what, nodes)
+                if len(r) == t or len(r) > len(best):
+                    best[:] = map(keep.__getitem__, r)
+                    if len(r) == t:
+                        return True
+                room = (len(best) if t is None else t - 1) - len(r)
+                if not r and root is not None:
+                    frames.append(root)
+                elif not (
+                    p.bit_count() <= room
+                    # at room 0 the count has failed, so p is not empty and
+                    # neither bound below can cut it
+                    or room > 0
+                    and (
+                        (r and hd and (split or (split := _Split(*hd))).bound(p, r[-1]) <= room)
+                        or (classes := _fits_in_classes(und, p, room))
+                    )
+                ):
+                    pivot, cover = -1, -1
+                    for u in _bits(p | x):
+                        c = (und[u] & p).bit_count()
+                        if c > cover:
+                            cover, pivot = c, u
+                    frames.append((p, x, p & ~und[pivot]))
+                    if not r:
+                        root = frames[0]
+                elif not r and len(keep) == n:
+                    # t <= n and r is empty, so neither the count nor the split
+                    # bound cut the root: the coloring did, with `classes` sets.
+                    # On a core that bounds only the core's clique number.
+                    ceiling = classes
+                while frames:
+                    p, x, cand = frames[-1]
+                    del r[len(frames) - 1 :]
+                    if cand:
+                        bit = cand & -cand
+                        frames[-1] = (p ^ bit, x | bit, cand ^ bit)
+                        v = bit.bit_length() - 1
+                        r.append(v)
+                        p, x = p & und[v], x & und[v]
+                        break
+                    frames.pop()
+                else:
+                    return False
+        finally:
+            tracker.nodes = nodes
 
     t = None if heights is None else max(heights[0])
     try:

@@ -153,19 +153,39 @@ def test_construct_errors(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["zykov", "--k", "3", "--p", "5"], "--p"),
-        (["zykov", "--k", "3", "--n", "2"], "--n"),
-        (["zykov", "--k", "3", "--f", "n^2"], "--f"),
-        (["power", "--k", "3", "--p", "5", "--n", "4"], "--n"),
-        (["power", "--f", "2^n", "--n", "2", "--k", "3"], "--k"),
-        (["power", "--f", "2^n", "--n", "2", "--p", "5"], "--p"),
+        (["construct", "zykov", "--k", "3", "--p", "5"], "--p"),
+        (["construct", "zykov", "--k", "3", "--n", "2"], "--n"),
+        (["construct", "zykov", "--k", "3", "--f", "n^2"], "--f"),
+        (["construct", "power", "--k", "3", "--p", "5", "--n", "4"], "--n"),
+        (["construct", "power", "--f", "2^n", "--n", "2", "--k", "3"], "--k"),
+        (["construct", "power", "--f", "2^n", "--n", "2", "--p", "5"], "--p"),
+        (["verify", "lemma21", "--k", "3", "--p", "5"], "--p"),
+        (["verify", "lemma21", "--k", "3", "--n", "2"], "--n"),
+        (["verify", "lemma22", "--k", "3", "--p", "5", "--n", "2"], "--n"),
+        (["verify", "lemma24", "--p", "5", "--k", "9"], "--k"),
+        (["verify", "lemma24", "--p", "5", "--budget-nodes", "7"], "--budget-nodes"),
+        (["verify", "lemma24", "--p", "5", "--budget-ms", "7"], "--budget-ms"),
+        (["verify", "claim26", "--k", "3", "--p", "5", "--n", "2", "--budget-nodes", "7"], "--budget-nodes"),
+        (["verify", "claim26", "--k", "3", "--p", "5", "--n", "2", "--budget-ms", "5"], "--budget-ms"),
+        (["color", "FILE", "--k", "9"], "--k"),
+        (["color", "FILE", "--n", "2", "--k", "9"], "--k"),
+        (["color", "FILE", "--n", "2", "--budget-nodes", "3"], "--budget-nodes"),
+        (["color", "FILE", "--n", "2", "--budget-ms", "3"], "--budget-ms"),
+        (["color", "--k", "3", "--p", "5", "--n", "2", "--budget-nodes", "3"], "--budget-nodes"),
+        (["color", "--k", "3", "--p", "5", "--n", "2", "--budget-ms", "3"], "--budget-ms"),
+        (["sample-hereditary", "FILE", "--k", "9"], "--k"),
     ],
 )
 def test_construct_refuses_an_option_it_does_not_read(tmp_path, capsys, argv, flag):
-    out = tmp_path / "g.edges"
-    code, stdout, err = run(capsys, "construct", *argv, "--out", str(out))
+    # every command refuses such an option before it builds, reads or writes
+    # anything, so that it never enters the report's config bytes
+    pg = build_power_graph(build_zykov(3), 5)
+    path = tmp_path / "g.edges"
+    path.write_text(write_edgelist(pg.graph, pg.labels, metadata={"p": 5}))
+    out = tmp_path / "report"
+    code, stdout, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv], "--out", str(out))
     assert code == OPERATIONAL and stdout == ""
-    assert err.startswith("error: ") and f" does not read {flag}" in err
+    assert err.startswith("error: ") and f" does not read {flag}" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -578,6 +598,51 @@ def test_sample_hereditary_from_file(tmp_path, capsys):
     assert code == PASS
     assert doc["config"]["parameters"]["input"] == str(path)
     assert doc["config"]["parameters"]["p"] == 3
+
+
+# ------------------------------------------------------------------ variants
+
+# The exit code and the sha256 of the report (the --out file, else stdout) of
+# accepted argvs, recorded while each command decided on its own which
+# options it reads: at least one per command variant, and the three cli-k6
+# benchmark argvs at k = 4. Run in a directory holding FILE, written by
+# `construct power --k 3 --p 5`, and F, written by `construct power --k 4 --p 7`;
+# `construct power --f 2^n --n 3` asks for level g(3) = 8, above the size cap
+PINNED_VARIANT_OUTPUTS = [
+    (["construct", "zykov", "--k", "3"], PASS, "b2c0c3fe5c6b8d049eb8e4dc4c806f049b829d40e161afef3ce4b56551ceddcf"),
+    (["construct", "power", "--f", "2^n", "--n", "3"], OPERATIONAL, hashlib.sha256(b"").hexdigest()),
+    (["construct", "power", "--f", "2^n", "--n", "2"], PASS, "82233f815088b5e2a1879c7cdc1bed0d5f4112c860fa9d150985cbea346db622"),
+    (["construct", "power", "--k", "4", "--p", "7", "--out", "F"], PASS, "45e55951289bbbe1c3c3726bc64241a9ba6d5bd4774d3e511557594afdd5fe53"),
+    (["verify", "lemma21", "--k", "3"], PASS, "62925be734fd2049f704b21c3d336e2ba13cac2b43d243bd5a9303ccc1cfec89"),
+    (["verify", "lemma22", "--k", "4", "--p", "5"], PASS, "4457bffd7919ca30b6a517f71bee84d2bc8580fd3a5ddeb79430372e216abf47"),
+    (["verify", "lemma24", "--p", "7"], PASS, "4053a7f006acd18cd20b4de510d4bbd39f94cd74d3a67196d08971bd6c5fa28c"),
+    (["verify", "claim26", "--k", "3", "--p", "5", "--n", "2"], FAIL, "ac8e54fda9e842ea8134183b426af768ba9f0e2b86643b8d5aca6a521768d982"),
+    (["verify", "claim26", "--k", "4", "--p", "7", "--n", "4", "--out", "V"], PASS, "e36032f1ba4e9654a1a39420368d7cf97ba2a2f20c3669c93c769be269e530ac"),
+    (["verify", "claim26", "--k", "4", "--p", "5"], PASS, "4ffbd9996db48b83accadcb4f4a40dd1b5b9104763132ace9ed08a73fa71a7c5"),
+    (["verify", "all", "--k", "3", "--p", "5", "--n", "2"], FAIL, "3923cfdc8d078e67acc40ee41102f869b8dd25331b69116b70660b6d6fe0464b"),
+    (["color", "F", "--n", "4", "--out", "C"], PASS, "1697581c1c041c2edf0cfb5a7c2833137e3c718e658a798404f5a29e806f0cf5"),
+    (["color", "FILE"], PASS, "d02a6367d298b998d99492e1875bbaa1f7bccc5c731d68b88e5c4d6d84fe775a"),
+    (["color", "FILE", "--p", "5"], PASS, "d02a6367d298b998d99492e1875bbaa1f7bccc5c731d68b88e5c4d6d84fe775a"),
+    (["color", "--k", "3", "--p", "5", "--n", "2"], FAIL, "e05f45ff3dc5355ff64e673b3a9bcf3ea3682de1e6f38088669c41cb5febc04b"),
+    (["color", "--k", "3", "--p", "5"], PASS, "4332845373805852699aff423e92f1819c38d267c5e2a79335b696cc7e27c70b"),
+    (["sample-hereditary", "FILE", "--count", "3"], PASS, "fdccb5019d8abab2b0c27b21912f5a0a18ec5e3c1e3c80780d07b1a5a3f9170c"),
+    (
+        ["sample-hereditary", "--k", "3", "--p", "3", "--count", "5", "--seed", "2"],
+        PASS,
+        "969fa9f2d9f5b0788ea6b57fc4a08e29a1e7ca3733702c108757cbba69bc3c8b",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PINNED_VARIANT_OUTPUTS, ids=[" ".join(a) for a, _, _ in PINNED_VARIANT_OUTPUTS])
+def test_variant_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, code, digest):
+    monkeypatch.chdir(tmp_path)  # the input path enters the config bytes
+    assert main(["construct", "power", "--k", "3", "--p", "5", "--out", "FILE"]) == PASS
+    assert main(["construct", "power", "--k", "4", "--p", "7", "--out", "F"]) == PASS
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    data = (tmp_path / argv[-1]).read_bytes() if "--out" in argv else out.encode()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------- fuzz

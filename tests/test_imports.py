@@ -52,3 +52,20 @@ def test_oracles_reuse_no_pipeline_code():
         ("graphs", "OrientedGraph"),
         ("graphs", "oriented_view"),
     }
+
+
+def test_cli_looks_up_no_option_by_name():
+    # which options a command reads is decided by the one table in cli.py;
+    # a getattr or hasattr on the parsed arguments would decide it again
+    path = SOURCES[0].parent / "cli.py"
+    calls = [
+        f"cli.py:{node.lineno} {node.func.id}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("getattr", "hasattr")
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "args"
+    ]
+    assert calls == []
