@@ -1,6 +1,7 @@
-"""Command-line driver: construct the base and power graphs, run the
-verification suites, run the bounding coloring, and sample induced subgraphs,
-all as reproducible runs with machine-readable reports.
+"""Command-line driver: construct the base and power graphs, and run the
+checks of ``claims`` on them as reproducible runs with machine-readable
+reports. This module reads argv, builds or reads the instances and writes
+the output; ``claims`` decides every verdict.
 
 Every output file embeds the run configuration and a content hash of the
 inputs. Report files are canonical JSON sorted by (check, instance) with wall
@@ -19,29 +20,13 @@ import argparse
 import hashlib
 import json
 import math
-import random
 import sys
-import time
-from dataclasses import replace
 
-from .coloring import bounded_color, edge_partition, path_clique
-from .errors import BudgetExceeded, CliqueTooLarge, GraphError, NotPrime, SizeBudgetExceeded
-from .farey import residue_partition
+from . import claims
+from .errors import GraphError, NotPrime, SizeBudgetExceeded
 from .formats import canonical_json, graph_json_dict, read_edgelist, write_dimacs, write_edgelist
-from .graphs import LabeledGraph, induced_subgraph
-from .oracles import (
-    Budget,
-    VerificationReport,
-    budget_report,
-    exact_chromatic_number,
-    max_clique,
-    timed_report,
-    verify_no_long_path,
-    verify_partition_sums,
-    verify_proper,
-    verify_triangle_free,
-    verify_unique_paths,
-)
+from .graphs import LabeledGraph
+from .oracles import Budget, VerificationReport
 from .power import BUILTIN_F, build_power_graph, class_parameters, is_prime, tabulate_f
 from .zykov import DEFAULT_SIZE_CAP, build_zykov, capped_size, provenance_json_dict
 
@@ -151,10 +136,6 @@ def _emit_reports(reports: list[VerificationReport], config: dict, out: str | No
     return 0
 
 
-def _verdict(passed: bool) -> str:
-    return "pass" if passed else "fail"
-
-
 def _capped_span(top: int, size_cap: int, unit: str = "residues") -> int:
     """``top`` as given, refused with SizeBudgetExceeded when it spans more
     than ``size_cap`` values: a modulus p has p - 1 residues, and a growth
@@ -242,135 +223,17 @@ def cmd_construct(args, variant) -> int:
 # -------------------------------------------------------------------- verify
 
 
-def _chromatic_report(g, expected: int, instance: str, budget: Budget) -> VerificationReport:
-    started = time.perf_counter()
-    try:
-        chi = exact_chromatic_number(g, budget)
-    except BudgetExceeded as exc:
-        return budget_report("chromatic-number", instance, exc, started)
-    witness = None if chi == expected else {"measured": chi, "expected": expected}
-    return timed_report("chromatic-number", instance, _verdict(chi == expected), witness, started)
-
-
-def _verify_clique_bound(pg: LabeledGraph, instance: str, budget: Budget):
-    """The clique-bound report of a power graph, its clique in the parent's ids
-    for a subgraph, and the clique order or the BudgetExceeded that stopped it."""
-    started = time.perf_counter()
-    try:
-        omega, clique = max_clique(pg, budget)
-    except BudgetExceeded as exc:
-        return budget_report("clique-bound", instance, exc, started), exc
-    clique = list(clique) if pg.vertices is None else [pg.vertices[v] for v in clique]
-    witness = {"omega": omega, "clique": clique, "p": pg.p}
-    return timed_report("clique-bound", instance, _verdict(omega <= pg.p), witness, started), omega
-
-
-def _cover_report(part, instance: str) -> VerificationReport:
-    started = time.perf_counter()
-    seen: dict[int, int] = {}
-    duplicated = []
-    for cls in part.classes:
-        for a in cls:
-            seen[a] = seen.get(a, 0) + 1
-            if seen[a] == 2:
-                duplicated.append(a)
-    missing = [a for a in range(1, part.p) if a not in seen]
-    stray = sorted(a for a in seen if not 1 <= a <= part.p - 1)
-    ok = not duplicated and not missing and not stray
-    witness = None if ok else {"missing": missing, "duplicated": sorted(duplicated), "stray": stray}
-    return timed_report("partition-cover", instance, _verdict(ok), witness, started)
-
-
-def _color_reports(g: LabeledGraph, n: int, part, instance: str):
-    """The reports of the product coloring of g at clique order n, and the
-    coloring. A refuted order is one clique-order fail report, with the
-    clique in the parent's vertex ids when g is an induced subgraph, and no
-    coloring."""
-    started = time.perf_counter()
-    try:
-        coloring = bounded_color(g, n, part)
-    except CliqueTooLarge as exc:
-        clique = exc.clique if g.vertices is None else [g.vertices[v] for v in exc.clique]
-        witness = {"claimed": n, "clique": clique}
-        return [timed_report("clique-order", instance, "fail", witness, started)], None
-    started = time.perf_counter()
-    witness = {
-        "palette": coloring.palette,
-        "order_bound": n ** len(part.classes),
-        "square_bound": n ** (n * n),
-    }
-    ok = witness["palette"] <= witness["order_bound"] <= witness["square_bound"]
-    palette_report = timed_report("palette-bound", instance, _verdict(ok), witness, started)
-    return [verify_proper(coloring, instance=instance), palette_report], coloring
-
-
-def _verify_class_paths(pg: LabeledGraph, k: int, n: int, strict: bool) -> list[VerificationReport]:
-    """Per-class long-path checks plus the product coloring on the full power
-    graph; a long path is converted to a clique and re-checked before report."""
-    p = pg.p
-    if n >= p:
-        msg = f"clique order n={n} is not below p={p}; the coloring bound does not apply"
-        if strict:
-            raise ValueError(msg)
-        print(f"note: {msg}; skipping class-path checks", file=sys.stderr)
-        return []
-    part = residue_partition(p, n)
-    ep = edge_partition(pg, part)
-    inst = f"power(k={k}, p={p}, n={n})"
-    reports = []
-    any_long = False
-    for i in range(len(ep.classes)):
-        r = verify_no_long_path(ep.class_graph(i), n, instance=f"{inst} class A_{i + 1:03d}")
-        if r.verdict == "fail":
-            any_long = True
-            clique = path_clique(pg.graph, r.witness["path"], n)
-            r = replace(r, witness={**r.witness, "clique": clique})
-        reports.append(r)
-    if any_long:
-        return reports
-    return reports + _color_reports(pg, n, part, inst)[0]
-
-
 def cmd_verify(args, variant) -> int:
-    target = args.kind
     budget = _budget(args)
-    k, p, n = args.k, args.p, args.n
-    if p is not None:
-        _capped_span(p, args.size_cap)
-    if n is not None and n < 1:
-        raise ValueError(f"--n must be at least 1, got {n}")
+    if args.p is not None:
+        _capped_span(args.p, args.size_cap)
+    if args.n is not None and args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     # each instance is built, and its clique searched, at most once per run
-    zg = build_zykov(k, size_cap=args.size_cap) if target != "lemma24" else None
-    pg = build_power_graph(zg, p) if target in ("lemma22", "claim26", "all") else None
-    reports: list[VerificationReport] = []
-    if target in ("lemma21", "all"):
-        inst = f"zykov(k={k})"
-        reports += [
-            verify_triangle_free(zg, instance=inst),
-            verify_unique_paths(zg, instance=inst),
-            _chromatic_report(zg, k, inst, budget),
-        ]
-    if target in ("lemma22", "all") or (target == "claim26" and n is None):
-        inst = f"power(k={k}, p={p})"
-        clique_report, omega = _verify_clique_bound(pg, inst, budget)
-    if target in ("lemma22", "all"):
-        reports.append(clique_report)
-        if p == 2:
-            reports.append(verify_triangle_free(pg, instance=inst))
-    if target in ("claim26", "all"):
-        if n is None:
-            if isinstance(omega, BudgetExceeded):
-                raise omega
-            n = omega
-        reports += _verify_class_paths(pg, k, n, strict=(target == "claim26"))
-    if target in ("lemma24", "all"):
-        # verify all takes n from ω, which may reach p; lemma24 checks n as given
-        order = min(n, p - 1) if target == "all" else (min(6, p - 1) if n is None else n)
-        part = residue_partition(p, order)
-        inst = f"partition(p={p}, n={order})"
-        reports += [_cover_report(part, inst), verify_partition_sums(part, instance=inst)]
-    config = _make_config(args, variant, n=n)
-    return _emit_reports(reports, config, args.out)
+    zg = build_zykov(args.k, size_cap=args.size_cap) if args.kind != "lemma24" else None
+    pg = build_power_graph(zg, args.p) if args.kind in ("lemma22", "claim26", "all") else None
+    reports, n = claims.verify(args.kind, zg, pg, args.k, args.p, args.n, budget)
+    return _emit_reports(reports, _make_config(args, variant, n=n), args.out)
 
 
 # --------------------------------------------------------------------- color
@@ -406,16 +269,8 @@ def _load_labeled_input(args):
 
 def cmd_color(args, variant) -> int:
     g, inst, raw = _load_labeled_input(args)
-    p = g.p
-    n = args.n
-    if n is None:
-        n, _ = max_clique(g, _budget(args))
-        n = max(1, n)
-    if n >= p:
-        raise ValueError(f"clique order n={n} must be below p={p}")
-    config = _make_config(args, variant, raw, p=p, n=n)
-    reports, coloring = _color_reports(g, n, residue_partition(p, n), f"{inst} n={n}")
-    return _emit_reports(reports, config, args.out, coloring=coloring)
+    n, reports, coloring = claims.color(g, args.n, inst, _budget(args))
+    return _emit_reports(reports, _make_config(args, variant, raw, p=g.p, n=n), args.out, coloring=coloring)
 
 
 # ---------------------------------------------------------- sample-hereditary
@@ -427,25 +282,8 @@ def cmd_sample_hereditary(args, variant) -> int:
     if not 0.0 <= args.density <= 1.0:
         raise ValueError(f"--density must lie in [0, 1], got {args.density}")
     g, inst, raw = _load_labeled_input(args)
-    p = g.p
-    budget = _budget(args)
-    config = _make_config(args, variant, raw, p=p)
-    rng = random.Random(args.seed)
-    reports: list[VerificationReport] = []
-    for i in range(args.count):
-        vs = [v for v in range(g.graph.n) if rng.random() < args.density]
-        sub = induced_subgraph(g, vs)
-        sample_inst = f"{inst} sample {i:04d} (|V|={len(vs)})"
-        report, omega = _verify_clique_bound(sub, sample_inst, budget)
-        reports.append(report)
-        if isinstance(omega, BudgetExceeded):
-            continue
-        n_i = max(1, omega)
-        if n_i >= p:
-            print(f"note: sample {i:04d} has omega={omega} >= p; coloring bound not applicable", file=sys.stderr)
-            continue
-        reports += _color_reports(sub, n_i, residue_partition(p, n_i), sample_inst)[0]
-    return _emit_reports(reports, config, args.out)
+    reports = claims.sample_hereditary(g, inst, _budget(args), args.count, args.density, args.seed)
+    return _emit_reports(reports, _make_config(args, variant, raw, p=g.p), args.out)
 
 
 # ---------------------------------------------------------------------- main

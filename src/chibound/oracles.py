@@ -1,6 +1,6 @@
 """Independent exact verifiers: chromatic number, maximum clique, path
-uniqueness, triangle-freeness, zero-sum freeness, long-path absence, and
-coloring properness.
+uniqueness, triangle-freeness, partition cover, zero-sum freeness,
+long-path absence, and coloring properness.
 
 Everything in this module is written against a graph's raw edge store
 only: the parallel ``tails`` and ``heads`` tuples, whose run of heads with
@@ -771,6 +771,21 @@ def verify_triangle_free(g, instance: str | None = None) -> VerificationReport:
             if not graph.has_und_edge(x, y):
                 raise AssertionError("triangle witness failed re-check")
     return timed_report("triangle-free", instance, "fail", {"triangle": tri}, started)
+
+
+def verify_partition_cover(part, instance: str | None = None) -> VerificationReport:
+    """Pass iff the classes of the partition hold each residue 1..p-1 exactly
+    once; a fail lists the residues missing, repeated, and outside 1..p-1."""
+    started = time.perf_counter()
+    counts = Counter(a for cls in part.classes for a in cls)
+    witness = {
+        "missing": [a for a in range(1, part.p) if a not in counts],
+        "duplicated": sorted(a for a, c in counts.items() if c > 1),
+        "stray": sorted(a for a in counts if not 1 <= a <= part.p - 1),
+    }
+    ok = not any(witness.values())
+    instance = instance or f"partition(p={part.p}, n={part.n})"
+    return timed_report("partition-cover", instance, "pass" if ok else "fail", None if ok else witness, started)
 
 
 def verify_partition_sums(part, instance: str | None = None) -> VerificationReport:

@@ -16,8 +16,9 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import chibound.claims as claims
 import chibound.cli as cli
-from chibound import build_power_graph, build_zykov, read_edgelist, write_edgelist
+from chibound import Budget, build_power_graph, build_zykov, read_edgelist, write_edgelist
 from chibound.cli import main
 from chibound.formats import _read_lines
 from helpers import read_outcome
@@ -346,18 +347,41 @@ def test_verify_budget_exceeded_report_has_wall_time(capsys):
     ],
 )
 def test_verify_builds_each_instance_once(monkeypatch, capsys, argv):
-    calls = {"build_zykov": 0, "build_power_graph": 0, "max_clique": 0}
-    for name in calls:
-        real = getattr(cli, name)
+    # the cli builds the instances, and claims.py searches the clique
+    owners = {"build_zykov": cli, "build_power_graph": cli, "max_clique": claims}
+    calls = dict.fromkeys(owners, 0)
+    for name, module in owners.items():
+        real = getattr(module, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(module, name, counted)
     code, _, _ = run(capsys, *argv)
     assert code in (PASS, FAIL)
     assert all(count <= 1 for count in calls.values()), calls
+
+
+@pytest.mark.parametrize("command, n", [("verify all", None), ("verify claim26", 2), ("color", None)])
+def test_library_gives_the_reports_main_writes(capsys, command, n):
+    """claims.verify and claims.color on built instances, without argv, give
+    the reports that main writes for the same run."""
+    argv = command.split() + ["--k", "3", "--p", "5"] + ([] if n is None else ["--n", str(n)])
+    code, doc, _ = run_json(capsys, *argv)
+    zg = build_zykov(3)
+    pg = build_power_graph(zg, 5)
+    budget = Budget(max_nodes=cli.DEFAULT_NODE_BUDGET)
+    if command == "color":
+        n, reports, coloring = claims.color(pg, n, "power(k=3, p=5)", budget)
+        assert coloring.to_json_dict() == doc["coloring"]
+    else:
+        reports, n = claims.verify(command.split()[1], zg, pg, 3, 5, n, budget)
+    assert n == doc["config"]["parameters"]["n"]
+    assert sorted((r.to_json_dict() for r in reports), key=lambda r: (r["check"], r["instance"])) == doc["reports"]
+    failed = [r.witness for r in reports if r.verdict == "fail"]
+    assert code == (FAIL if failed else PASS)
+    assert bool(failed) == (command == "verify claim26") and all(w["clique"] for w in failed)
 
 
 def test_verify_report_file_is_deterministic(tmp_path, capsys):
@@ -725,13 +749,17 @@ def _contained_run(argv, out):
 
 @settings(max_examples=200)
 @example(case=("# p: 5\nn 1000000000000 0\n", ["color", "--n", "1"], 10**12, 10**6))
+@example(case=("# p: 5\nn 5 0\n", ["color", "--n", "2", "--budget-nodes", "5", "--size-cap", "4"], 5, 4))
 @given(case=_fuzz_case())
 def test_fuzzed_input_files_end_in_exit_0_1_or_2(tmp_path_factory, case):
     text, argv, n, cap = case
     tmp = tmp_path_factory.mktemp("fuzz")
     (tmp / "g.edges").write_text(text)
     code, err = _contained_run([argv[0], str(tmp / "g.edges"), *argv[1:]], tmp / "report.json")
-    if n > cap:  # refused right after the header
+    if "--n" in argv and "--budget-nodes" in argv:  # refused before the file is read
+        assert code == OPERATIONAL
+        assert err == "error: color does not read --budget-nodes with an input file and with --n\n"
+    elif n > cap:  # refused right after the header
         assert code == OPERATIONAL and err.startswith("error: predicted size ")
         assert err.endswith(f" vertices exceeds cap {cap}\n") and err.count("\n") == 1
 

@@ -34,24 +34,47 @@ def test_public_names_are_sorted_unique_and_resolve():
     assert [name for name in names if not hasattr(chibound, name)] == []
 
 
+def _package_imports(name: str) -> set[tuple[str, str | None]]:
+    """(module, name) of each import from inside the package in one of its
+    source files, the module named relative to the package; a whole module
+    imported, as by ``from . import claims``, has the name None."""
+    path = SOURCES[0].parent / name
+    inside = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name.split(".")[0] == "chibound"]
+            inside |= {(name.removeprefix("chibound."), None) for name in names}
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            inside |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.split(".")[0] == "chibound"):
+            module = node.module.removeprefix("chibound.")
+            inside |= {(module, alias.name) for alias in node.names}
+    return inside
+
+
 def test_oracles_reuse_no_pipeline_code():
     # the oracles re-derive every property from raw adjacency, so that a
     # pipeline bug and an oracle bug would have to coincide to slip through:
     # from inside the package they take the errors, the graph type and the
     # view that unwraps a labeled graph, and nothing else
-    path = SOURCES[0].parent / "oracles.py"
-    inside = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Import):
-            inside |= {(alias.name, None) for alias in node.names if alias.name.split(".")[0] == "chibound"}
-        elif isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module.split(".")[0] == "chibound"):
-            module = node.module and node.module.removeprefix("chibound.")
-            inside |= {(module, alias.name) for alias in node.names}
+    inside = _package_imports("oracles.py")
     assert inside
     assert {(module, name) for module, name in inside if module != "errors"} <= {
         ("graphs", "OrientedGraph"),
         ("graphs", "oriented_view"),
     }
+
+
+def test_cli_decides_no_verdict():
+    # every verdict is decided in claims.py: the cli takes the budget and
+    # report types from the oracles, and nothing from the coloring or farey
+    inside = _package_imports("cli.py")
+    assert ("claims", None) in inside
+    assert {(module, name) for module, name in inside if module == "oracles"} <= {
+        ("oracles", "Budget"),
+        ("oracles", "VerificationReport"),
+    }
+    assert [(module, name) for module, name in inside if module in ("coloring", "farey")] == []
 
 
 def test_cli_looks_up_no_option_by_name():

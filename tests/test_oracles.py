@@ -754,6 +754,27 @@ def test_triangle_free_on_level_five_graph():
     assert verify_triangle_free(build_zykov(5)).passed
 
 
+def test_partition_cover_real_partitions_pass():
+    for p, n in ((2, 1), (5, 2), (31, 6), (97, 12)):
+        r = oracles.verify_partition_cover(residue_partition(p, n))
+        assert r.passed and r.witness is None
+        assert r.check == "partition-cover" and r.instance == f"partition(p={p}, n={n})"
+
+
+@pytest.mark.parametrize(
+    "classes, witness",
+    [
+        (((1, 2), (4,)), {"missing": [3], "duplicated": [], "stray": []}),
+        (((1, 2), (2, 3, 4)), {"missing": [], "duplicated": [2], "stray": []}),
+        (((1, 2), (3, 4, 5)), {"missing": [], "duplicated": [], "stray": [5]}),
+    ],
+    ids=["missing", "duplicated", "stray"],
+)
+def test_partition_cover_fail_names_the_broken_residue(classes, witness):
+    r = oracles.verify_partition_cover(ResiduePartition(p=5, n=2, classes=classes), instance="hand-built")
+    assert (r.verdict, r.instance, r.witness) == ("fail", "hand-built", witness)
+
+
 def test_partition_sums_real_partitions_pass():
     assert verify_partition_sums(residue_partition(5, 2)).passed
     assert verify_partition_sums(residue_partition(31, 6)).passed
