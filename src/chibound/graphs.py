@@ -16,12 +16,12 @@ package's builders call ``OrientedGraph._canonical``, which checks nothing: thei
 edges must be canonical (sorted ascending, unique, in ``0..n-1``, no self-loops).
 
 Every graph the package builds descends (each edge u -> v has u > v), so its
-descending index order is topological; external input need not descend.
+descending index order is topological, and ``topological_order`` returns it;
+external input need not descend, and gets Kahn's sort.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
@@ -169,57 +169,39 @@ def as_labeled(obj) -> LabeledGraph:
     return obj if isinstance(obj, LabeledGraph) else LabeledGraph(obj)
 
 
-def topological_order(g) -> list[int]:
-    """Lexicographically smallest topological order, descending graph or not
-    (``distance_table``'s MultiplePaths pair depends on it), or CycleFound."""
+def topological_order(g) -> range | list[int]:
+    """A topological order of g, or CycleFound: descending index order, as a
+    range, when every edge descends (u > v), as in every graph the package
+    builds; otherwise Kahn's sort, its queue the list it walks."""
     g = oriented_view(g)
+    if g._descends():
+        return range(g.n - 1, -1, -1)
     indeg = [0] * g.n
     for v in g.heads:
         indeg[v] += 1
-    heap = [v for v in range(g.n) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order, first, heads = [], g._row_starts(), g.heads
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
+    order, first, heads = [v for v in range(g.n) if indeg[v] == 0], g._row_starts(), g.heads
+    for u in order:  # the list grows while it is walked
         for v in heads[first[u] : first[u + 1]]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                heapq.heappush(heap, v)
+                order.append(v)
     if len(order) < g.n:
-        remaining = {v for v in range(g.n) if indeg[v] > 0}
-        raise CycleFound(_find_cycle(g, remaining))
+        raise CycleFound(_left_behind_cycle(g, indeg))
     return order
 
 
-def _find_cycle(g: OrientedGraph, within: set[int]) -> list[int]:
-    """One directed cycle among the vertices ``within``, by DFS."""
-    state = {}  # 0 = on stack, 1 = done
-    for start in sorted(within):
-        if start in state:
-            continue
-        stack = [(start, iter(g.out_neighbors(start)))]
-        state[start] = 0
-        path = [start]
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if v not in within:
-                    continue
-                if v not in state:
-                    state[v] = 0
-                    path.append(v)
-                    stack.append((v, iter(g.out_neighbors(v))))
-                    advanced = True
-                    break
-                if state[v] == 0:
-                    return path[path.index(v):]
-            if not advanced:
-                state[u] = 1
-                stack.pop()
-                path.pop()
-    raise ValueError("no cycle found in the given vertex set")
+def _left_behind_cycle(g: OrientedGraph, indeg: list[int]) -> list[int]:
+    """A directed cycle among the vertices that Kahn's sort left behind, those
+    with ``indeg`` still positive. Each keeps an in-neighbour left behind, so
+    walking back from the least of them repeats a vertex; the walk from its
+    first visit on, reversed, is the cycle."""
+    back = {v: u for u, v in zip(g.tails, g.heads) if indeg[u] and indeg[v]}
+    trail, at, v = [], {}, min(back)
+    while v not in at:
+        at[v] = len(trail)
+        trail.append(v)
+        v = back[v]
+    return trail[at[v] :][::-1]
 
 
 def distance_table(g) -> LabeledGraph:
@@ -231,7 +213,9 @@ def distance_table(g) -> LabeledGraph:
     The merge over out-neighbors rejects any pair reachable through two
     different branches, which is exactly the 0/1/>=2 path-count distinction
     (counts need never grow past 2). Each child w goes in as ``w: 1`` before
-    its row, so the pair reported is the first one the merge meets twice.
+    its row, so the pair reported is the first one the merge meets twice,
+    with u in reverse ``topological_order``: ascending index order on every
+    graph the package builds.
     """
     g = oriented_view(g)
     order, first, heads = topological_order(g), g._row_starts(), g.heads

@@ -623,38 +623,22 @@ def _kahn(graph: OrientedGraph) -> range | list[int]:
 
 def _cycle_witness(graph: OrientedGraph, order: list[int]) -> list[int]:
     """A directed cycle among the vertices that a short Kahn ``order`` left
-    out, re-checked edge by edge."""
-    within = set(range(graph.n)).difference(order)
-    state: dict[int, int] = {}  # 0 on stack, 1 done
-    for start in sorted(within):
-        if start in state:
-            continue
-        stack = [(start, iter(graph.out_neighbors(start)))]
-        state[start] = 0
-        trail = [start]
-        while stack:
-            u, it = stack[-1]
-            moved = False
-            for v in it:
-                if v not in within:
-                    continue
-                if v not in state:
-                    state[v] = 0
-                    trail.append(v)
-                    stack.append((v, iter(graph.out_neighbors(v))))
-                    moved = True
-                    break
-                if state[v] == 0:
-                    cycle = trail[trail.index(v) :]
-                    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                        if not graph.has_edge(a, b):
-                            raise AssertionError("cycle witness failed edge re-check")
-                    return cycle
-            if not moved:
-                state[u] = 1
-                stack.pop()
-                trail.pop()
-    raise AssertionError("no cycle in claimed cyclic vertex set")
+    out, re-checked edge by edge. Each of them has an in-neighbour left out
+    too, so stepping back from the least one along such in-neighbours comes
+    round to a vertex seen before; the steps since, reversed, close a cycle."""
+    out = set(range(graph.n)).difference(order)
+    back = {v: u for u, v in zip(graph.tails, graph.heads) if u in out and v in out}
+    pos = [-1] * graph.n
+    walk, v = [], min(out)
+    while pos[v] < 0:
+        pos[v] = len(walk)
+        walk.append(v)
+        v = back[v]
+    cycle = walk[pos[v] :][::-1]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        if not graph.has_edge(a, b):
+            raise AssertionError("cycle witness failed edge re-check")
+    return cycle
 
 
 def _two_paths(graph: OrientedGraph, reach: list[int], u: int, v: int) -> list[list[int]]:

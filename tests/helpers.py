@@ -2,6 +2,7 @@
 of an edge-list reader. Kept separate from the package so test inputs never
 depend on the code under test beyond the graph constructor."""
 
+import heapq
 import random
 
 from chibound import GraphError, OrientedGraph
@@ -31,6 +32,26 @@ def random_oriented_graph(rng: random.Random, max_n: int = 9) -> OrientedGraph:
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
     ]
     return OrientedGraph(n, edges)
+
+
+def heap_order(g: OrientedGraph) -> list[int]:
+    """The lexicographically smallest topological order of a DAG, by Kahn's
+    sort with a heap for its queue: a reference order that the package's
+    sorts, which take index order or a FIFO queue, do not give."""
+    indeg = [0] * g.n
+    for v in g.heads:
+        indeg[v] += 1
+    heap = [v for v in range(g.n) if indeg[v] == 0]
+    order = []
+    while heap:
+        u = heapq.heappop(heap)
+        order.append(u)
+        for v in g.out_neighbors(u):
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heapq.heappush(heap, v)
+    assert len(order) == g.n, "heap_order takes a DAG"
+    return order
 
 
 def read_outcome(read, text, size_cap=None):

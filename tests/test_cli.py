@@ -563,12 +563,18 @@ def test_color_rejects_duplicate_edges_and_directed_cycles(tmp_path, capsys):
     code, out, err = run(capsys, "color", str(duplicated))
     assert code == OPERATIONAL and out == ""
     assert "line 4: duplicate edge 0 1" in err
-    # each residue class is acyclic, the graph is not
-    cyclic = tmp_path / "cycle.edges"
-    cyclic.write_text("# p: 5\nn 2 2\n0 1 1\n1 0 4\n")
-    code, out, err = run(capsys, "color", str(cyclic), "--n", "2")
-    assert code == OPERATIONAL and out == ""
-    assert "directed cycle" in err
+    # each residue class is acyclic, the graph is not; the ring 2 -> 3 ->
+    # 4 -> 5 -> 2 has a tail 2 -> 1 -> 0 on the lower vertices, and the
+    # cycle printed must be a directed cycle of the file's edges
+    for text in ("n 2 2\n0 1 1\n1 0 4\n", "n 6 6\n1 0 3\n2 1 2\n2 3 1\n3 4 4\n4 5 1\n5 2 4\n"):
+        cyclic = tmp_path / "cycle.edges"
+        cyclic.write_text("# p: 5\n" + text)
+        code, out, err = run(capsys, "color", str(cyclic), "--n", "2")
+        assert code == OPERATIONAL and out == ""
+        cycle = json.loads(re.fullmatch(r"error: directed cycle through vertices (\[.*\])\n", err)[1])
+        edges = {tuple(map(int, line.split()[:2])) for line in text.splitlines()[1:]}
+        assert len(set(cycle)) == len(cycle) >= 2
+        assert all((a, b) in edges for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 # ---------------------------------------------------------- sample-hereditary

@@ -202,7 +202,7 @@ def test_longest_paths_takes_the_descent_fact_from_an_induced_subgraph():
             Counting.walks = 0
             longest_paths(g, [0] * g.m, 1, g.n + 1)
             assert Counting.walks == 2 * walks  # each walk reads both tuples
-    # a parent whose edges ascend passes on no fact, and the heap order serves
+    # a parent whose edges ascend passes on no fact, and Kahn's sort serves
     ascending = induced_subgraph(OrientedGraph(3, [(0, 1), (1, 2)]), [0, 1, 2]).graph
     assert longest_paths(ascending, [0, 0], 1, 5) == [[2, 1, 0]]
     with pytest.raises(CycleFound):

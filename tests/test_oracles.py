@@ -25,7 +25,6 @@ from chibound import (
     longest_path_coloring,
     max_clique,
     residue_partition,
-    topological_order,
     verify_no_long_path,
     verify_partition_sums,
     verify_proper,
@@ -36,7 +35,7 @@ from chibound import coloring, oracles
 from chibound.coloring import Coloring
 from chibound.graphs import oriented_view
 from chibound.oracles import budget_report
-from helpers import random_dag, random_oriented_graph
+from helpers import heap_order, random_dag, random_oriented_graph
 
 C5 = OrientedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 K = lambda n: OrientedGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -837,9 +836,9 @@ def _layered_dags(seed: int) -> tuple[LabeledGraph, LabeledGraph]:
 
 
 def _heap_heights(graph: OrientedGraph, edge_class: dict, phi: int) -> list[list[int]]:
-    """Per-class longest-path heights over the heap ``topological_order``."""
+    """Per-class longest-path heights over the reference ``heap_order``."""
     h = [[0] * graph.n for _ in range(phi)]
-    for u in reversed(topological_order(graph)):
+    for u in reversed(heap_order(graph)):
         for v in graph.out_neighbors(u):
             c = h[edge_class[(u, v)]]
             c[u] = max(c[u], c[v] + 1)
@@ -850,7 +849,8 @@ def _heap_heights(graph: OrientedGraph, edge_class: dict, phi: int) -> list[list
 def test_any_topological_order_gives_the_heap_orders_results(seed, monkeypatch):
     """On a descending DAG the sorts take index order, on its relabeling
     Kahn's sort; heights, path heights, oracle verdicts and witnesses, and
-    colorings all equal what the heap ``topological_order`` gives."""
+    colorings all equal what the lexicographically smallest order, the
+    reference ``heap_order``, gives."""
     descending, relabeled = _layered_dags(seed)
     assert all(u > v for u, v in descending.graph.edges)
     assert not all(u > v for u, v in relabeled.graph.edges)
@@ -872,7 +872,7 @@ def test_any_topological_order_gives_the_heap_orders_results(seed, monkeypatch):
 
         got = run()
         with monkeypatch.context() as m:
-            m.setattr(oracles, "_kahn", topological_order)
+            m.setattr(oracles, "_kahn", heap_order)
             assert got == run()
 
         # the coloring against the textbook DP over the heap order; every

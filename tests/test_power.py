@@ -21,6 +21,7 @@ from chibound import (
     sieve_primes,
     tabulate_f,
 )
+from helpers import heap_order
 
 
 def test_is_prime_small_values():
@@ -155,23 +156,68 @@ def _unique_path_corpus():
         yield OrientedGraph(n, pairs)
 
 
-# sha256 of repr([(tails, heads, labels) or (error type name, message), ...])
-# of build_power_graph(g, 3) over _unique_path_corpus(): 1,971 power graphs,
-# 747 MultiplePaths and 282 CycleFound; recorded from the per-vertex table
-# of distance dicts that the closure replaced
-PINNED_UNIQUE_PATH_OUTCOMES_SHA256 = "8e92a2f40025859e4aaa1ef50380e5c4e28222438f877954a7b934f036cd16f5"
-
-
-def test_unique_path_errors_are_pinned():
+def _corpus_outcomes(error_row):
+    """build_power_graph(g, 3) over _unique_path_corpus(): the tails, heads
+    and labels of each power graph, or ``error_row`` of what it raises."""
     rows = []
     for g in _unique_path_corpus():
         try:
             pg = build_power_graph(g, 3)
         except UniquePathViolation as exc:
-            rows.append((type(exc).__name__, str(exc)))
+            rows.append(error_row(exc))
         else:
             rows.append((pg.graph.tails, pg.graph.heads, pg.labels))
+    return rows
+
+
+# sha256 of repr(_corpus_outcomes(...)) with each error's type name alone:
+# 1,971 power graphs, 747 MultiplePaths and 282 CycleFound. Neither the
+# topological order nor the cycle search may move it; recorded while
+# distance_table still walked the lexicographically smallest order
+PINNED_UNIQUE_PATH_GRAPHS_SHA256 = "a708fd33b8df3a14a96199d8c84298904980a3e90f7fba078fd805d11b06a649"
+# the same with each error's message, so the witnesses too: the MultiplePaths
+# pair is the first one distance_table's merge meets in descending index
+# order or Kahn's FIFO order, the cycle the walk back over left-behind
+# vertices from the least of them
+PINNED_UNIQUE_PATH_OUTCOMES_SHA256 = "719ee375df28896324caa9ad578b5927dfa6dc139d1f9cfcc228848be31e0633"
+
+
+def test_unique_path_graphs_and_error_types_are_pinned():
+    rows = _corpus_outcomes(lambda exc: type(exc).__name__)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_UNIQUE_PATH_GRAPHS_SHA256
+
+
+def test_unique_path_errors_are_pinned():
+    rows = _corpus_outcomes(lambda exc: (type(exc).__name__, str(exc)))
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_UNIQUE_PATH_OUTCOMES_SHA256
+
+
+def _path_count(g: OrientedGraph, u: int, v: int) -> int:
+    """The directed u -> v paths of a DAG, counted exactly."""
+    count = [0] * g.n
+    count[v] = 1
+    for x in reversed(heap_order(g)):
+        if x != v:
+            count[x] = sum(count[y] for y in g.out_neighbors(x))
+    return count[u]
+
+
+def test_unique_path_witnesses_are_real():
+    """Every cycle is a directed cycle of distinct vertices, and every
+    MultiplePaths pair is joined by two or more paths."""
+    kinds = set()
+    for g in _unique_path_corpus():
+        try:
+            build_power_graph(g, 3)
+        except CycleFound as exc:
+            cyc = exc.cycle
+            assert len(cyc) >= 2 and len(set(cyc)) == len(cyc)
+            assert all(g.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+            kinds.add("cycle")
+        except MultiplePaths as exc:
+            assert _path_count(g, exc.u, exc.v) >= 2
+            kinds.add("pair")
+    assert kinds == {"cycle", "pair"}
 
 
 def test_chromatic_number_at_least_base():
