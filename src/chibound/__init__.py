@@ -23,7 +23,6 @@ from .errors import (
     InconsistentLabels,
     MultiplePaths,
     NotPrime,
-    OrderNotLess,
     OrderTooLarge,
     PathTooLong,
     PrimeMismatch,
@@ -88,7 +87,6 @@ __all__ = [
     "LabeledGraph",
     "MultiplePaths",
     "NotPrime",
-    "OrderNotLess",
     "OrderTooLarge",
     "OrientedGraph",
     "PathTooLong",

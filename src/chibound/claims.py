@@ -3,6 +3,8 @@ built instances: Lemma 2.1 (χ(zykov(k)) = k), Lemma 2.2 (ω ≤ p), Lemma 2.4
 (each residue class is zero-sum free) and Claim 2.6 (no long path inside a
 class, then the product coloring). One public function per command returns
 its reports, every fail with its witness, and raises what it refuses.
+An order n outside 1..p-1 is refused by ``residue_partition`` alone;
+``verify all`` and ``sample_hereditary`` skip the coloring at n ≥ p instead.
 """
 
 from __future__ import annotations
@@ -84,19 +86,12 @@ def _color_reports(g: LabeledGraph, n: int, part, instance: str):
     return [verify_proper(coloring, instance=instance), palette_report], coloring
 
 
-def _verify_class_paths(pg: LabeledGraph, k: int, n: int, strict: bool) -> list[VerificationReport]:
+def _verify_class_paths(pg: LabeledGraph, k: int, n: int) -> list[VerificationReport]:
     """Per-class long-path checks plus the product coloring on the full power
     graph; a long path is converted to a clique and re-checked before report."""
-    p = pg.p
-    if n >= p:
-        msg = f"clique order n={n} is not below p={p}; the coloring bound does not apply"
-        if strict:
-            raise ValueError(msg)
-        print(f"note: {msg}; skipping class-path checks", file=sys.stderr)
-        return []
-    part = residue_partition(p, n)
+    part = residue_partition(pg.p, n)
     ep = edge_partition(pg, part)
-    inst = f"power(k={k}, p={p}, n={n})"
+    inst = f"power(k={k}, p={pg.p}, n={n})"
     reports = []
     any_long = False
     for i in range(len(ep.classes)):
@@ -114,9 +109,9 @@ def _verify_class_paths(pg: LabeledGraph, k: int, n: int, strict: bool) -> list[
 def verify(target: str, zg, pg, k: int, p: int, n: int | None, budget: Budget):
     """The reports of a verify target on zg = zykov(k) and pg = its power
     graph mod p (each None where the target reads none), and the clique order
-    n they used: as given, or ω of pg for claim26 and all. At n ≥ p claim26
-    refuses and all skips the class paths. The partition order is
-    min(n, p - 1) for all, and n or min(6, p - 1) for lemma24."""
+    n they used: as given, or ω of pg for claim26 and all. At n ≥ p,
+    residue_partition refuses claim26; all skips the class paths instead. The
+    partition order is min(n, p - 1) for all, and n or min(6, p - 1) for lemma24."""
     reports: list[VerificationReport] = []
     if target in ("lemma21", "all"):
         inst = f"zykov(k={k})"
@@ -137,7 +132,10 @@ def verify(target: str, zg, pg, k: int, p: int, n: int | None, budget: Budget):
             if isinstance(omega, BudgetExceeded):
                 raise omega
             n = omega
-        reports += _verify_class_paths(pg, k, n, strict=(target == "claim26"))
+        if target == "all" and n >= p:
+            print(f"note: clique order n={n} is not below p={p}; skipping class-path checks", file=sys.stderr)
+        else:
+            reports += _verify_class_paths(pg, k, n)
     if target in ("lemma24", "all"):
         order = min(n, p - 1) if target == "all" else (min(6, p - 1) if n is None else n)
         part = residue_partition(p, order)
@@ -147,12 +145,10 @@ def verify(target: str, zg, pg, k: int, p: int, n: int | None, budget: Budget):
 
 def color(g: LabeledGraph, n: int | None, instance: str, budget: Budget):
     """(n, reports, coloring) of the product coloring of g at clique order n:
-    n as given, or max(1, ω) of g; refuses an n that reaches g's modulus.
-    The coloring is None when g refutes n with a larger clique."""
+    n as given, or max(1, ω) of g; residue_partition refuses an n outside
+    1..p-1. The coloring is None when g refutes n with a larger clique."""
     if n is None:
         n = max(1, max_clique(g, budget)[0])
-    if n >= g.p:
-        raise ValueError(f"clique order n={n} must be below p={g.p}")
     reports, coloring = _color_reports(g, n, residue_partition(g.p, n), f"{instance} n={n}")
     return n, reports, coloring
 

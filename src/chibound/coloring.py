@@ -19,7 +19,7 @@ from operator import add
 from .errors import (
     CliqueTooLarge,
     InconsistentLabels,
-    OrderNotLess,
+    OrderTooLarge,
     PathTooLong,
     PrimeMismatch,
     UnlabeledEdge,
@@ -148,7 +148,8 @@ def path_clique(graph: OrientedGraph, path: list[int], n: int) -> list[int]:
 def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
     """Product coloring over per-class longest-path colorings.
 
-    ``n`` is the caller's clique number for g and must be below the modulus.
+    ``n`` is the caller's clique number for g; an n outside 1..p-1 of the
+    partition's modulus p raises OrderTooLarge, as residue_partition does.
     Each residue class is colored with bound n in one pass over the labeled
     edges; a directed path of length n inside any class certifies a clique of
     size n+1 in g, which is raised as CliqueTooLarge after the clique is
@@ -156,10 +157,8 @@ def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
     """
     g = as_labeled(g)
     graph = g.graph
-    if g.p is not None and n >= g.p:
-        raise OrderNotLess(n, g.p)
-    if n < 1:
-        raise ValueError(f"clique order must be positive, got {n}")
+    if not 1 <= n < part.p:
+        raise OrderTooLarge(n, part.p)
     edge_class = _edge_classes(g, part)
     phi = len(part.classes)
     try:

@@ -73,6 +73,9 @@ class DomainTooSmall(ValueError):
 
 
 class OrderTooLarge(ValueError):
+    """An order n outside 1..p-1, which has no residue partition: the one
+    order refusal, raised by residue_partition and bounded_color."""
+
     def __init__(self, n, p):
         super().__init__(f"order n={n} must satisfy 1 <= n <= p-1 for p={p}")
         self.n = n
@@ -117,13 +120,6 @@ class PathTooLong(GraphError):
         )
         self.path = list(path)
         self.bound = bound
-
-
-class OrderNotLess(ValueError):
-    def __init__(self, n, p):
-        super().__init__(f"clique order n={n} must be smaller than the modulus p={p}")
-        self.n = n
-        self.p = p
 
 
 class CliqueTooLarge(GraphError):

@@ -79,9 +79,6 @@ class ResiduePartition:
             raise ValueError(f"residue {residue} not in 1..{self.p - 1}")
         return idx
 
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "n": self.n, "classes": [list(c) for c in self.classes]}
-
 
 def residue_partition(p: int, n: int) -> ResiduePartition:
     """Partition {1..p-1} into the open-interval classes of the order-n sequence.

@@ -65,8 +65,8 @@ class VerificationReport:
     """One checked property on one instance.
 
     ``verdict`` is "pass", "fail", or "budget-exceeded"; a fail always carries
-    a re-checkable ``witness``. Wall time is kept out of the canonical JSON
-    form by default so report files are byte-identical across runs.
+    a re-checkable ``witness``. Wall time stays on the report for the stderr
+    lines, out of its JSON form, so report files are byte-identical across runs.
     """
 
     check: str
@@ -79,16 +79,13 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "check": self.check,
             "instance": self.instance,
             "verdict": self.verdict,
             "witness": self.witness,
         }
-        if include_timing:
-            out["wall_time_ms"] = self.wall_time_ms
-        return out
 
 
 def _describe(g: OrientedGraph) -> str:
@@ -772,50 +769,59 @@ def verify_partition_cover(part, instance: str | None = None) -> VerificationRep
     return timed_report("partition-cover", instance, "pass" if ok else "fail", None if ok else witness, started)
 
 
+def _widen(x: int, width: int) -> int:
+    """x | x << 1 | ... | x << (width - 1), by doubling."""
+    w = 1
+    while 2 * w <= width:
+        x |= x << w
+        w *= 2
+    return x | x << (width - w)
+
+
 def verify_partition_sums(part, instance: str | None = None) -> VerificationReport:
     """Pass iff no class of the partition has m <= n members (repeats allowed)
-    summing to 0 mod p. Layered DP over (summand count, residue); a reachable
-    zero is walked back into an explicit multiset witness."""
+    summing to 0 mod p. Layer m is a p-bit set, bit r set iff m members sum
+    to r mod p: the union, over each run of consecutive members, of layer
+    m - 1 rotated by the run's least member and widened across the run. A
+    zero in layer m is walked back into an explicit multiset witness: from
+    s = 0, each layer below gives its least r with (s - r) mod p a member."""
     started = time.perf_counter()
     p, n = part.p, part.n
     instance = instance or f"partition(p={p}, n={n})"
+    full = (1 << p) - 1
     for i, cls in enumerate(part.classes):
         if not cls:
             continue
-        layers: list[dict[int, tuple[int, int] | None]] = [{0: None}]
-        witness = None
-        for m in range(1, n + 1):
-            nxt: dict[int, tuple[int, int]] = {}
-            for r in sorted(layers[-1]):
-                for a in cls:
-                    s = (r + a) % p
-                    if s not in nxt:
-                        nxt[s] = (r, a)
-            layers.append(nxt)
-            if 0 in nxt:
-                multiset = []
-                cur, depth = 0, m
-                while depth > 0:
-                    prev_r, a = layers[depth][cur]
-                    multiset.append(a)
-                    cur, depth = prev_r, depth - 1
-                witness = sorted(multiset)
+        runs: list[list[int]] = []
+        for a in sorted({a % p for a in cls}):
+            if runs and runs[-1][1] == a - 1:
+                runs[-1][1] = a
+            else:
+                runs.append([a, a])
+        layers = [1]
+        for _ in range(n):
+            layer = 0
+            for a, b in runs:
+                layer |= _widen(layers[-1] << a, b - a + 1)
+            layers.append((layer & full) | layer >> p)
+            if layers[-1] & 1:
                 break
-        if witness is not None:
-            ok = (
-                0 < len(witness) <= n
-                and all(a in cls for a in witness)
-                and sum(witness) % p == 0
-            )
-            if not ok:
-                raise AssertionError("zero-sum witness failed re-check")
-            return timed_report(
-                "partition-sums",
-                instance,
-                "fail",
-                {"class_index": i + 1, "multiset": witness},
-                started,
-            )
+        else:
+            continue
+        witness, s = [], 0
+        for below in reversed(layers[:-1]):
+            mask = 0
+            for a, b in runs:
+                mask |= ((1 << (b - a + 1)) - 1) << ((s - b) % p)
+            below &= (mask & full) | mask >> p
+            r = (below & -below).bit_length() - 1
+            # the first member of residue s - r: a hand-built class may hold 0 or p + 1
+            witness.append(next(a for a in cls if (a - s + r) % p == 0))
+            s = r
+        witness.sort()
+        if not (0 < len(witness) <= n and all(a in cls for a in witness) and sum(witness) % p == 0):
+            raise AssertionError("zero-sum witness failed re-check")
+        return timed_report("partition-sums", instance, "fail", {"class_index": i + 1, "multiset": witness}, started)
     return timed_report("partition-sums", instance, "pass", None, started)
 
 

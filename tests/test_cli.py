@@ -252,6 +252,32 @@ def test_verify_lemma24_refuses_an_order_at_or_above_the_modulus(capsys):
     assert all("n=6" in r["instance"] for r in doc["reports"])
 
 
+# each command that meets an order n outside 1..p-1, with that n and p
+_ORDER_REFUSALS = [
+    (["verify", "claim26", "--k", "3", "--p", "3"], 3, 3),
+    (["verify", "claim26", "--k", "4", "--p", "5", "--n", "5"], 5, 5),
+    (["color", "--k", "3", "--p", "3"], 3, 3),
+    (["color", "FILE", "--n", "5"], 5, 5),
+    (["verify", "lemma24", "--p", "7", "--n", "9"], 9, 7),
+]
+
+
+@pytest.mark.parametrize("argv, n, p", _ORDER_REFUSALS, ids=[" ".join(a) for a, _, _ in _ORDER_REFUSALS])
+def test_every_order_refusal_prints_one_message(tmp_path, capsys, argv, n, p):
+    path = tmp_path / "g.edges"
+    path.write_text("# p: 5\nn 3 1\n0 1 1\n")
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == OPERATIONAL and out == ""
+    assert err == f"error: order n={n} must satisfy 1 <= n <= p-1 for p={p}\n"
+
+
+def test_verify_lemma24_ends_in_bounded_time_near_the_size_cap(capsys):
+    started = time.process_time()
+    code, doc, _ = run_json(capsys, "verify", "lemma24", "--p", "999983", "--n", "6")
+    assert code == PASS and [r["verdict"] for r in doc["reports"]] == ["pass", "pass"]
+    assert time.process_time() - started < 5
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [
@@ -291,7 +317,7 @@ def test_verify_claim26_understated_clique_yields_witness(capsys):
 def test_verify_claim26_clique_at_modulus_is_operational(capsys):
     code, _, err = run(capsys, "verify", "claim26", "--k", "3", "--p", "3")
     assert code == OPERATIONAL
-    assert "not below p" in err
+    assert "must satisfy 1 <= n <= p-1" in err
 
 
 def test_verify_all_skips_inapplicable_coloring(capsys):
@@ -449,7 +475,7 @@ def test_color_operational_errors(tmp_path, capsys):
     assert code == OPERATIONAL and "--k" in err
 
     code, _, err = run(capsys, "color", "--k", "3", "--p", "3")
-    assert code == OPERATIONAL and "must be below" in err
+    assert code == OPERATIONAL and "must satisfy 1 <= n <= p-1" in err
 
 
 @pytest.mark.parametrize("header", ["", "# p: 5\n"], ids=["no-header", "header-p5"])

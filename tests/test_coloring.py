@@ -6,7 +6,7 @@ from chibound import (
     CliqueTooLarge,
     CycleFound,
     LabeledGraph,
-    OrderNotLess,
+    OrderTooLarge,
     OrientedGraph,
     PathTooLong,
     PrimeMismatch,
@@ -116,9 +116,9 @@ def test_bounded_color_single_edge():
 
 def test_bounded_color_requires_order_below_modulus():
     g = labeled(2, [((0, 1), 1)], 5)
-    with pytest.raises(OrderNotLess):
+    with pytest.raises(OrderTooLarge):
         bounded_color(g, 5, residue_partition(5, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(OrderTooLarge):
         bounded_color(g, 0, residue_partition(5, 1))
 
 

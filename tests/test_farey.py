@@ -147,11 +147,3 @@ def test_class_of_lookup():
         part.class_of(0)
     with pytest.raises(ValueError):
         part.class_of(7)
-
-
-def test_partition_json_shape():
-    assert residue_partition(5, 2).to_json_dict() == {
-        "p": 5,
-        "n": 2,
-        "classes": [[1, 2], [3, 4]],
-    }

@@ -92,3 +92,19 @@ def test_cli_looks_up_no_option_by_name():
         and node.args[0].id == "args"
     ]
     assert calls == []
+
+
+def test_every_error_type_is_raised():
+    # each exception class in errors.py is raised somewhere in the package,
+    # or is the base of one that is; a dead error type fails here
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    types = [t for t in vars(chibound.errors).values() if isinstance(t, type) and t.__module__ == "chibound.errors"]
+    assert types
+    dead = [t.__name__ for t in types if not any(issubclass(r, t) for r in types if r.__name__ in raised)]
+    assert dead == []
