@@ -32,10 +32,7 @@ from .errors import (
     UnlabeledEdge,
 )
 from .farey import (
-    FareySequence,
     ResiduePartition,
-    farey_sequence,
-    phi_count,
     residue_partition,
 )
 from .formats import (
@@ -71,7 +68,7 @@ from .power import (
     sieve_primes,
     tabulate_f,
 )
-from .zykov import build_zykov, predict_size
+from .zykov import build_zykov, predict_size, zykov_closure
 
 __all__ = [
     "Budget",
@@ -81,7 +78,6 @@ __all__ = [
     "Coloring",
     "CycleFound",
     "DomainTooSmall",
-    "FareySequence",
     "GraphError",
     "InconsistentLabels",
     "LabeledGraph",
@@ -105,13 +101,11 @@ __all__ = [
     "distance_table",
     "edge_partition",
     "exact_chromatic_number",
-    "farey_sequence",
     "graph_json_dict",
     "induced_subgraph",
     "is_prime",
     "longest_path_coloring",
     "max_clique",
-    "phi_count",
     "predict_size",
     "read_edgelist",
     "residue_partition",
@@ -125,4 +119,5 @@ __all__ = [
     "verify_unique_paths",
     "write_dimacs",
     "write_edgelist",
+    "zykov_closure",
 ]

@@ -23,12 +23,12 @@ import math
 import sys
 
 from . import claims
-from .errors import GraphError, NotPrime, SizeBudgetExceeded
+from .errors import GraphError, NotPrime, OrderTooLarge, SizeBudgetExceeded
 from .formats import canonical_json, graph_json_dict, read_edgelist, write_dimacs, write_edgelist
 from .graphs import LabeledGraph
 from .oracles import Budget, VerificationReport
 from .power import BUILTIN_F, build_power_graph, class_parameters, is_prime, tabulate_f
-from .zykov import DEFAULT_SIZE_CAP, build_zykov, capped_size, provenance_json_dict
+from .zykov import DEFAULT_SIZE_CAP, build_zykov, capped_size, provenance_json_dict, zykov_closure
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -146,6 +146,11 @@ def _capped_span(top: int, size_cap: int, unit: str = "residues") -> int:
     return top
 
 
+def _tower_power(k: int, p: int, size_cap: int) -> LabeledGraph:
+    """power(k, p) on the closure composed from the layout, not merged by ``distance_table``."""
+    return build_power_graph(None, p, zykov_closure(k, size_cap))
+
+
 # ----------------------------------------------------------------- construct
 
 
@@ -192,8 +197,7 @@ def cmd_construct(args, variant) -> int:
         pv, pe = capped_size(k, args.size_cap)
         config = _make_config(args, variant, k=k, p=p)
         print(f"predicted base size: {pv} vertices, {pe} edges", file=sys.stderr)
-        zg = build_zykov(k, size_cap=args.size_cap)
-        pg = build_power_graph(zg, p)
+        pg = _tower_power(k, p, args.size_cap)
         graph, labels = pg.graph, pg.labels
         extra = {}
         if params_json is not None:
@@ -227,11 +231,11 @@ def cmd_verify(args, variant) -> int:
     budget = _budget(args)
     if args.p is not None:
         _capped_span(args.p, args.size_cap)
-    if args.n is not None and args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.n is not None and args.n < 1:  # every variant that reads --n requires --p
+        raise OrderTooLarge(args.n, args.p)
     # each instance is built, and its clique searched, at most once per run
-    zg = build_zykov(args.k, size_cap=args.size_cap) if args.kind != "lemma24" else None
-    pg = build_power_graph(zg, args.p) if args.kind in ("lemma22", "claim26", "all") else None
+    zg = build_zykov(args.k, size_cap=args.size_cap) if args.kind in ("lemma21", "all") else None
+    pg = _tower_power(args.k, args.p, args.size_cap) if args.kind in ("lemma22", "claim26", "all") else None
     reports, n = claims.verify(args.kind, zg, pg, args.k, args.p, args.n, budget)
     return _emit_reports(reports, _make_config(args, variant, n=n), args.out)
 
@@ -263,8 +267,7 @@ def _load_labeled_input(args):
             raise ValueError("input graph has unlabeled edges; coloring needs residue labels")
         return LabeledGraph(graph, labels or (), p), f"file({args.input})", raw
     _capped_span(args.p, args.size_cap)
-    zg = build_zykov(args.k, size_cap=args.size_cap)
-    return build_power_graph(zg, args.p), f"power(k={args.k}, p={args.p})", None
+    return _tower_power(args.k, args.p, args.size_cap), f"power(k={args.k}, p={args.p})", None
 
 
 def cmd_color(args, variant) -> int:

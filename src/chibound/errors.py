@@ -74,7 +74,7 @@ class DomainTooSmall(ValueError):
 
 class OrderTooLarge(ValueError):
     """An order n outside 1..p-1, which has no residue partition: the one
-    order refusal, raised by residue_partition and bounded_color."""
+    order refusal, of residue_partition, bounded_color and ``verify --n``."""
 
     def __init__(self, n, p):
         super().__init__(f"order n={n} must satisfy 1 <= n <= p-1 for p={p}")

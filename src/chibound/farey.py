@@ -1,56 +1,16 @@
-"""Farey sequences and the modular residue partition they induce.
+"""The modular residue partition that a Farey sequence induces.
 
-Everything here is exact: ``farey_sequence`` lists its terms as stdlib
-``Fraction``s, and ``residue_partition`` walks the same terms with the
-next-term recurrence in integer arithmetic. Interval membership at the
+``residue_partition`` walks the terms of the order-n sequence with the
+next-term recurrence in integer arithmetic, so interval membership at the
 boundaries never goes through floating point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import NotPrime, OrderTooLarge
 from .power import is_prime
-
-
-@dataclass(frozen=True, eq=False)
-class FareySequence:
-    """All reduced fractions in [0, 1] with denominator <= n, ascending."""
-
-    n: int
-    entries: tuple[Fraction, ...]
-
-    @property
-    def phi(self) -> int:
-        """Number of entries excluding 0."""
-        return len(self.entries) - 1
-
-
-def farey_sequence(n: int) -> FareySequence:
-    """Enumerate the order-n sequence by generating all reduced s/m and sorting."""
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    entries = {Fraction(s, m) for m in range(1, n + 1) for s in range(0, m + 1)}
-    return FareySequence(n, tuple(sorted(entries)))
-
-
-def phi_count(n: int) -> int:
-    """Count the fractions of order n other than 0, by direct coprimality count.
-
-    Kept independent of any totient sieve so the totient-sum identity stays a
-    two-route check.
-    """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    return sum(
-        1
-        for m in range(1, n + 1)
-        for s in range(1, m + 1)
-        if math.gcd(s, m) == 1
-    )
 
 
 @dataclass(frozen=True, eq=False)

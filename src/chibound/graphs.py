@@ -208,7 +208,8 @@ def distance_table(g) -> LabeledGraph:
     """The reachability closure of g, labeled with path lengths: an edge
     u -> v labeled d for every v != u that u reaches, d the length of the one
     u -> v path, and ``p`` None. Raises CycleFound on a cycle and
-    MultiplePaths on a pair reached through two paths.
+    MultiplePaths on a pair reached through two paths. It serves any base;
+    ``zykov.zykov_closure`` composes a tower's from its layout instead.
 
     The merge over out-neighbors rejects any pair reachable through two
     different branches, which is exactly the 0/1/>=2 path-count distinction

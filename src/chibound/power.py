@@ -4,10 +4,11 @@ Given a base graph in which every reachable pair is joined by a unique
 directed path, the power graph for a prime p keeps the same vertices and
 joins every comparable pair whose path length is nonzero mod p, oriented
 low-to-high in the reachability order and labeled with the residue: it is
-the base's reachability closure (``graphs.distance_table``) less the pairs
-whose length p divides, with each length taken mod p. Residues are stored
-per edge at build time because induced subgraphs cannot recompute them from
-their own edges alone.
+the base's reachability closure less the pairs whose length p divides, with
+each length taken mod p. The CLI builds every power graph on the closure
+``zykov.zykov_closure`` composes; ``graphs.distance_table`` merges any other
+base's. Residues are stored per edge at build time because induced subgraphs
+cannot recompute them from their own edges alone.
 """
 
 from __future__ import annotations
@@ -66,13 +67,13 @@ def build_power_graph(base, p: int, distances: LabeledGraph | None = None) -> La
     Edges are exactly the pairs (u, v) with u below v in the base reachability
     order and path length d(u, v) not divisible by p; the label is d mod p.
     The base is a subgraph: its edges all carry label 1. ``distances`` is the
-    base's closure from ``distance_table``, computed here when not given.
-    When every distance is below p, the power graph is the closure itself and
-    shares its graph and labels; otherwise the pairs with d % p == 0 are
-    filtered out of a copy.
+    base's closure (``zykov_closure(k)`` for zykov(k)); only when it is not
+    given is ``base`` read, and ``distance_table(base)`` merges it. When every
+    distance is below p, the power graph is the closure itself and shares its
+    graph and labels; otherwise the pairs with d % p == 0 are filtered out.
 
-    Propagates CycleFound/MultiplePaths from the distance computation when the
-    base breaks the unique-path contract.
+    Propagates CycleFound/MultiplePaths from ``distance_table`` when the base
+    breaks the unique-path contract.
     """
     if not is_prime(p):
         raise NotPrime(p)

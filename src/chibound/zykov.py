@@ -21,7 +21,7 @@ creation level, top-level copy and transversal from k alone, for output.
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain, count, product, repeat
 from typing import Iterator
 
 from .errors import SizeBudgetExceeded
@@ -93,12 +93,45 @@ def _compose(levels: list[OrientedGraph]) -> OrientedGraph:
         heads += map(r.start.__add__, g.heads)
 
     apex = total
-    for transversal in itertools.product(*ranges):
-        tails += itertools.repeat(apex, len(transversal))
+    for transversal in product(*ranges):
+        tails += repeat(apex, len(transversal))
         heads += transversal
         apex += 1
 
     return OrientedGraph._canonical(apex, tails, heads)
+
+
+def zykov_closure(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> LabeledGraph:
+    """``distance_table(build_zykov(k))``, composed from the layout with no
+    merge and no sort. An apex's chosen vertices lie in distinct copies with
+    disjoint closures, so its row is, copy by copy in layout order, the chosen
+    vertex's row shifted by the copy's offset with each length + 1, then the
+    chosen vertex at length 1; a copy's rows are its level's rows, shifted.
+    Every row comes out sorted. The layout is trusted as ``_compose`` trusts
+    it; ``verify_unique_paths`` certifies the tower on its own."""
+    n, _ = capped_size(k, size_cap)
+    flat = chain.from_iterable
+    # (heads, lengths) of each row of the levels below; level 1 is the apex of no copies
+    levels: list[tuple[list, list]] = []
+    while True:
+        heads, lengths, via_heads, via_lengths = [], [], [], []
+        for level_heads, level_lengths in levels:
+            offset = len(heads)
+            shifted = [tuple(map(offset.__add__, row)) for row in level_heads]
+            heads += shifted
+            lengths += level_lengths
+            via_heads.append([row + (v,) for v, row in enumerate(shifted, offset)])
+            via_lengths.append([(*map((1).__add__, row), 1) for row in level_lengths])
+        if len(levels) == k - 1:
+            break
+        heads += map(tuple, map(flat, product(*via_heads)))
+        lengths += map(tuple, map(flat, product(*via_lengths)))
+        levels.append((heads, lengths))
+    # level k's apex rows go straight into the columns, with no tuple per row
+    apex_sizes = map(sum, product(*[list(map(len, rows)) for rows in via_heads]))
+    tails = chain(flat(map(repeat, count(), map(len, heads))), flat(map(repeat, count(len(heads)), apex_sizes)))
+    graph = OrientedGraph._canonical(n, tails, chain(flat(heads), flat(flat(product(*via_heads)))))
+    return LabeledGraph(graph, tuple(chain(flat(lengths), flat(flat(product(*via_lengths))))))
 
 
 def provenance_json_dict(k: int) -> dict:

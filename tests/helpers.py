@@ -1,9 +1,13 @@
-"""Shared generators for seeded random instances, and a comparable outcome
-of an edge-list reader. Kept separate from the package so test inputs never
-depend on the code under test beyond the graph constructor."""
+"""Shared generators for seeded random instances, a comparable outcome of an
+edge-list reader, and the Farey sequence and Φ count by brute force. Kept
+separate from the package so test inputs and references never depend on the
+code under test beyond the graph constructor."""
 
 import heapq
+import math
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 
 from chibound import GraphError, OrientedGraph
 
@@ -62,3 +66,37 @@ def read_outcome(read, text, size_cap=None):
     except (ValueError, GraphError) as exc:
         return type(exc), str(exc)
     return g.n, g.tails, g.heads, labels, metadata
+
+
+@dataclass(frozen=True, eq=False)
+class FareySequence:
+    """All reduced fractions in [0, 1] with denominator <= n, ascending."""
+
+    n: int
+    entries: tuple[Fraction, ...]
+
+    @property
+    def phi(self) -> int:
+        """Number of entries excluding 0."""
+        return len(self.entries) - 1
+
+
+def farey_sequence(n: int) -> FareySequence:
+    """Enumerate the order-n sequence by generating all reduced s/m and
+    sorting: the reference that residue_partition's recurrence walk is
+    compared against."""
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    entries = {Fraction(s, m) for m in range(1, n + 1) for s in range(0, m + 1)}
+    return FareySequence(n, tuple(sorted(entries)))
+
+
+def phi_count(n: int) -> int:
+    """Count the fractions of order n other than 0, by direct coprimality count.
+
+    Kept independent of any totient sieve so the totient-sum identity stays a
+    two-route check.
+    """
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    return sum(1 for m in range(1, n + 1) for s in range(1, m + 1) if math.gcd(s, m) == 1)

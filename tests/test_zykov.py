@@ -8,9 +8,12 @@ import pytest
 from chibound import (
     LabeledGraph,
     SizeBudgetExceeded,
+    build_power_graph,
     build_zykov,
+    distance_table,
     induced_subgraph,
     predict_size,
+    zykov_closure,
 )
 from chibound.zykov import provenance_json_dict
 
@@ -160,3 +163,22 @@ def test_provenance_json_shape():
     # the single vertex of level 1 is the base vertex, created by no transversal
     assert provenance_json_dict(1) == {"k": 1, "vertices": [{"level": 1, "copy": None, "transversal": None}]}
 
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_composed_closure_equals_the_generic_merge(k):
+    # zykov_closure composes from the layout the closure that distance_table
+    # merges, and the power graphs built on the two are the same
+    zg = build_zykov(k)
+    merged, composed = distance_table(zg), zykov_closure(k)
+    assert (composed.graph, composed.labels, composed.p, composed.vertices) == (merged.graph, merged.labels, None, None)
+    for p in (2, 3, 5, 7):
+        a, b = build_power_graph(zg, p, merged), build_power_graph(zg, p, composed)
+        assert (a.graph, a.labels, a.p) == (b.graph, b.labels, b.p)
+
+
+def test_composed_closure_keeps_the_size_cap():
+    with pytest.raises(SizeBudgetExceeded, match=r"^predicted size 18 vertices exceeds cap 10$"):
+        zykov_closure(4, size_cap=10)
+    with pytest.raises(SizeBudgetExceeded):
+        zykov_closure(7)
