@@ -60,20 +60,12 @@ from .oracles import (
     verify_triangle_free,
     verify_unique_paths,
 )
-from .power import (
-    ClassParameters,
-    build_power_graph,
-    class_parameters,
-    is_prime,
-    sieve_primes,
-    tabulate_f,
-)
+from .power import build_power_graph, is_prime
 from .zykov import build_zykov, predict_size, zykov_closure
 
 __all__ = [
     "Budget",
     "BudgetExceeded",
-    "ClassParameters",
     "CliqueTooLarge",
     "Coloring",
     "CycleFound",
@@ -97,7 +89,6 @@ __all__ = [
     "build_power_graph",
     "build_zykov",
     "canonical_json",
-    "class_parameters",
     "distance_table",
     "edge_partition",
     "exact_chromatic_number",
@@ -109,8 +100,6 @@ __all__ = [
     "predict_size",
     "read_edgelist",
     "residue_partition",
-    "sieve_primes",
-    "tabulate_f",
     "topological_order",
     "verify_no_long_path",
     "verify_partition_sums",

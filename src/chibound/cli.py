@@ -21,13 +21,14 @@ import hashlib
 import json
 import math
 import sys
+from typing import Callable
 
 from . import claims
-from .errors import GraphError, NotPrime, OrderTooLarge, SizeBudgetExceeded
+from .errors import DomainTooSmall, GraphError, NotPrime, OrderTooLarge, SizeBudgetExceeded
 from .formats import canonical_json, graph_json_dict, read_edgelist, write_dimacs, write_edgelist
 from .graphs import LabeledGraph
 from .oracles import Budget, VerificationReport
-from .power import BUILTIN_F, build_power_graph, class_parameters, is_prime, tabulate_f
+from .power import BUILTIN_F, build_power_graph, growth_witness, is_prime
 from .zykov import DEFAULT_SIZE_CAP, build_zykov, capped_size, provenance_json_dict, zykov_closure
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -139,8 +140,8 @@ def _emit_reports(reports: list[VerificationReport], config: dict, out: str | No
 def _capped_span(top: int, size_cap: int, unit: str = "residues") -> int:
     """``top`` as given, refused with SizeBudgetExceeded when it spans more
     than ``size_cap`` values: a modulus p has p - 1 residues, and a growth
-    domain 2..n has n - 1 orders. This runs before is_prime or tabulate_f,
-    whose cost grows with ``top``."""
+    domain 2..n has n - 1 orders. This runs before is_prime or a growth
+    table's check of 2..n, whose cost grows with ``top``."""
     if top - 1 > size_cap:
         raise SizeBudgetExceeded(top - 1, size_cap, unit=unit)
     return top
@@ -154,31 +155,38 @@ def _tower_power(k: int, p: int, size_cap: int) -> LabeledGraph:
 # ----------------------------------------------------------------- construct
 
 
-def _load_f_table(source: str, n_max: int) -> dict[int, int]:
+def _load_f(source: str, n_max: int) -> Callable[[int], int]:
+    """The growth target --f names: a built-in, or the lookup of a JSON table
+    {order: value}, refused when it leaves an order in 2..n_max undefined."""
     if source in BUILTIN_F:
-        return tabulate_f(source, n_max)
+        return BUILTIN_F[source]
     with open(source) as fh:
         raw = json.load(fh)
     bad = ValueError(f"growth table {source} is not a JSON object of integers {{order: value}}")
     if not isinstance(raw, dict) or not all(type(v) is int for v in raw.values()):
         raise bad
     try:
-        return {int(k): v for k, v in raw.items()}
+        table = {int(k): v for k, v in raw.items()}
     except ValueError:
         raise bad from None
+    for m in range(2, n_max + 1):
+        if m not in table:
+            raise DomainTooSmall(f"f is not defined at {m}")
+    return table.__getitem__
 
 
 def _resolve_power_params(args):
-    """(k, p, params-json-or-None): explicit --k/--p, or derived from --f/--n
-    by taking p as the largest prime at or below n and k as the growth target
-    g(p), which makes the built power graph the witness for target n."""
-    if args.f is not None:
-        table = _load_f_table(args.f, _capped_span(args.n, args.size_cap, "orders"))
-        params = class_parameters(table, args.n)
-        p = params.witness_for(args.n)
-        k = params.g[p]
-        return k, p, params.to_json_dict()
-    return args.k, _capped_span(args.p, args.size_cap), None
+    """(k, p, class-parameters-json-or-None): explicit --k/--p, or derived
+    from --f/--n by taking p as the largest prime at or below n and k as the
+    growth target g(p), the maximum of f over p..n, which makes the built
+    power graph the witness for target n. f is read on p..n only."""
+    if args.f is None:
+        return args.k, _capped_span(args.p, args.size_cap), None
+    n = args.n
+    f = _load_f(args.f, _capped_span(n, args.size_cap, "orders"))
+    p, q, k = growth_witness(f, n)
+    window = {str(m): f(m) for m in range(p, n + 1)}
+    return k, p, {"n_max": n, "f_table": window, "primes": [p, q], "g": {str(p): k}}
 
 
 def cmd_construct(args, variant) -> int:

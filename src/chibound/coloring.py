@@ -52,7 +52,8 @@ def _edge_classes(g: LabeledGraph, part: ResiduePartition) -> list[int]:
         raise PrimeMismatch(part.p, g.p)
     if labels is None and graph.m > 0:
         raise UnlabeledEdge((graph.tails[0], graph.heads[0]))
-    classes = list(map(part.class_index.get, labels or ()))
+    index = {a: i for i, cls in enumerate(part.classes) for a in cls}
+    classes = list(map(index.get, labels or ()))
     if None in classes:
         j = classes.index(None)
         raise UnlabeledEdge((graph.tails[j], graph.heads[j]), label=labels[j])

@@ -69,7 +69,7 @@ class NotPrime(ValueError):
 
 
 class DomainTooSmall(ValueError):
-    """A growth domain below 2, with no prime at or below the target, or missing a value of f."""
+    """A growth domain below 2, or a growth table missing a value of f."""
 
 
 class OrderTooLarge(ValueError):

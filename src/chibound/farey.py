@@ -7,7 +7,7 @@ boundaries never goes through floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotPrime, OrderTooLarge
 from .power import is_prime
@@ -25,19 +25,6 @@ class ResiduePartition:
     p: int
     n: int
     classes: tuple[tuple[int, ...], ...]
-    class_index: dict[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # residue -> 0-based class index, built once with the partition
-        index = {a: i for i, cls in enumerate(self.classes) for a in cls}
-        object.__setattr__(self, "class_index", index)
-
-    def class_of(self, residue: int) -> int:
-        """0-based class index of a residue in {1..p-1}."""
-        idx = self.class_index.get(residue)
-        if idx is None:
-            raise ValueError(f"residue {residue} not in 1..{self.p - 1}")
-        return idx
 
 
 def residue_partition(p: int, n: int) -> ResiduePartition:

@@ -27,14 +27,12 @@ from chibound import (
     bounded_color,
     build_power_graph,
     build_zykov,
-    class_parameters,
     edge_partition,
     exact_chromatic_number,
     induced_subgraph,
     longest_path_coloring,
     max_clique,
     residue_partition,
-    tabulate_f,
     verify_no_long_path,
     verify_partition_sums,
     verify_proper,
@@ -42,6 +40,7 @@ from chibound import (
     verify_unique_paths,
 )
 from chibound.cli import main
+from chibound.power import BUILTIN_F, growth_witness
 from helpers import farey_sequence, phi_count, random_dag, random_oriented_graph
 
 EXPECTED_SIZES = {1: (1, 0), 2: (2, 1), 3: (5, 5), 4: (18, 36), 5: (206, 762)}
@@ -77,11 +76,9 @@ def test_criterion_2_power_graph_clique_bound():
 
 
 def test_criterion_3_growth_witness_at_order_two():
-    table = tabulate_f("2^n", 2)
-    params = class_parameters(table, 2)
-    assert params.g[2] == 4 == table[2]
-    assert params.witness_for(2) == 2
-    pg = build_power_graph(build_zykov(params.g[2]), 2)
+    p, q, k = growth_witness(BUILTIN_F["2^n"], 2)
+    assert (p, q, k) == (2, 3, 4)
+    pg = build_power_graph(build_zykov(k), p)
     assert max_clique(pg)[0] == 2
     assert exact_chromatic_number(pg) >= 4
 

@@ -12,6 +12,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +24,7 @@ import chibound.power
 from chibound import Budget, build_power_graph, build_zykov, read_edgelist, write_edgelist
 from chibound.cli import main
 from chibound.formats import _read_lines
+from chibound.power import BUILTIN_F
 from helpers import read_outcome
 
 PASS, FAIL, OPERATIONAL = 0, 1, 2
@@ -104,6 +106,41 @@ def test_construct_refuses_a_growth_table_that_is_not_an_object_of_integers(tmp_
     code, out, err = run(capsys, "construct", "power", "--f", str(table), "--n", "3")
     assert code == OPERATIONAL and out == ""
     assert err == f"error: growth table {table} is not a JSON object of integers {{order: value}}\n"
+
+
+def test_construct_power_reads_a_growth_table_on_the_witness_interval_only(tmp_path, capsys):
+    # p = 7 and k = max f over 7..10 = 4; the 9s below 7 would ask for a
+    # level above the size cap, and the block lists only the interval
+    table = tmp_path / "f.json"
+    table.write_text(json.dumps({"2": 9, "3": 9, "4": 9, "5": 9, "6": 9, "7": 2, "8": 4, "9": 3, "10": 1, "11": 9}))
+    code, doc, _ = run_json(capsys, "construct", "power", "--f", str(table), "--n", "10", "--format", "json")
+    assert code == PASS
+    assert (doc["config"]["parameters"]["p"], doc["config"]["parameters"]["k"]) == (7, 4)
+    assert doc["class_parameters"] == {
+        "n_max": 10,
+        "f_table": {"7": 2, "8": 4, "9": 3, "10": 1},
+        "primes": [7, 11],
+        "g": {"7": 4},
+    }
+
+
+@pytest.mark.parametrize(
+    "text, n, message",
+    [
+        ('{"2": 4, "4": 16}', "4", "f is not defined at 3"),
+        ('{"2": 4, "4": 16}', "1", "need n_max >= 2, got 1"),
+        ('{"3": 4}', "3", "f is not defined at 2"),
+        ("[2]", "1", None),
+    ],
+)
+def test_construct_refuses_a_growth_table_with_a_hole_or_a_domain_below_two(tmp_path, capsys, text, n, message):
+    table = tmp_path / "f.json"
+    table.write_text(text)
+    code, out, err = run(capsys, "construct", "power", "--f", str(table), "--n", n)
+    if message is None:  # the table's shape is refused before the order
+        message = f"growth table {table} is not a JSON object of integers {{order: value}}"
+    assert code == OPERATIONAL and out == ""
+    assert err == f"error: {message}\n"
 
 
 # sha256 of the stdout of `construct zykov --k K --format json`, K = 1..5, and of
@@ -196,18 +233,28 @@ def test_construct_refuses_a_huge_tower_before_printing_its_size(capsys):
     # --f n^2 --n 4 asks for level g(3) = 16, whose vertex count has 4,681
     # digits, and --n 6 for level g(5) = 36; each is refused at level 7, the
     # first above the cap, without computing its own size. --f 2^n --n 20000
-    # asks for level 2^20000, a number too long for a JSON config
+    # asks for level 2^20000, a number too long for a JSON config. At
+    # --n 1000000, f is read on 999983..1000000 alone, never on the whole
+    # domain, whose table of 2^n would take about 60 GB
     started = time.perf_counter()
-    for argv in (
-        ("power", "--f", "n^2", "--n", "4"),
-        ("power", "--f", "n^2", "--n", "6"),
-        ("power", "--f", "2^n", "--n", "20000"),
-        ("zykov", "--k", "16"),
-    ):
-        code, out, err = run(capsys, "construct", *argv)
-        assert code == OPERATIONAL and out == ""
-        assert err == "error: predicted size at least 1383566504 vertices exceeds cap 1000000\n"
+    tracemalloc.start()
+    try:
+        for argv in (
+            ("power", "--f", "n^2", "--n", "4"),
+            ("power", "--f", "n^2", "--n", "6"),
+            ("power", "--f", "2^n", "--n", "20000"),
+            ("power", "--f", "2^n", "--n", "1000000"),
+            ("power", "--f", "n^2", "--n", "1000000"),
+            ("zykov", "--k", "16"),
+        ):
+            code, out, err = run(capsys, "construct", *argv)
+            assert code == OPERATIONAL and out == ""
+            assert err == "error: predicted size at least 1383566504 vertices exceeds cap 1000000\n"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert time.perf_counter() - started < 5
+    assert peak < 32 * 2**20
 
 
 # -------------------------------------------------------------------- verify
@@ -892,9 +939,13 @@ def _fuzz_table(draw):
 
 @settings(max_examples=100)
 @example(case=('{"2": 1e400}', 2))
-@given(case=_fuzz_table())
+@example(case=("2^n", 10**6))
+@given(case=st.one_of(_fuzz_table(), st.tuples(st.sampled_from(sorted(BUILTIN_F)), st.integers(-1, 2 * 10**6))))
 def test_fuzzed_growth_tables_end_in_exit_0_1_or_2(tmp_path_factory, case):
+    # a table file, or a built-in at any order up to twice the size cap
     table, n = case
     tmp = tmp_path_factory.mktemp("fuzz")
-    (tmp / "f.json").write_text(table)
-    _contained_run(["construct", "power", "--f", str(tmp / "f.json"), "--n", str(n)], tmp / "g.edges")
+    if table not in BUILTIN_F:
+        (tmp / "f.json").write_text(table)
+        table = str(tmp / "f.json")
+    _contained_run(["construct", "power", "--f", table, "--n", str(n)], tmp / "g.edges")

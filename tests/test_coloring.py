@@ -138,7 +138,7 @@ def test_bounded_color_full_power_graph():
             assert code % n == c
             code //= n
     for (u, v), r in zip(pg.graph.edges, pg.labels):
-        i = part.class_of(r)
+        i = next(j for j, cls in enumerate(part.classes) if r in cls)
         assert col.tuples[u][i] != col.tuples[v][i]
 
 

@@ -12,8 +12,8 @@ from hypothesis import given, strategies as st
 from chibound import (
     NotPrime,
     OrderTooLarge,
+    is_prime,
     residue_partition,
-    sieve_primes,
 )
 from helpers import farey_sequence, phi_count
 
@@ -93,7 +93,7 @@ def test_partition_validation():
         residue_partition(5, 0)
 
 
-@pytest.mark.parametrize("p", sieve_primes(31))
+@pytest.mark.parametrize("p", [p for p in range(32) if is_prime(p)])
 def test_partition_covers_residues_exactly_once(p):
     for n in range(1, min(7, p)):
         part = residue_partition(p, n)
@@ -103,7 +103,7 @@ def test_partition_covers_residues_exactly_once(p):
         assert len(part.classes) == phi_count(n)
 
 
-@pytest.mark.parametrize("p", sieve_primes(31))
+@pytest.mark.parametrize("p", [p for p in range(32) if is_prime(p)])
 def test_classes_fit_between_consecutive_fraction_multiples(p):
     for n in range(1, min(7, p)):
         entries = farey_sequence(n).entries
@@ -113,7 +113,7 @@ def test_classes_fit_between_consecutive_fraction_multiples(p):
                 assert p * lo < a < p * hi  # exact Fraction comparisons
 
 
-@pytest.mark.parametrize("p", sieve_primes(31))
+@pytest.mark.parametrize("p", [p for p in range(32) if is_prime(p)])
 def test_scaled_classes_avoid_multiples_of_p(p):
     # for every class and every m <= n, m*A_i sits strictly inside one window
     # (p*(s-1), p*s); that is the mechanism behind zero-sum freeness
@@ -128,7 +128,7 @@ def test_scaled_classes_avoid_multiples_of_p(p):
                 assert all((m * a) % p != 0 for a in cls)
 
 
-@pytest.mark.parametrize("p", sieve_primes(31))
+@pytest.mark.parametrize("p", [p for p in range(32) if is_prime(p)])
 def test_integer_partition_matches_the_fraction_sequence_at_every_order(p):
     # every order the partition accepts, against classes computed here
     # from the Fraction terms of farey_sequence
@@ -138,12 +138,3 @@ def test_integer_partition_matches_the_fraction_sequence_at_every_order(p):
             tuple(range(math.floor(p * f) + 1, math.ceil(p * g))) for f, g in zip(entries, entries[1:])
         )
         assert residue_partition(p, n).classes == expected
-
-
-def test_class_of_lookup():
-    part = residue_partition(7, 3)
-    assert [part.class_of(a) for a in range(1, 7)] == [0, 0, 1, 2, 3, 3]
-    with pytest.raises(ValueError):
-        part.class_of(0)
-    with pytest.raises(ValueError):
-        part.class_of(7)

@@ -944,7 +944,8 @@ def test_any_topological_order_gives_the_heap_orders_results(seed, monkeypatch):
 
         # the coloring against the textbook DP over the heap order; every
         # path is shorter than 6, so n = 6 < p = 7 colors without a clique
-        classes = {e: part.class_index[r] for e, r in zip(g.edges, lg.labels)}
+        index = {a: i for i, cls in enumerate(part.classes) for a in cls}
+        classes = {e: index[r] for e, r in zip(g.edges, lg.labels)}
         ref = _heap_heights(g, classes, len(part.classes))
         assert bounded_color(lg, 6, part).tuples == tuple(zip(*ref))
         # the path the coloring raises in the first class that reaches the

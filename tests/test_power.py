@@ -13,14 +13,12 @@ from chibound import (
     UniquePathViolation,
     build_power_graph,
     build_zykov,
-    class_parameters,
     distance_table,
     exact_chromatic_number,
     is_prime,
     max_clique,
-    sieve_primes,
-    tabulate_f,
 )
+from chibound.power import BUILTIN_F, growth_witness
 from helpers import heap_order
 
 
@@ -28,12 +26,6 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(-3, 32):
         assert is_prime(n) == (n in primes)
-
-
-def test_sieve_matches_trial_division():
-    assert sieve_primes(31) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-    assert sieve_primes(1) == []
-    assert sieve_primes(1000) == [n for n in range(1001) if is_prime(n)]
 
 
 def test_single_edge_mod_two():
@@ -226,45 +218,36 @@ def test_chromatic_number_at_least_base():
     assert exact_chromatic_number(pg) >= 4
 
 
-def test_class_parameters_square_table():
-    params = class_parameters(tabulate_f("n^2", 6), 6)
-    assert params.g == {2: 4, 3: 16, 5: 36}
-    assert params.primes[:4] == (2, 3, 5, 7)
+def test_growth_witness_matches_brute_force():
+    # both built-ins, a constant and seeded tables with negative values,
+    # against primes found by trial division over every smaller divisor
+    rng = random.Random(30)
+    tables = [{m: rng.randint(-5, 50) for m in range(2, 201)} for _ in range(5)]
+    targets = [BUILTIN_F["n^2"], BUILTIN_F["2^n"], lambda m: 1] + [t.__getitem__ for t in tables]
+    primes = [m for m in range(2, 402) if all(m % d for d in range(2, m))]
+    for n in range(2, 201):
+        p = max(m for m in primes if m <= n)
+        q = min(m for m in primes if m > n)
+        for f in targets:
+            assert growth_witness(f, n) == (p, q, max(f(m) for m in range(p, n + 1)))
 
 
-def test_class_parameters_constant_function():
-    params = class_parameters({n: 1 for n in range(2, 11)}, 10)
-    assert all(v == 1 for v in params.g.values())
+def test_growth_witness_reads_f_on_the_prime_interval_only():
+    read = []
+    assert growth_witness(lambda m: read.append(m) or 2 * m, 10) == (7, 11, 20)
+    assert read == [7, 8, 9, 10]
 
 
-def test_witness_for_picks_largest_prime_at_or_below():
-    params = class_parameters(tabulate_f("n^2", 10), 10)
-    assert params.witness_for(4) == 3
-    assert params.witness_for(2) == 2
-    assert params.witness_for(10) == 7
-    with pytest.raises(DomainTooSmall):
-        params.witness_for(1)
+def test_growth_witness_of_the_square_target():
+    # p is the largest prime <= n, q the next one, k = max n^2 over p..n
+    got = [growth_witness(BUILTIN_F["n^2"], n) for n in (2, 3, 4, 5, 6, 10, 13, 14)]
+    assert got == [(2, 3, 4), (3, 5, 9), (3, 5, 16), (5, 7, 25), (5, 7, 36), (7, 11, 100), (13, 17, 169), (13, 17, 196)]
+    for n in (1, 0, -4):
+        with pytest.raises(DomainTooSmall, match=f"need n_max >= 2, got {n}"):
+            growth_witness(BUILTIN_F["n^2"], n)
 
 
-def test_class_parameters_domain_validation():
-    with pytest.raises(DomainTooSmall):
-        class_parameters({}, 1)
-    with pytest.raises(DomainTooSmall):
-        class_parameters({2: 4, 4: 16}, 4)  # hole at 3
-
-
-def test_tabulate_f_builtins():
-    assert tabulate_f("2^n", 4) == {2: 4, 3: 8, 4: 16}
-    assert tabulate_f("n^2", 3) == {2: 4, 3: 9}
-    with pytest.raises(ValueError):
-        tabulate_f("n!", 4)
-
-
-def test_class_parameters_json_shape():
-    doc = class_parameters(tabulate_f("2^n", 2), 2).to_json_dict()
-    assert doc == {
-        "n_max": 2,
-        "f_table": {"2": 4},
-        "primes": [2, 3],
-        "g": {"2": 4},
-    }
+def test_builtin_growth_targets():
+    assert [BUILTIN_F["2^n"](m) for m in (2, 3, 4)] == [4, 8, 16]
+    assert [BUILTIN_F["n^2"](m) for m in (2, 3)] == [4, 9]
+    assert sorted(BUILTIN_F) == ["2^n", "n^2"]
