@@ -35,13 +35,9 @@ class Coloring:
     assignment: tuple[int, ...]
     palette: int
     target: OrientedGraph
-    tuples: tuple[tuple[int, ...], ...] | None = None
 
     def to_json_dict(self) -> dict:
-        out = {"palette": self.palette, "assignment": list(self.assignment)}
-        if self.tuples is not None:
-            out["tuple_view"] = [list(t) for t in self.tuples]
-        return out
+        return {"palette": self.palette, "assignment": list(self.assignment)}
 
 
 def _edge_classes(g: LabeledGraph, part: ResiduePartition) -> list[int]:
@@ -155,6 +151,8 @@ def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
     edges; a directed path of length n inside any class certifies a clique of
     size n+1 in g, which is raised as CliqueTooLarge after the clique is
     re-checked edge by edge. A directed cycle in g raises CycleFound.
+    The assignment packs the class colors mixed-radix: class c's color of
+    vertex v is ``assignment[v] // n**c % n``.
     """
     g = as_labeled(g)
     graph = g.graph
@@ -171,9 +169,4 @@ def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
     mixed = [0] * graph.n
     for h in reversed(per_class):
         mixed = list(map(add, map(n.__mul__, mixed), h))
-    return Coloring(
-        assignment=tuple(mixed),
-        palette=n**phi,
-        target=graph,
-        tuples=tuple(zip(*per_class)),
-    )
+    return Coloring(assignment=tuple(mixed), palette=n**phi, target=graph)

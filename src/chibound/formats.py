@@ -36,9 +36,14 @@ def canonical_json(obj) -> str:
 
 def _indented_json(v, indent: str) -> str:
     """``json.dumps(v, sort_keys=True, indent=2)`` with every line after the
-    first shifted by ``indent``. A dict with str keys and a non-empty list are
-    laid out here, a list of plain ints joined at once; anything else goes to
-    ``json.dumps`` whole (a JSON string never holds a raw newline)."""
+    first shifted by ``indent``. A plain int, None, a dict with str keys and a
+    non-empty list are laid out here, a list of plain ints joined at once;
+    anything else goes to ``json.dumps`` whole (a JSON string never holds a
+    raw newline). A bool is not a plain int, so it goes to ``json.dumps``."""
+    if type(v) is int:
+        return str(v)
+    if v is None:
+        return "null"
     inner = indent + "  "
     if type(v) is dict and v and all(type(k) is str for k in v):
         items = (f"{json.dumps(k)}: {_indented_json(v[k], inner)}" for k in sorted(v))

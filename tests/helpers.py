@@ -1,5 +1,6 @@
 """Shared generators for seeded random instances, a comparable outcome of an
-edge-list reader, and the Farey sequence and Φ count by brute force. Kept
+edge-list reader, the class colors a product coloring packs, and the Farey
+sequence and Φ count by brute force. Kept
 separate from the package so test inputs and references never depend on the
 code under test beyond the graph constructor."""
 
@@ -56,6 +57,15 @@ def heap_order(g: OrientedGraph) -> list[int]:
                 heapq.heappush(heap, v)
     assert len(order) == g.n, "heap_order takes a DAG"
     return order
+
+
+def class_colors(assignment, n: int, classes: int) -> tuple[tuple[int, ...], ...]:
+    """Per vertex, its color in each of ``classes`` residue classes, decoded
+    from a mixed-radix product coloring: class c's color of v is
+    ``assignment[v] // n**c % n``. A code outside the palette ``n**classes``
+    has no decoding and fails here."""
+    assert all(0 <= a < n**classes for a in assignment), "color outside the palette"
+    return tuple(tuple(a // n**c % n for c in range(classes)) for a in assignment)
 
 
 def read_outcome(read, text, size_cap=None):

@@ -266,7 +266,7 @@ CRITERION_8_RUNS = [
     (["verify", "lemma24", "--p", "31", "--n", "6"],
      "35040770145798f0e644515f53996e03b690215db943e91aa75e623141461901"),
     (["color", "--k", "4", "--p", "5"],
-     "fc4dd357f66df97ba0eae0063d5022008a2ff24c9368e84d30b89c78ee86ed23"),
+     "ccb3cfaf9fa269f2ab89ba4d148ee50de14d81dfdbb4703ba1d11ee5ac74869d"),
     (["sample-hereditary", "--k", "4", "--p", "3", "--count", "50", "--seed", "11"],
      "c6e6c5917089c1d81e52d9e6307b35283ea554d103d55f10e25331c069f6fc01"),
 ]

@@ -13,6 +13,7 @@ import random
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,7 +26,7 @@ from chibound import Budget, build_power_graph, build_zykov, read_edgelist, writ
 from chibound.cli import main
 from chibound.formats import _read_lines
 from chibound.power import BUILTIN_F
-from helpers import read_outcome
+from helpers import class_colors, farey_sequence, read_outcome
 
 PASS, FAIL, OPERATIONAL = 0, 1, 2
 
@@ -257,6 +258,25 @@ def test_construct_refuses_a_huge_tower_before_printing_its_size(capsys):
     assert peak < 32 * 2**20
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (10**16, "predicted size at least 10^18 vertices exceeds cap 10000000000000000"),
+        (10**18, "predicted size at least 10^18 vertices exceeds cap 1000000000000000000"),
+        (10**25, "primality of 10000000000000000000000000 is not decided at or above 3317044064679887385961981"),
+    ],
+)
+def test_a_raised_size_cap_finds_the_witness_prime_at_once(capsys, n, message):
+    # each step down from n and up past it to a prime is one Miller-Rabin
+    # test, so a raised cap ends in its refusal at once; at or above psi_13
+    # the primality test refuses instead
+    started = time.perf_counter()
+    code, out, err = run(capsys, "construct", "power", "--f", "n^2", "--n", str(n), "--size-cap", str(n))
+    assert code == OPERATIONAL and out == ""
+    assert err == f"error: {message}\n"
+    assert time.perf_counter() - started < 5
+
+
 # -------------------------------------------------------------------- verify
 
 
@@ -479,10 +499,40 @@ def test_color_built_power_graph(capsys):
     assert code == PASS
     assert doc["coloring"]["palette"] == 4**6
     assert len(doc["coloring"]["assignment"]) == 18
+    assert set(doc["coloring"]) == {"palette", "assignment"}  # the class colors ride in the assignment
     assert {r["check"]: r["verdict"] for r in doc["reports"]} == {
         "proper-coloring": "pass",
         "palette-bound": "pass",
     }
+
+
+def test_the_color_report_writes_under_20_bytes_per_vertex(capsys):
+    # the mixed-radix code of power(5, 7) at n = 5 has at most 7 digits; a
+    # per-class view would add Φ(5) = 10 more numbers per vertex
+    code, doc, _ = run_json(capsys, "color", "--k", "5", "--p", "7", "--n", "5")
+    assert code == PASS
+    block = json.dumps(doc["coloring"], sort_keys=True, indent=2)
+    assert len(block.encode()) < 20 * len(doc["coloring"]["assignment"])
+
+
+def test_a_written_coloring_rechecks_from_the_bytes_alone(tmp_path):
+    # the report and the edge list are read back as bytes; each edge's class
+    # is the window of farey_sequence(n) that holds r/p, and the two colors
+    # decoded there differ
+    edges, report = tmp_path / "E", tmp_path / "R"
+    assert main(["construct", "power", "--k", "4", "--p", "5", "--out", str(edges)]) == PASS
+    assert main(["color", "--k", "4", "--p", "5", "--out", str(report)]) == PASS
+    doc = json.loads(report.read_bytes())
+    p, n = doc["config"]["parameters"]["p"], doc["config"]["parameters"]["n"]
+    header, *rows = [line.split() for line in edges.read_bytes().decode().splitlines() if line[0] != "#"]
+    windows = farey_sequence(n).entries
+    phi = len(windows) - 1
+    assert doc["coloring"]["palette"] == n**phi
+    colors = class_colors(doc["coloring"]["assignment"], n, phi)
+    assert header[0] == "n" and len(colors) == int(header[1]) and len(rows) == int(header[2]) > 0
+    for u, v, r in (map(int, row) for row in rows):
+        c = next(i for i in range(phi) if windows[i] < Fraction(r, p) < windows[i + 1])
+        assert colors[u][c] != colors[v][c]
 
 
 def test_color_understated_clique(capsys):
@@ -599,7 +649,7 @@ def test_an_input_file_above_the_size_cap_is_refused_before_it_is_built(tmp_path
     assert time.perf_counter() - started < 5
 
 
-_BIG_P = "1000000000000000003"  # a prime whose trial division would run for hours
+_BIG_P = "1000000000000000003"  # a prime with 10^18 residues, far above the default cap
 
 
 @pytest.mark.parametrize(
@@ -728,11 +778,11 @@ PINNED_VARIANT_OUTPUTS = [
     (["verify", "claim26", "--k", "4", "--p", "7", "--n", "4", "--out", "V"], PASS, "e36032f1ba4e9654a1a39420368d7cf97ba2a2f20c3669c93c769be269e530ac"),
     (["verify", "claim26", "--k", "4", "--p", "5"], PASS, "4ffbd9996db48b83accadcb4f4a40dd1b5b9104763132ace9ed08a73fa71a7c5"),
     (["verify", "all", "--k", "3", "--p", "5", "--n", "2"], FAIL, "3923cfdc8d078e67acc40ee41102f869b8dd25331b69116b70660b6d6fe0464b"),
-    (["color", "F", "--n", "4", "--out", "C"], PASS, "1697581c1c041c2edf0cfb5a7c2833137e3c718e658a798404f5a29e806f0cf5"),
-    (["color", "FILE"], PASS, "d02a6367d298b998d99492e1875bbaa1f7bccc5c731d68b88e5c4d6d84fe775a"),
-    (["color", "FILE", "--p", "5"], PASS, "d02a6367d298b998d99492e1875bbaa1f7bccc5c731d68b88e5c4d6d84fe775a"),
+    (["color", "F", "--n", "4", "--out", "C"], PASS, "658b2015c8dceecad4cbb5deceb1d8bf1fadda0c8ae1fa5fdab23a4b52721781"),
+    (["color", "FILE"], PASS, "d254d55466ed9faf93dc3270a4c2234513a3a9f10ca1ee3d754e8f19b34836c3"),
+    (["color", "FILE", "--p", "5"], PASS, "d254d55466ed9faf93dc3270a4c2234513a3a9f10ca1ee3d754e8f19b34836c3"),
     (["color", "--k", "3", "--p", "5", "--n", "2"], FAIL, "e05f45ff3dc5355ff64e673b3a9bcf3ea3682de1e6f38088669c41cb5febc04b"),
-    (["color", "--k", "3", "--p", "5"], PASS, "4332845373805852699aff423e92f1819c38d267c5e2a79335b696cc7e27c70b"),
+    (["color", "--k", "3", "--p", "5"], PASS, "434078d068f1b9d8d6f9eead437106e0dd802f37b69228da494ca9b2630e9f2e"),
     (["sample-hereditary", "FILE", "--count", "3"], PASS, "fdccb5019d8abab2b0c27b21912f5a0a18ec5e3c1e3c80780d07b1a5a3f9170c"),
     (
         ["sample-hereditary", "--k", "3", "--p", "3", "--count", "5", "--seed", "2"],
@@ -760,7 +810,7 @@ PINNED_TOWER_POWER_OUTPUTS = [
     (["construct", "power", "--k", "4", "--p", "3"], "9901f41eb73e62ee510fb9380ef3b9f16efb8af960450c73bec61b065f0623b9"),
     (["verify", "claim26", "--k", "4", "--p", "5", "--n", "4"], "4ffbd9996db48b83accadcb4f4a40dd1b5b9104763132ace9ed08a73fa71a7c5"),
     (["verify", "lemma22", "--k", "4", "--p", "3"], "9d0f7104a7d7cf3b67246bfa6ce39d686613fa158b014b18623aaa3a53b80599"),
-    (["color", "--k", "4", "--p", "5", "--n", "4"], "fc4dd357f66df97ba0eae0063d5022008a2ff24c9368e84d30b89c78ee86ed23"),
+    (["color", "--k", "4", "--p", "5", "--n", "4"], "ccb3cfaf9fa269f2ab89ba4d148ee50de14d81dfdbb4703ba1d11ee5ac74869d"),
 ]
 
 

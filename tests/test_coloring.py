@@ -23,6 +23,7 @@ from chibound import (
     verify_proper,
 )
 from chibound.coloring import _longest_paths as longest_paths
+from helpers import class_colors
 
 
 def labeled(n, labeled_edges, p):
@@ -130,19 +131,15 @@ def test_bounded_color_full_power_graph():
     col = bounded_color(pg, n, part)
     assert verify_proper(col).passed
     assert col.palette == n ** len(part.classes) <= n ** (n * n)
-    # tuple view decodes the mixed-radix code and differs per edge at the
-    # coordinate of the edge's class
-    for v in range(pg.graph.n):
-        code = col.assignment[v]
-        for c in col.tuples[v]:
-            assert code % n == c
-            code //= n
+    # the decoded class colors differ per edge at the coordinate of the
+    # edge's class
+    colors = class_colors(col.assignment, n, len(part.classes))
     for (u, v), r in zip(pg.graph.edges, pg.labels):
         i = next(j for j, cls in enumerate(part.classes) if r in cls)
-        assert col.tuples[u][i] != col.tuples[v][i]
+        assert colors[u][i] != colors[v][i]
 
 
-def test_bounded_color_tuples_are_the_class_colorings():
+def test_bounded_color_packs_the_class_colorings():
     pg = build_power_graph(build_zykov(4), 5)
     rng = random.Random(4)
     for _ in range(20):
@@ -151,9 +148,10 @@ def test_bounded_color_tuples_are_the_class_colorings():
         part = residue_partition(5, n)
         col = bounded_color(sub, n, part)
         ep = edge_partition(sub, part)
+        colors = class_colors(col.assignment, n, len(part.classes))
         for i in range(len(part.classes)):
             assignment = longest_path_coloring(ep.class_graph(i), n).assignment
-            assert tuple(t[i] for t in col.tuples) == assignment
+            assert tuple(t[i] for t in colors) == assignment
 
 
 def test_bounded_color_builds_no_graph(monkeypatch):

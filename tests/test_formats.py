@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chibound import (
     OrientedGraph,
@@ -206,9 +206,16 @@ _JSON_VALUES = st.recursive(
     max_leaves=20,
 )
 
+# shaped like the provenance sidecar: lists of dicts of ints, None, bools and
+# int lists, where the scalar fast paths and a bool's fall-through meet
+_SIDECAR_SHAPED = st.lists(
+    st.dictionaries(st.text(), st.none() | st.booleans() | st.integers() | st.lists(st.integers()))
+)
+
 
 @settings(max_examples=100)
-@given(_JSON_VALUES)
+@given(_JSON_VALUES | _SIDECAR_SHAPED)
+@example([{"level": 2, "copy": None, "transversal": 0, "apex": True, "row": [1, -2]}, {}])
 def test_canonical_json_matches_json_dumps(obj):
     try:
         expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import deque
 
@@ -26,6 +27,60 @@ def test_is_prime_small_values():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(-3, 32):
         assert is_prime(n) == (n in primes)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_to_10_5():
+    assert [is_prime(n) for n in range(10**5 + 1)] == [_trial_division(n) for n in range(10**5 + 1)]
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+# the least strong pseudoprimes to the first twelve and thirteen prime bases
+# (Sorenson & Webster 2017); the twelve bases 2..37 pass psi_12
+_PSI_12 = 318_665_857_834_031_151_167_461
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_psi_12_is_a_composite_that_passes_the_bases_2_to_37():
+    assert _PSI_12 == 399_165_290_221 * 798_330_580_441
+    assert all(_strong_probable_prime(_PSI_12, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert all(_strong_probable_prime(_PSI_13, a) for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (_PSI_12, False),
+        (2**31 - 1, True),
+        (2**61 - 1, True),
+        (561, False),  # Carmichael numbers
+        (41041, False),
+        (2047, False),  # least strong pseudoprimes to the first 1, 2, 3, 4 and 9..11 prime bases
+        (1373653, False),
+        (25326001, False),
+        (3215031751, False),
+        (3825123056546413051, False),
+    ],
+)
+def test_is_prime_on_known_primes_and_pseudoprimes(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_at_psi_13():
+    assert is_prime(_PSI_13 - 1) is False
+    for n in (_PSI_13, 10**30):
+        with pytest.raises(ValueError, match="not decided"):
+            is_prime(n)
 
 
 def test_single_edge_mod_two():
