@@ -156,9 +156,11 @@ def color(g: LabeledGraph, n: int | None, instance: str, budget: Budget):
 def sample_hereditary(g: LabeledGraph, instance: str, budget: Budget, count: int, density: float, seed: int):
     """The reports of ``count`` induced subgraphs of g, each vertex kept with
     probability ``density`` by a PRNG seeded with ``seed``: each one's clique
-    bound, then its product coloring at order max(1, ω) when that is below p."""
+    bound, then its product coloring at order max(1, ω) when that is below p.
+    Each order's residue partition is built once, on its first sample."""
     rng = random.Random(seed)
     reports: list[VerificationReport] = []
+    parts = {}
     for i in range(count):
         vs = [v for v in range(g.graph.n) if rng.random() < density]
         sub = induced_subgraph(g, vs)
@@ -171,5 +173,7 @@ def sample_hereditary(g: LabeledGraph, instance: str, budget: Budget, count: int
         if n_i >= g.p:
             print(f"note: sample {i:04d} has omega={omega} >= p; coloring bound not applicable", file=sys.stderr)
             continue
-        reports += _color_reports(sub, n_i, residue_partition(g.p, n_i), sample_inst)[0]
+        if n_i not in parts:
+            parts[n_i] = residue_partition(g.p, n_i)
+        reports += _color_reports(sub, n_i, parts[n_i], sample_inst)[0]
     return reports

@@ -7,14 +7,16 @@ directed path of the forbidden length, the path converts into an explicit
 clique one larger than the claimed clique number, and that witness is
 re-checked against the graph before it is surfaced.
 
-Edges are read from a graph's ``tails`` and ``heads``, with residue labels and
-class indices parallel to them; an edge partition keeps each class the same way.
+Edges are read from a graph's ``tails`` and ``heads``, with the residue labels
+parallel to them. A table indexed by residue, up to the largest label, maps each
+label to its class's entry, so no column of class indices is built; an edge
+partition keeps each class as tails and heads the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from itertools import repeat
 
 from .errors import (
     CliqueTooLarge,
@@ -40,20 +42,27 @@ class Coloring:
         return {"palette": self.palette, "assignment": list(self.assignment)}
 
 
-def _edge_classes(g: LabeledGraph, part: ResiduePartition) -> list[int]:
-    """The partition class of each edge's residue label, parallel to
-    ``g.graph.tails`` and ``g.graph.heads``."""
+def _label_table(g: LabeledGraph, part: ResiduePartition, rows: list) -> tuple[tuple[int, ...], list]:
+    """g's residue labels, parallel to ``g.graph.tails`` and ``g.graph.heads``,
+    and the table whose entry r is ``rows[c]`` for the class c that holds
+    residue r. The classes are consecutive intervals of 1..p-1 in order, so
+    the table stops at the largest label. An edge whose label lies outside
+    1..p-1, the first in canonical order, raises UnlabeledEdge."""
     graph, labels = g.graph, g.labels
     if g.p is not None and g.p != part.p:
         raise PrimeMismatch(part.p, g.p)
     if labels is None and graph.m > 0:
         raise UnlabeledEdge((graph.tails[0], graph.heads[0]))
-    index = {a: i for i, cls in enumerate(part.classes) for a in cls}
-    classes = list(map(index.get, labels or ()))
-    if None in classes:
-        j = classes.index(None)
+    top = max(labels) if labels else 0
+    if labels and not (0 < min(labels) and top < part.p):
+        j = next(j for j, r in enumerate(labels) if not 0 < r < part.p)
         raise UnlabeledEdge((graph.tails[j], graph.heads[j]), label=labels[j])
-    return classes
+    table = [None]
+    for cls, row in zip(part.classes, rows):
+        if len(table) > top:
+            break
+        table += repeat(row, min(len(cls), top + 1 - len(table)))
+    return labels or (), table
 
 
 class EdgePartition:
@@ -67,9 +76,11 @@ class EdgePartition:
     def __init__(self, g, part: ResiduePartition):
         g = as_labeled(g)
         buckets: list[tuple[list[int], list[int]]] = [([], []) for _ in part.classes]
-        for u, v, i in zip(g.graph.tails, g.graph.heads, _edge_classes(g, part)):
-            buckets[i][0].append(u)
-            buckets[i][1].append(v)
+        labels, of_label = _label_table(g, part, buckets)
+        for u, v, r in zip(g.graph.tails, g.graph.heads, labels):
+            tails, heads = of_label[r]
+            tails.append(u)
+            heads.append(v)
         self.n_vertices, self.classes = g.graph.n, tuple((tuple(t), tuple(h)) for t, h in buckets)
 
     def class_graph(self, i: int) -> OrientedGraph:
@@ -81,38 +92,37 @@ def edge_partition(g, part: ResiduePartition) -> EdgePartition:
     return EdgePartition(g, part)
 
 
-def _longest_paths(graph: OrientedGraph, edge_class: list[int], phi: int, k: int) -> list[list[int]]:
-    """Per class c < phi, the length of the longest directed path of class-c
-    edges leaving each vertex; ``edge_class[j]`` is the class of edge j.
+def _longest_paths(graph: OrientedGraph, labels, height: list[list[int]], of_label: list, k: int) -> None:
+    """Fill ``height[c]``, for every class c at once, with the length of the
+    longest directed path of class-c edges leaving each vertex. Edge j is in
+    the class whose list is ``of_label[labels[j]]``, so the DP reads the
+    labels as it goes and builds no column of classes.
 
-    The DP visits every vertex after its out-neighbours, for all classes at
-    once. If every edge descends (u > v), which the graph finds once and
-    keeps, that is canonical edge order, tails ascending; otherwise the
-    edges are sorted by their tail's place in ``topological_order``, which
-    raises CycleFound on a cycle. A class whose longest path reaches length
-    k raises PathTooLong, the first such class in class order: the path,
-    rebuilt from the heights alone, starts at the lowest-indexed vertex of
-    greatest height and steps to the lowest-indexed class-c out-neighbour
-    one lower, whatever the order.
+    The DP visits every vertex after its out-neighbours. If every edge
+    descends (u > v), which the graph finds once and keeps, that is
+    canonical edge order, tails ascending; otherwise the edges are sorted by
+    their tail's place in ``topological_order``, which raises CycleFound on
+    a cycle. A class whose longest path reaches length k raises PathTooLong,
+    the first such class in class order: the path, rebuilt from the heights
+    alone, starts at the lowest-indexed vertex of greatest height and steps
+    to the lowest-indexed class-c out-neighbour one lower, whatever the order.
     """
-    edges = zip(graph.tails, graph.heads, edge_class)
+    edges = zip(graph.tails, graph.heads, labels)
     if not graph._descends():
         rank = {u: i for i, u in enumerate(topological_order(graph))}
         edges = sorted(edges, key=lambda edge: -rank[edge[0]])
-    height = [[0] * graph.n for _ in range(phi)]
-    for u, v, c in edges:
-        h = height[c]
+    for u, v, r in edges:
+        h = of_label[r]
         if h[v] >= h[u]:
             h[u] = h[v] + 1
-    for c, h in enumerate(height):
+    for h in height:
         if h and max(h) >= k:
-            path, first = [h.index(max(h))], graph._row_starts()
+            path, first, heads = [h.index(max(h))], graph._row_starts(), graph.heads
             while h[u := path[-1]]:
                 row = range(first[u], first[u + 1])
-                j = next(j for j in row if edge_class[j] == c and h[graph.heads[j]] == h[u] - 1)
-                path.append(graph.heads[j])
+                j = next(j for j in row if of_label[labels[j]] is h and h[heads[j]] == h[u] - 1)
+                path.append(heads[j])
             raise PathTooLong(path, k)
-    return height
 
 
 def longest_path_coloring(g, k: int) -> Coloring:
@@ -123,7 +133,8 @@ def longest_path_coloring(g, k: int) -> Coloring:
     error carrying the path itself, never a silent truncation.
     """
     graph = oriented_view(g)
-    (height,) = _longest_paths(graph, [0] * graph.m, 1, k)
+    height = [0] * graph.n
+    _longest_paths(graph, bytes(graph.m), [height], [height], k)  # every edge labeled 0, one class
     return Coloring(assignment=tuple(height), palette=k, target=graph)
 
 
@@ -137,7 +148,7 @@ def path_clique(graph: OrientedGraph, path: list[int], n: int) -> list[int]:
     clique = sorted(path[: n + 1])
     for i, a in enumerate(clique):
         for b in clique[i + 1 :]:
-            if not graph.has_und_edge(a, b):
+            if not graph.has_und_edge(b, a):  # b -> a first: a built graph descends
                 raise InconsistentLabels(path[: n + 1], (a, b))
     return clique
 
@@ -147,8 +158,9 @@ def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
 
     ``n`` is the caller's clique number for g; an n outside 1..p-1 of the
     partition's modulus p raises OrderTooLarge, as residue_partition does.
-    Each residue class is colored with bound n in one pass over the labeled
-    edges; a directed path of length n inside any class certifies a clique of
+    Each residue class is colored with bound n in one pass over the edges and
+    their labels, each label looked up in a table that stops at the largest;
+    a directed path of length n inside any class certifies a clique of
     size n+1 in g, which is raised as CliqueTooLarge after the clique is
     re-checked edge by edge. A directed cycle in g raises CycleFound.
     The assignment packs the class colors mixed-radix: class c's color of
@@ -158,15 +170,17 @@ def bounded_color(g, n: int, part: ResiduePartition) -> Coloring:
     graph = g.graph
     if not 1 <= n < part.p:
         raise OrderTooLarge(n, part.p)
-    edge_class = _edge_classes(g, part)
-    phi = len(part.classes)
+    height = [[0] * graph.n for _ in part.classes]
+    labels, of_label = _label_table(g, part, height)
     try:
-        per_class = _longest_paths(graph, edge_class, phi, n)
+        _longest_paths(graph, labels, height, of_label, n)
     except PathTooLong as exc:
         raise CliqueTooLarge(path_clique(graph, exc.path, n), n) from exc
 
-    # the mixed-radix code sum_c per_class[c][v] * n**c, one pass per class
+    # the mixed-radix code sum_c height[c][v] * n**c; a class with no edge adds 0
     mixed = [0] * graph.n
-    for h in reversed(per_class):
-        mixed = list(map(add, map(n.__mul__, mixed), h))
-    return Coloring(assignment=tuple(mixed), palette=n**phi, target=graph)
+    for c, h in enumerate(height):
+        if any(h):
+            w = n**c
+            mixed = [a + w * b for a, b in zip(mixed, h)]
+    return Coloring(assignment=tuple(mixed), palette=n ** len(height), target=graph)

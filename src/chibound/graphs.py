@@ -261,20 +261,21 @@ def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
     for new, old in enumerate(chosen):
         index[old] = new
     # the renumbering is monotone and each row is sorted, so kept edges stay
-    # in canonical order; kept[i] is the parent's index of the i-th of them
+    # in canonical order. Labels are gathered on the same walk; an unlabeled
+    # parent gathers its heads in their place, which are then dropped
     first, heads = g._row_starts(), g.heads
-    tails, sub_heads, kept, starts = [], [], [], []
+    row_labels = heads if labels is None else labels
+    tails, sub_heads, sub_labels, starts = [], [], [], []
     for a, u in enumerate(chosen):
-        starts.append(len(kept))
+        starts.append(len(tails))
         for j in range(first[u], first[u + 1]):
             v = index[heads[j]]
             if v >= 0:
                 tails.append(a)
                 sub_heads.append(v)
-                kept.append(j)
-    starts.append(len(kept))
-    sub_labels = None if labels is None else tuple(map(labels.__getitem__, kept))
+                sub_labels.append(row_labels[j])
+    starts.append(len(tails))
     sub = OrientedGraph._canonical(len(chosen), tails, sub_heads)
     sub._first = tuple(starts)
     sub._desc = g._descends() or None  # a parent that does not descend tells nothing
-    return LabeledGraph(sub, sub_labels, parent.p, tuple(chosen))
+    return LabeledGraph(sub, None if labels is None else tuple(sub_labels), parent.p, tuple(chosen))

@@ -592,7 +592,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     clique = tuple(sorted(best))
     for i, a in enumerate(clique):
         for b in clique[i + 1 :]:
-            if not graph.has_und_edge(a, b):
+            if not graph.has_und_edge(b, a):  # b -> a first: a built graph descends
                 raise AssertionError("clique witness failed adjacency re-check")
     return len(clique), clique
 

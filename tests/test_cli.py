@@ -720,6 +720,21 @@ def test_sample_hereditary_all_samples_bounded(capsys):
     assert all(r["witness"]["omega"] <= 2 for r in clique_reports)
 
 
+def test_sample_hereditary_builds_each_orders_partition_once(monkeypatch):
+    built = []
+
+    def counting(p, n):
+        built.append(n)
+        return residue_partition(p, n)
+
+    residue_partition = claims.residue_partition
+    monkeypatch.setattr(claims, "residue_partition", counting)
+    pg = build_power_graph(build_zykov(4), 7)
+    reports = claims.sample_hereditary(pg, "power(k=4, p=7)", Budget(), 40, 0.5, 5)
+    colored = {max(1, r.witness["omega"]) for r in reports if r.check == "clique-bound"}
+    assert sorted(built) == sorted(colored) and len(colored) > 1
+
+
 def test_sample_hereditary_zero_count(capsys):
     code, doc, _ = run_json(
         capsys, "sample-hereditary", "--k", "3", "--p", "2", "--count", "0"

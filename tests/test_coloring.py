@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -103,6 +104,80 @@ def test_edge_partition_requires_labels():
         edge_partition(out_of_range, residue_partition(5, 2))
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_unlabeled_edge_names_the_first_bad_label_in_canonical_order(seed):
+    """Labels 0, p, -1 and p + 5 planted at seeded edges of a power graph or
+    an induced subgraph: both bounded_color and edge_partition name the edge
+    and the label that a plain scan in canonical order finds first."""
+    rng = random.Random(seed)
+    p = rng.choice((3, 5, 7))
+    pg = build_power_graph(build_zykov(rng.choice((3, 4))), p)
+    g = pg
+    while (seed % 2 and g is pg) or g.graph.m == 0:
+        g = induced_subgraph(pg, rng.sample(range(pg.graph.n), pg.graph.n // 2))
+    labels = list(g.labels)
+    for bad in rng.sample((0, p, -1, p + 5), rng.randint(1, 4)):
+        labels[rng.randrange(len(labels))] = bad
+    planted = LabeledGraph(g.graph, tuple(labels), p)
+    j = next(j for j, r in enumerate(labels) if not 0 < r < p)
+    expected = ((g.graph.tails[j], g.graph.heads[j]), labels[j])
+    part = residue_partition(p, rng.randint(1, p - 1))
+    for call in (lambda: bounded_color(planted, part.n, part), lambda: edge_partition(planted, part)):
+        with pytest.raises(UnlabeledEdge) as exc:
+            call()
+        assert (exc.value.edge, exc.value.label) == expected
+    # no labels at all: the first edge, with no label named
+    for unlabeled in (g.graph, LabeledGraph(g.graph, None, p)):
+        for call in (lambda: bounded_color(unlabeled, part.n, part), lambda: edge_partition(unlabeled, part)):
+            with pytest.raises(UnlabeledEdge) as exc:
+                call()
+            assert (exc.value.edge, exc.value.label) == ((g.graph.tails[0], g.graph.heads[0]), None)
+            assert "has no residue label" in str(exc.value)
+
+
+def test_bounded_color_raises_in_a_fixed_order():
+    """OrderTooLarge, then PrimeMismatch, then UnlabeledEdge, then CycleFound
+    or a long path's CliqueTooLarge."""
+    part = residue_partition(5, 2)
+    cyclic = labeled(3, [((0, 1), 1), ((1, 2), 1), ((2, 0), 1)], 5)
+    long_path = labeled(3, [((0, 1), 1), ((1, 2), 1), ((0, 2), 2)], 5)
+    with pytest.raises(CycleFound):
+        bounded_color(cyclic, 2, part)
+    with pytest.raises(CliqueTooLarge):
+        bounded_color(long_path, 2, part)
+    for g in (cyclic, long_path):
+        bad = LabeledGraph(g.graph, g.labels[:-1] + (0,), 5)
+        with pytest.raises(UnlabeledEdge):
+            bounded_color(bad, 2, part)
+        with pytest.raises(UnlabeledEdge):
+            bounded_color(g.graph, 2, part)
+        with pytest.raises(PrimeMismatch):
+            bounded_color(LabeledGraph(g.graph, bad.labels, 7), 2, part)
+        with pytest.raises(OrderTooLarge):
+            bounded_color(LabeledGraph(g.graph, bad.labels, 7), 5, part)
+
+
+def test_coloring_under_a_large_modulus_allocates_nothing_per_residue():
+    """A subgraph of power(4, 999983) has labels of at most 3, so its class
+    lookup stops there: bounded_color and edge_partition each peak far under
+    1 MB, where one entry per residue 1..p-1 took about 63 MB."""
+    p = 999983
+    pg = build_power_graph(build_zykov(4), p)
+    part = residue_partition(p, 3)  # outside the measured region
+    rng = random.Random(0)
+    sub = induced_subgraph(pg, rng.sample(range(pg.graph.n), 12))
+    while max_clique(sub)[0] != 3:
+        sub = induced_subgraph(pg, rng.sample(range(pg.graph.n), 12))
+    for call in (lambda: bounded_color(sub, 3, part), lambda: edge_partition(sub, part)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 def test_bounded_color_edgeless_palette_one():
     col = bounded_color(labeled(4, [], 5), 1, residue_partition(5, 1))
     assert col.palette == 1
@@ -180,31 +255,50 @@ def test_bounded_color_builds_no_graph(monkeypatch):
 def test_longest_paths_takes_the_descent_fact_from_an_induced_subgraph():
     """An induced subgraph inherits its parent's descent fact, so the
     coloring DP walks its tails and heads once and runs no descent test of
-    its own; the same edges in a fresh graph are walked twice. A cyclic
-    graph built by hand still raises CycleFound."""
+    its own; the same edges in a fresh graph are walked twice. bounded_color
+    on the subgraph walks tails and heads once too, and its labels once in
+    the DP besides the min and max that check them: no pass builds a column
+    of classes. A cyclic graph built by hand still raises CycleFound."""
 
     class Counting(tuple):
         walks = 0
 
         def __iter__(self):
-            Counting.walks += 1
+            type(self).walks += 1
             return super().__iter__()
 
+    class CountingLabels(Counting):
+        walks = 0
+
     pg = build_power_graph(build_zykov(4), 3)
+    part = residue_partition(3, 2)
     rng = random.Random(4)
+    colored = 0
     for _ in range(10):
-        sub = induced_subgraph(pg, rng.sample(range(pg.graph.n), rng.randint(2, pg.graph.n))).graph
-        fresh = OrientedGraph._canonical(sub.n, sub.tails, sub.heads)
-        for g, walks in ((sub, 1), (fresh, 2)):
+        sub = induced_subgraph(pg, rng.sample(range(pg.graph.n), rng.randint(2, pg.graph.n)))
+        fresh = OrientedGraph._canonical(sub.graph.n, sub.graph.tails, sub.graph.heads)
+        for g, walks in ((sub.graph, 1), (fresh, 2)):
             g.tails, g.heads = Counting(g.tails), Counting(g.heads)
             Counting.walks = 0
-            longest_paths(g, [0] * g.m, 1, g.n + 1)
+            h = [0] * g.n
+            longest_paths(g, bytes(g.m), [h], [h], g.n + 1)
             assert Counting.walks == 2 * walks  # each walk reads both tuples
+        counted = LabeledGraph(sub.graph, CountingLabels(sub.labels), sub.p)
+        Counting.walks = CountingLabels.walks = 0
+        try:
+            bounded_color(counted, 2, part)
+            colored += 1
+        except CliqueTooLarge:  # raised after the DP has walked every edge
+            pass
+        assert (Counting.walks, CountingLabels.walks) == (2, 3)
+    assert colored
     # a parent whose edges ascend passes on no fact, and Kahn's sort serves
     ascending = induced_subgraph(OrientedGraph(3, [(0, 1), (1, 2)]), [0, 1, 2]).graph
-    assert longest_paths(ascending, [0, 0], 1, 5) == [[2, 1, 0]]
+    h = [0] * 3
+    longest_paths(ascending, bytes(2), [h], [h], 5)
+    assert h == [2, 1, 0]
     with pytest.raises(CycleFound):
-        longest_paths(OrientedGraph(3, [(0, 1), (1, 2), (2, 0)]), [0, 0, 0], 1, 5)
+        longest_paths(OrientedGraph(3, [(0, 1), (1, 2), (2, 0)]), bytes(3), [h], [h], 5)
 
 
 def test_bounded_color_rejects_a_cycle_across_acyclic_classes():

@@ -958,8 +958,9 @@ def test_any_topological_order_gives_the_heap_orders_results(seed, monkeypatch):
             while h[u := path[-1]]:
                 row = [v for v in g.out_neighbors(u) if classes[(u, v)] == long[0]]
                 path.append(min(v for v in row if h[v] == h[u] - 1))
+            height = [[0] * g.n for _ in ref]  # each class index is its own table entry
             with pytest.raises(PathTooLong) as exc:
-                coloring._longest_paths(g, [classes[e] for e in g.edges], len(ref), bound)
+                coloring._longest_paths(g, [classes[e] for e in g.edges], height, height, bound)
             assert exc.value.path == path
         (h,) = _heap_heights(g, dict.fromkeys(g.edges, 0), 1)
         if max(h) < bound:
