@@ -111,7 +111,9 @@ def verify(target: str, zg, pg, k: int, p: int, n: int | None, budget: Budget):
     graph mod p (each None where the target reads none), and the clique order
     n they used: as given, or ω of pg for claim26 and all. At n ≥ p,
     residue_partition refuses claim26; all skips the class paths instead. The
-    partition order is min(n, p - 1) for all, and n or min(6, p - 1) for lemma24."""
+    partition order is min(n, p - 1) for all, and n or min(6, p - 1) for lemma24.
+    When the search for ω stops on its budget, claim26 raises the stop; all
+    skips the checks that need n and returns its reports with n None."""
     reports: list[VerificationReport] = []
     if target in ("lemma21", "all"):
         inst = f"zykov(k={k})"
@@ -130,7 +132,11 @@ def verify(target: str, zg, pg, k: int, p: int, n: int | None, budget: Budget):
     if target in ("claim26", "all"):
         if n is None:
             if isinstance(omega, BudgetExceeded):
-                raise omega
+                if target == "claim26":
+                    raise omega
+                for checks in ("class-path", "partition"):
+                    print(f"note: the clique search stopped on its budget; skipping {checks} checks", file=sys.stderr)
+                return reports, None
             n = omega
         if target == "all" and n >= p:
             print(f"note: clique order n={n} is not below p={p}; skipping class-path checks", file=sys.stderr)
@@ -156,11 +162,9 @@ def color(g: LabeledGraph, n: int | None, instance: str, budget: Budget):
 def sample_hereditary(g: LabeledGraph, instance: str, budget: Budget, count: int, density: float, seed: int):
     """The reports of ``count`` induced subgraphs of g, each vertex kept with
     probability ``density`` by a PRNG seeded with ``seed``: each one's clique
-    bound, then its product coloring at order max(1, ω) when that is below p.
-    Each order's residue partition is built once, on its first sample."""
+    bound, then its product coloring at order max(1, ω) when that is below p."""
     rng = random.Random(seed)
     reports: list[VerificationReport] = []
-    parts = {}
     for i in range(count):
         vs = [v for v in range(g.graph.n) if rng.random() < density]
         sub = induced_subgraph(g, vs)
@@ -173,7 +177,5 @@ def sample_hereditary(g: LabeledGraph, instance: str, budget: Budget, count: int
         if n_i >= g.p:
             print(f"note: sample {i:04d} has omega={omega} >= p; coloring bound not applicable", file=sys.stderr)
             continue
-        if n_i not in parts:
-            parts[n_i] = residue_partition(g.p, n_i)
-        reports += _color_reports(sub, n_i, parts[n_i], sample_inst)[0]
+        reports += _color_reports(sub, n_i, residue_partition(g.p, n_i), sample_inst)[0]
     return reports

@@ -17,14 +17,15 @@ from .power import is_prime
 class ResiduePartition:
     """Classes A_1..A_phi partitioning {1..p-1} by open Farey intervals.
 
-    ``classes[i]`` holds the integers strictly between p*f_i and p*f_{i+1};
-    classes may be empty. No m <= n members of one class (repeats allowed)
-    sum to 0 modulo p; the oracles module checks that exhaustively.
+    ``classes[i]`` is the range of integers strictly between p*f_i and
+    p*f_{i+1}, so a partition is Φ(n) ranges at any p; classes may be empty.
+    No m <= n members of one class (repeats allowed) sum to 0 modulo p; the
+    oracles module checks that exhaustively.
     """
 
     p: int
     n: int
-    classes: tuple[tuple[int, ...], ...]
+    classes: tuple[range, ...]
 
 
 def residue_partition(p: int, n: int) -> ResiduePartition:
@@ -42,7 +43,7 @@ def residue_partition(p: int, n: int) -> ResiduePartition:
     classes = []
     a, b, c, d = 0, 1, 1, n
     while True:
-        classes.append(tuple(range(p * a // b + 1, -(-p * c // d))))
+        classes.append(range(p * a // b + 1, -(-p * c // d)))
         if c == d:
             return ResiduePartition(p, n, tuple(classes))
         q = (n + b) // d

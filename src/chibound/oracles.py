@@ -295,24 +295,20 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
     Iterative deepening on k from a greedy clique lower bound, each step a
     DSATUR backtracking search on bitset saturation levels; a greedy DSATUR
     coloring bounds the deepening from above. The degrees come from the edge
-    store: each edge counts at both ends, and an anti-parallel pair, which
-    needs an ascending edge, once. The clique and both colorings run on the
-    one set of rows built over the vertices by descending degree, ties by
-    index, so the lowest bit of a vertex set is its vertex of greatest
-    degree, then lowest index. BudgetExceeded carries the bracketing bounds
-    proven so far.
+    store of the undirected view (``_descending``), each edge counted at both
+    ends. The clique and both colorings run on the one set of rows built over
+    the vertices by descending degree, ties by index, so the lowest bit of a
+    vertex set is its vertex of greatest degree, then lowest index.
+    BudgetExceeded carries the bracketing bounds proven so far.
     """
     graph = oriented_view(g)
+    if not graph._descends():
+        graph = _descending(graph)
     n = graph.n
     if n == 0:
         return 0
     degree = Counter(graph.tails)
     degree.update(graph.heads)
-    if not graph._descends():
-        for u, v in zip(graph.tails, graph.heads):
-            if u < v and graph.has_edge(v, u):
-                degree[u] -= 1
-                degree[v] -= 1
     order = sorted(range(n), key=degree.__getitem__, reverse=True)  # stable: ties by index
     rows = _rows(graph, order)
     tracker = _Tracker("chromatic-number", budget)
@@ -327,6 +323,11 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
                 "chromatic-number", exc.nodes, best_lower=k, best_upper=ub
             ) from None
     return ub
+
+
+def _descending(graph: OrientedGraph) -> OrientedGraph:
+    """The undirected view of graph, each edge oriented from high index to low."""
+    return OrientedGraph(graph.n, [(max(e), min(e)) for e in zip(graph.tails, graph.heads)])
 
 
 def _fits_in_classes(und, p_mask: int, room: int) -> int:
@@ -460,7 +461,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     Bron-Kerbosch with greatest-cover pivoting on bitset rows, run on an
     explicit stack; candidates are consumed in ascending vertex order.
 
-    On an acyclic orientation the longest-path heights h color the undirected
+    The longest-path heights h of an acyclic orientation color the undirected
     view, so ω is at most t = max h; Mirsky's theorem makes that tight when
     the graph is the comparability graph of its reachability order. The
     search descends over targets from t. Each level looks for a clique of t
@@ -481,17 +482,16 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     ``range(n)``. A level on the whole graph whose root the greedy coloring
     cuts, with c classes, proves ω <= c, so the next level sought is c; the
     levels between would each be cut at the root the same way.
-    A budget stop reports the bracket [largest clique met, t]. On a cyclic
-    orientation one pass over the whole graph grows the best clique
-    instead, cutting what cannot beat it, and a budget stop has no upper
-    bound.
+    A cyclic orientation takes h and d of ``_descending(graph)``, which has
+    the same undirected view. A budget stop reports the bracket [largest
+    clique met, t].
     """
     graph = oriented_view(g)
     n = graph.n
     if n == 0:
         return 0, ()
     tracker = _Tracker("max-clique", budget)
-    heights = _path_heights(graph)
+    h, d = _path_heights(graph) or _path_heights(_descending(graph))
     best: list[int] = []  # in the graph's own vertex indices
     # the vertex set searched: `keep` lists its vertices (range(n) for the
     # whole graph), `und` holds its rows and `hd` its h and d for the split bound
@@ -504,11 +504,11 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     # graph; n until then, so t - 1 is the level sought after a core level
     ceiling = n
 
-    def level(t: int | None) -> bool:
-        """Search for a clique of t vertices (t None: for any clique larger
-        than ``best``); True at the first one, which is then ``best``. A
-        frame (candidates, excluded, candidates left to branch on) is kept
-        for each open node, and ``r`` is the clique of the open path."""
+    def level(t: int) -> bool:
+        """Search for a clique of t vertices; True at the first one, which is
+        then ``best``. A frame (candidates, excluded, candidates left to
+        branch on) is kept for each open node, and ``r`` is the clique of the
+        open path."""
         nonlocal root, ceiling, split
         r: list[int] = []
         frames: list[tuple[int, int, int]] = []
@@ -524,7 +524,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
                     best[:] = map(keep.__getitem__, r)
                     if len(r) == t:
                         return True
-                room = (len(best) if t is None else t - 1) - len(r)
+                room = t - 1 - len(r)
                 if not r and root is not None:
                     frames.append(root)
                 elif not (
@@ -533,7 +533,7 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
                     # neither bound below can cut it
                     or room > 0
                     and (
-                        (r and hd and (split or (split := _Split(*hd))).bound(p, r[-1]) <= room)
+                        (r and (split or (split := _Split(*hd))).bound(p, r[-1]) <= room)
                         or (classes := _fits_in_classes(und, p, room))
                     )
                 ):
@@ -566,25 +566,20 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
         finally:
             tracker.nodes = nodes
 
-    t = None if heights is None else max(heights[0])
+    t = max(h)
     try:
-        if t is None:
-            keep, und = range(n), _rows(graph, range(n))
-            level(None)
-        else:
-            h, d = heights
-            while True:
-                if len(keep) < n:
-                    core = [v for v in range(n) if h[v] + d[v] > t]
-                    if len(core) > _CORE_SHARE * n:
-                        core = range(n)
-                    if len(core) > len(keep):  # cores only grow as t falls
-                        keep, und = core, _rows(graph, core)
-                        hd = [h[v] for v in core], [d[v] for v in core]
-                        root = split = None
-                if level(t):
-                    break
-                t = min(t - 1, ceiling)
+        while True:
+            if len(keep) < n:
+                core = [v for v in range(n) if h[v] + d[v] > t]
+                if len(core) > _CORE_SHARE * n:
+                    core = range(n)
+                if len(core) > len(keep):  # cores only grow as t falls
+                    keep, und = core, _rows(graph, core)
+                    hd = [h[v] for v in core], [d[v] for v in core]
+                    root = split = None
+            if level(t):
+                break
+            t = min(t - 1, ceiling)
     except BudgetExceeded as exc:
         raise BudgetExceeded(
             "max-clique", exc.nodes, best_lower=len(best), best_upper=t, witness=tuple(sorted(best))

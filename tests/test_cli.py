@@ -427,6 +427,27 @@ def test_verify_budget_exceeded_exit_code(capsys):
     assert by_check["chromatic-number"]["witness"]["best_upper"] >= 4
 
 
+def test_verify_all_keeps_its_reports_when_the_clique_search_stops(tmp_path, capsys):
+    # without --n the clique order comes from the search; when it stops on
+    # its budget the checks that need it are skipped, and the rest is written
+    out = tmp_path / "all.json"
+    code, stdout, err = run(capsys, "verify", "all", "--k", "4", "--p", "5", "--budget-nodes", "1", "--out", str(out))
+    assert code == OPERATIONAL and stdout == "" and "error" not in err
+    assert "stopped on its budget; skipping class-path checks" in err
+    assert "stopped on its budget; skipping partition checks" in err
+    doc = json.loads(out.read_text())
+    assert "n" not in doc["config"]["parameters"]
+    by_check = {r["check"]: r for r in doc["reports"]}
+    assert sorted(by_check) == ["chromatic-number", "clique-bound", "triangle-free", "unique-paths"]
+    assert by_check["clique-bound"]["verdict"] == "budget-exceeded"
+    assert by_check["triangle-free"]["verdict"] == by_check["unique-paths"]["verdict"] == "pass"
+
+
+def test_verify_claim26_still_refuses_a_stopped_clique_search(capsys):
+    code, out, err = run(capsys, "verify", "claim26", "--k", "4", "--p", "5", "--budget-nodes", "1")
+    assert code == OPERATIONAL and out == "" and err.startswith("error: max-clique: budget exceeded")
+
+
 def test_verify_budget_exceeded_report_has_wall_time(capsys):
     code, _, err = run(capsys, "verify", "lemma21", "--k", "5", "--budget-nodes", "300")
     assert code == OPERATIONAL
@@ -720,19 +741,17 @@ def test_sample_hereditary_all_samples_bounded(capsys):
     assert all(r["witness"]["omega"] <= 2 for r in clique_reports)
 
 
-def test_sample_hereditary_builds_each_orders_partition_once(monkeypatch):
-    built = []
-
-    def counting(p, n):
-        built.append(n)
-        return residue_partition(p, n)
-
-    residue_partition = claims.residue_partition
-    monkeypatch.setattr(claims, "residue_partition", counting)
-    pg = build_power_graph(build_zykov(4), 7)
-    reports = claims.sample_hereditary(pg, "power(k=4, p=7)", Budget(), 40, 0.5, 5)
-    colored = {max(1, r.witness["omega"]) for r in reports if r.check == "clique-bound"}
-    assert sorted(built) == sorted(colored) and len(colored) > 1
+def test_sample_hereditary_at_a_large_modulus_stays_small(capsys):
+    # each colored sample builds its order's partition, which is Φ(n) ranges
+    # at any p, so nothing here grows with the modulus
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "sample-hereditary", "--k", "4", "--p", "999983", "--count", "50")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == PASS and json.loads(out)["reports"]
+    assert peak < 4 * 2**20
 
 
 def test_sample_hereditary_zero_count(capsys):

@@ -4,6 +4,7 @@ arithmetic only; a single float comparison at a boundary would void the
 partition property."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -74,14 +75,42 @@ def test_phi_matches_sequence_length(n):
     assert phi_count(n) == farey_sequence(n).phi == len(farey_sequence(n).entries) - 1
 
 
+def _contents(part):
+    return tuple(map(tuple, part.classes))
+
+
 def test_partition_examples():
-    assert residue_partition(5, 2).classes == ((1, 2), (3, 4))
-    assert residue_partition(7, 3).classes == ((1, 2), (3,), (4,), (5, 6))
-    assert residue_partition(3, 1).classes == ((1, 2),)
+    assert _contents(residue_partition(5, 2)) == ((1, 2), (3, 4))
+    assert _contents(residue_partition(7, 3)) == ((1, 2), (3,), (4,), (5, 6))
+    assert _contents(residue_partition(3, 1)) == ((1, 2),)
 
 
 def test_partition_allows_empty_classes():
-    assert residue_partition(5, 4).classes == ((1,), (), (2,), (3,), (), (4,))
+    assert _contents(residue_partition(5, 4)) == ((1,), (), (2,), (3,), (), (4,))
+
+
+@pytest.mark.parametrize("p", [p for p in range(200) if is_prime(p)])
+def test_classes_are_consecutive_unit_step_ranges(p):
+    # each class is stored as its interval, so a partition costs Φ(n) ranges
+    # at any p; the intervals run 1..p-1 in order, an empty one included
+    for n in range(1, p):
+        classes = residue_partition(p, n).classes
+        assert all(type(cls) is range and cls.step == 1 for cls in classes)
+        assert [cls.start for cls in classes] == [1] + [cls.stop for cls in classes[:-1]]
+        assert classes[-1].stop == p
+
+
+def test_partition_memory_does_not_grow_with_the_modulus():
+    # Φ(n) ranges per order, whatever the modulus; a class that listed its
+    # residues would hold all p - 1 of them at n = 1
+    tracemalloc.start()
+    try:
+        for n in range(1, 7):
+            residue_partition(999983, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def test_partition_validation():
@@ -137,4 +166,4 @@ def test_integer_partition_matches_the_fraction_sequence_at_every_order(p):
         expected = tuple(
             tuple(range(math.floor(p * f) + 1, math.ceil(p * g))) for f, g in zip(entries, entries[1:])
         )
-        assert residue_partition(p, n).classes == expected
+        assert _contents(residue_partition(p, n)) == expected

@@ -491,7 +491,8 @@ def _omega_by_enumeration(g: OrientedGraph) -> int:
 
 @given(st.integers(0, 5_000))
 def test_max_clique_on_cyclic_orientations_matches_enumeration(seed):
-    # no longest-path heights exist here, so the search runs without a target
+    # no longest-path heights exist here, so the search takes its targets
+    # from the undirected view oriented from high index to low
     rng = random.Random(seed)
     n, density = rng.randint(3, 10), rng.uniform(0.3, 1.0)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
@@ -501,6 +502,23 @@ def test_max_clique_on_cyclic_orientations_matches_enumeration(seed):
     assert size == len(clique) == _omega_by_enumeration(g)
     for a, b in itertools.combinations(clique, 2):
         assert g.has_und_edge(a, b)
+
+
+@given(st.integers(0, 5_000), st.integers(1, 12))
+def test_max_clique_budget_stop_on_a_cyclic_orientation_brackets_omega(seed, nodes):
+    rng = random.Random(seed)
+    n = rng.randint(6, 14)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+    g = OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs])
+    assume(oracles._path_heights(g) is None)
+    try:
+        max_clique(g, Budget(max_nodes=nodes))
+    except BudgetExceeded as exc:
+        assert exc.best_lower <= _omega_by_enumeration(g) <= exc.best_upper
+        assert len(exc.witness) == exc.best_lower
+        assert all(g.has_und_edge(a, b) for a, b in itertools.combinations(exc.witness, 2))
+    else:
+        assume(False)
 
 
 @given(st.integers(0, 5_000))
