@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
-from operator import gt, itemgetter
+from operator import gt, index, itemgetter
 from typing import Iterable
 
 from .errors import CycleFound, MultiplePaths, UnknownVertex
@@ -46,12 +46,12 @@ class OrientedGraph:
     __slots__ = ("n", "tails", "heads", "_first", "_desc")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        n = index(n)  # vertex ids are integers: a float or a string raises TypeError
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        n = int(n)
         # ascending input sorts in linear time (a set would hand it hash order);
         # duplicates end up adjacent, and rebinding drops the sorted copy
-        pairs = sorted([(int(u), int(v)) for u, v in edges])
+        pairs = sorted([(index(u), index(v)) for u, v in edges])
         pairs = [e for e, nxt in zip(pairs, pairs[1:]) if e != nxt] + pairs[-1:]
         for u, v in pairs:
             if not (0 <= u < n) or not (0 <= v < n):
@@ -254,12 +254,12 @@ def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
     subgraph of a descending parent descends."""
     parent = as_labeled(parent)
     g, labels = parent.graph, parent.labels
-    chosen = sorted({int(v) for v in vs})
+    chosen = sorted(set(map(index, vs)))
     if chosen and not (0 <= chosen[0] and chosen[-1] < g.n):
         raise UnknownVertex(next(v for v in chosen if not 0 <= v < g.n), g.n)
-    index = [-1] * g.n
+    at = [-1] * g.n
     for new, old in enumerate(chosen):
-        index[old] = new
+        at[old] = new
     # the renumbering is monotone and each row is sorted, so kept edges stay
     # in canonical order. Labels are gathered on the same walk; an unlabeled
     # parent gathers its heads in their place, which are then dropped
@@ -269,7 +269,7 @@ def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
     for a, u in enumerate(chosen):
         starts.append(len(tails))
         for j in range(first[u], first[u + 1]):
-            v = index[heads[j]]
+            v = at[heads[j]]
             if v >= 0:
                 tails.append(a)
                 sub_heads.append(v)

@@ -178,58 +178,23 @@ def _greedy_clique(rows: list[int], order: list[int]) -> list[int]:
     return clique
 
 
-def _dsatur_greedy(rows: list[int], order: list[int]) -> tuple[int, list[int]]:
-    """Greedy coloring in saturation order on ``_rows(graph, order)``;
-    returns (colors used, assignment by vertex). ``levels[s]`` holds the
-    uncolored vertices with s distinct neighbour colors, ``adj[c]`` those
-    next to color c; each pick is the lowest vertex of the top level. A
-    color's new neighbours move up one level, scanning the levels downward
-    so none moves twice."""
-    colors = [0] * len(rows)
-    levels = [0] * (len(rows) + 1)
-    levels[0] = (1 << len(rows)) - 1
-    adj = [0] * len(rows)
-    top = used = 0
-    for _ in rows:
-        while not levels[top]:
-            top -= 1
-        lv = levels[top]
-        low = lv & -lv
-        levels[top] = lv ^ low
-        c = 0
-        while adj[c] & low:
-            c += 1
-        if c >= used:
-            used = c + 1
-        v = low.bit_length() - 1
-        colors[order[v]] = c
-        new = rows[v] ^ (rows[v] & adj[c])  # rows[v] minus adj[c], with no negative int
-        adj[c] |= new
-        for t in range(top, -1, -1):
-            moved = levels[t] & new
-            if moved:
-                levels[t] ^= moved
-                levels[t + 1] |= moved
-        if levels[top + 1]:
-            top += 1
-    return used, colors
-
-
 def _k_colorable(rows: list[int], order: list[int], k: int, tracker: _Tracker) -> list[int] | None:
-    """Backtracking k-colorability with dynamic saturation ordering and the
-    new-color symmetry break (a vertex may open at most one fresh color), on
-    the bitsets of ``_dsatur_greedy``; returns the assignment by vertex, or None.
+    """Backtracking k-colorability by DSATUR (Brélaz 1979) with the new-color
+    symmetry break (a vertex may open at most one fresh color), on
+    ``_rows(graph, order)``; returns the assignment by vertex, or None. At
+    k = n a fresh color is always free, so the search never backtracks: its
+    one descent is greedy DSATUR, n + 1 nodes.
 
-    No level above ``used``, the count of colors in use, has a member. The
-    search runs on an explicit stack of frames (vertex, its level, next color,
-    ``used`` before it, the bits its color added to ``adj``), one per selected
-    vertex, which stays out of the levels until its frame is popped. A frame
-    keeps the vertex, not its one-bit mask, which is as wide as its index.
-    Coloring a vertex moves the bits its color adds up one level and undoing
-    it moves them back down, each pass scanning against the move.
-
-    A node is counted each time the loop enters it, the final all-colored
-    node included, against the tracker's budget (see ``_Tracker``).
+    ``levels[s]`` holds the uncolored vertices with s distinct neighbour
+    colors, none above ``used``, the colors in use, and ``adj[c]`` those next
+    to color c. Each node colors the lowest vertex of the top level with its
+    lowest free color and pushes a frame (the vertex, not its mask, which is
+    as wide as its index; its level; its color; ``used`` before it; the bits
+    the color added to ``adj``), popped when the search backtracks past it.
+    Coloring moves the added bits up one level and undoing it moves them back
+    down, each pass scanning against the move. A node is counted each time the
+    loop enters it, the final all-colored node included, against the
+    tracker's budget (see ``_Tracker``).
     """
     n = len(rows)
     levels = [0] * (k + 1)
@@ -247,7 +212,7 @@ def _k_colorable(rows: list[int], order: list[int], k: int, tracker: _Tracker) -
             if len(stack) == n:
                 colors = [0] * n
                 for v, _, c, _, _ in stack:
-                    colors[order[v]] = c - 1
+                    colors[order[v]] = c
                 return colors
             s = used
             while not levels[s]:
@@ -255,36 +220,35 @@ def _k_colorable(rows: list[int], order: list[int], k: int, tracker: _Tracker) -
             lv = levels[s]
             low = lv & -lv
             levels[s] = lv ^ low
-            stack.append((low.bit_length() - 1, s, 0, used, 0))
-            while stack:
-                v, s, c, used, new = stack[-1]
-                if c:  # colored c - 1: take its bits back and move them down a level
-                    adj[c - 1] ^= new
-                    for t in range(1, (c if c > used else used) + 1):
-                        moved = levels[t] & new
-                        if moved:
-                            levels[t] ^= moved
-                            levels[t - 1] |= moved
+            v, c = low.bit_length() - 1, 0
+            while True:  # find v a color from c on, backtracking while none is free
                 limit = used + 1 if used < k else k
                 while c < limit and adj[c] >> v & 1:
                     c += 1
                 if c < limit:
-                    row = rows[v]
-                    new = row ^ (row & adj[c])
-                    adj[c] |= new
-                    for t in range(used, -1, -1):
-                        moved = levels[t] & new
-                        if moved:
-                            levels[t] ^= moved
-                            levels[t + 1] |= moved
-                    stack[-1] = (v, s, c + 1, used, new)
-                    if c >= used:
-                        used = c + 1
                     break
-                stack.pop()
                 levels[s] |= 1 << v
-            else:
-                return None
+                if not stack:
+                    return None
+                v, s, c, used, new = stack.pop()
+                adj[c] ^= new
+                for t in range(1, (c + 2 if c >= used else used + 1)):
+                    moved = levels[t] & new
+                    if moved:
+                        levels[t] ^= moved
+                        levels[t - 1] |= moved
+                c += 1
+            row = rows[v]
+            new = row ^ (row & adj[c])  # rows[v] minus adj[c], with no negative int
+            adj[c] |= new
+            for t in range(used, -1, -1):
+                moved = levels[t] & new
+                if moved:
+                    levels[t] ^= moved
+                    levels[t + 1] |= moved
+            stack.append((v, s, c, used, new))
+            if c >= used:
+                used = c + 1
     finally:
         tracker.nodes = nodes
 
@@ -293,13 +257,14 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
     """Exact chromatic number of the undirected view.
 
     Iterative deepening on k from a greedy clique lower bound, each step a
-    DSATUR backtracking search on bitset saturation levels; a greedy DSATUR
-    coloring bounds the deepening from above. The degrees come from the edge
-    store of the undirected view (``_descending``), each edge counted at both
-    ends. The clique and both colorings run on the one set of rows built over
-    the vertices by descending degree, ties by index, so the lowest bit of a
-    vertex set is its vertex of greatest degree, then lowest index.
-    BudgetExceeded carries the bracketing bounds proven so far.
+    DSATUR backtracking search (``_k_colorable``) on bitset saturation levels.
+    The same search at k = n, on a tracker of its own outside the budget, is
+    the greedy coloring that bounds the deepening from above. The degrees come
+    from the edge store of the undirected view (``_descending``), each edge
+    counted at both ends. The clique and the searches run on the one set of
+    rows built over the vertices by descending degree, ties by index, so the
+    lowest bit of a vertex set is its vertex of greatest degree, then lowest
+    index. BudgetExceeded carries the bracketing bounds proven so far.
     """
     graph = oriented_view(g)
     if not graph._descends():
@@ -313,7 +278,7 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
     rows = _rows(graph, order)
     tracker = _Tracker("chromatic-number", budget)
     lb = max(1, len(_greedy_clique(rows, order)))
-    ub, _ = _dsatur_greedy(rows, order)
+    ub = max(_k_colorable(rows, order, n, _Tracker("chromatic-number", None))) + 1
     for k in range(lb, ub):
         try:
             if _k_colorable(rows, order, k, tracker) is not None:
@@ -780,38 +745,53 @@ def _widen(x: int, width: int) -> int:
     return x | x << (width - w)
 
 
+def _sum_layers(runs: list[list[int]], p: int, n: int):
+    """Layers 1, 2, ... up to n of ``verify_partition_sums``, each the union,
+    over the runs, of the layer below widened across the run and rotated by
+    its least member; stops after the first layer with bit 0 set."""
+    full, layer = (1 << p) - 1, 1
+    for _ in range(n):
+        wide = 0
+        for a, b in runs:
+            wide |= _widen(layer, b - a + 1) << a
+        layer = (wide & full) | wide >> p
+        yield layer
+        if layer & 1:
+            return
+
+
 def verify_partition_sums(part, instance: str | None = None) -> VerificationReport:
     """Pass iff no class of the partition has m <= n members (repeats allowed)
     summing to 0 mod p. Layer m is a p-bit set, bit r set iff m members sum
-    to r mod p: the union, over each run of consecutive members, of layer
-    m - 1 rotated by the run's least member and widened across the run. A
-    zero in layer m is walked back into an explicit multiset witness: from
-    s = 0, each layer below gives its least r with (s - r) mod p a member."""
+    to r mod p (``_sum_layers``), built from the runs of consecutive members;
+    only the top layer is kept. A zero in layer m is walked back into an
+    explicit multiset witness over the layers built again: from s = 0, each
+    layer below gives its least r with (s - r) mod p a member."""
     started = time.perf_counter()
     p, n = part.p, part.n
     instance = instance or f"partition(p={p}, n={n})"
-    full = (1 << p) - 1
     for i, cls in enumerate(part.classes):
-        if not cls:
-            continue
-        runs: list[list[int]] = []
-        for a in sorted({a % p for a in cls}):
-            if runs and runs[-1][1] == a - 1:
-                runs[-1][1] = a
+        # the runs of consecutive residues as the class walks them, then merged
+        # in order, so a hand-built class may be out of order or repeat members;
+        # a residue taken only when needed and a difference of 1 make no new int
+        walked: list[list[int]] = []
+        for a in cls:
+            if not 0 <= a < p:
+                a %= p
+            if walked and a - walked[-1][1] == 1:
+                walked[-1][1] = a
             else:
-                runs.append([a, a])
-        layers = [1]
-        for _ in range(n):
-            layer = 0
-            for a, b in runs:
-                layer |= _widen(layers[-1] << a, b - a + 1)
-            layers.append((layer & full) | layer >> p)
-            if layers[-1] & 1:
-                break
-        else:
+                walked.append([a, a])
+        runs: list[list[int]] = []
+        for a, b in sorted(walked):
+            if runs and a <= runs[-1][1] + 1:
+                runs[-1][1] = max(runs[-1][1], b)
+            else:
+                runs.append([a, b])
+        if not any(layer & 1 for layer in _sum_layers(runs, p, n)):
             continue
-        witness, s = [], 0
-        for below in reversed(layers[:-1]):
+        full, witness, s = (1 << p) - 1, [], 0
+        for below in reversed([1, *_sum_layers(runs, p, n)][:-1]):
             mask = 0
             for a, b in runs:
                 mask |= ((1 << (b - a + 1)) - 1) << ((s - b) % p)

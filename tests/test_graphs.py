@@ -47,6 +47,16 @@ def test_rejects_out_of_range_edge():
         OrientedGraph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize(
+    "n, edges",
+    [(3.9, [(1.7, 0.2), ("2", True)]), (3.0, []), ("3", []), (3, [(1.0, 0)]), (3, [(2, "1")])],
+)
+def test_vertex_count_and_edge_ends_must_be_integers(n, edges):
+    # int() would truncate 1.7 to 1 and parse "2" with no error
+    with pytest.raises(TypeError):
+        OrientedGraph(n, edges)
+
+
 def test_edges_are_canonical_and_deduplicated():
     g = OrientedGraph(3, [(2, 1), (0, 1), (2, 1)])
     assert g.edges == ((0, 1), (2, 1))
@@ -203,6 +213,13 @@ def test_induced_subgraph_unknown_vertex():
         with pytest.raises(UnknownVertex) as exc:
             induced_subgraph(g, vs)
         assert (exc.value.vertex, exc.value.n_vertices) == (bad, 5)
+
+
+@pytest.mark.parametrize("vs", [[0.9, 1.2, "4"], [0, 1.0], ["4"]])
+def test_induced_subgraph_vertices_must_be_integers(vs):
+    # int() would keep vertices 0, 1 and 4 of [0.9, 1.2, "4"]
+    with pytest.raises(TypeError):
+        induced_subgraph(build_power_graph(build_zykov(3), 3), vs)
 
 
 def _scrambled_labeled_graph(seed: int) -> LabeledGraph:

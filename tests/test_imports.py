@@ -3,6 +3,7 @@ all resolve."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import chibound
@@ -107,4 +108,39 @@ def test_every_error_type_is_raised():
     types = [t for t in vars(chibound.errors).values() if isinstance(t, type) and t.__module__ == "chibound.errors"]
     assert types
     dead = [t.__name__ for t in types if not any(issubclass(r, t) for r in types if r.__name__ in raised)]
+    assert dead == []
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read, taken as an attribute or imported under ``node``."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+    return found
+
+
+def test_every_private_name_is_used():
+    # each private top-level function, class or constant of the package is
+    # referenced in the package outside its own definition; a helper that
+    # only the tests still call fails here
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in SOURCES]
+    everywhere = sum(map(_references, trees), Counter())
+    private = []
+    for path, tree in zip(SOURCES, trees):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            private += [(path.name, name, node) for name in names if name.startswith("_") and not name.startswith("__")]
+    assert private
+    dead = [f"{file} {name}" for file, name, node in private if everywhere[name] == _references(node)[name]]
     assert dead == []

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -120,22 +121,21 @@ PINNED_COLORINGS_SHA256 = "5cec4ccf7a54e26e4096518d5301bd06b1a65ed46ad6db277a611
 
 
 def test_chromatic_search_visits_the_pinned_nodes(monkeypatch):
-    k_colorable, dsatur_greedy = oracles._k_colorable, oracles._dsatur_greedy
+    # the call at k = n is the greedy, recorded as (colors used, coloring);
+    # every call at k < n is a deepening step
+    k_colorable = oracles._k_colorable
     record = {}
 
-    def recording_k_colorable(*args):
-        tracker = args[-1]
-        result = k_colorable(*args)
-        record["nodes"] = tracker.nodes
-        record["colorings"].append(result)
+    def recording_k_colorable(rows, order, k, tracker):
+        result = k_colorable(rows, order, k, tracker)
+        if k == len(rows):
+            record["greedy"] = (max(result) + 1, result)
+        else:
+            record["nodes"] = tracker.nodes
+            record["colorings"].append(result)
         return result
 
-    def recording_dsatur_greedy(*args):
-        record["greedy"] = dsatur_greedy(*args)
-        return record["greedy"]
-
     monkeypatch.setattr(oracles, "_k_colorable", recording_k_colorable)
-    monkeypatch.setattr(oracles, "_dsatur_greedy", recording_dsatur_greedy)
     rows, digest = [], hashlib.sha256()
     for g in _pinned_graphs():
         record.update(nodes=0, colorings=[], greedy=None)
@@ -252,7 +252,8 @@ def test_chromatic_search_matches_enumeration_under_every_budget():
     for n, pairs, g in _differential_graphs():
         chi = _chi_by_subsets(n, pairs)
         order, rows = _ranked(g)
-        used, colors = oracles._dsatur_greedy(rows, order)
+        colors = oracles._k_colorable(rows, order, n, oracles._Tracker("greedy", None))
+        used = max(colors) + 1
         assert used >= chi and _proper(colors, used, n, pairs)
         for k in range(1, n + 1):
             colors = oracles._k_colorable(rows, order, k, oracles._Tracker("k-colorable", None))
@@ -275,6 +276,21 @@ def test_chromatic_search_matches_enumeration_under_every_budget():
 # seeds of graphs on which DSATUR's first descent fails at k = chi, so the
 # search must undo colorings; each entry is (seed, n)
 BACKTRACKING_SEEDS = [(268, 12), (318, 11), (409, 12), (609, 11), (988, 8), (1398, 8), (1637, 12), (2001, 10)]
+
+
+def test_chromatic_search_at_k_equal_n_is_one_greedy_descent():
+    # at k = n a fresh color is always free, so the search never backtracks:
+    # it enters one node per vertex colored, plus the all-colored node
+    corpus = list(_differential_graphs())
+    for k in range(1, 6):
+        g = build_zykov(k).graph
+        corpus.append((g.n, g.edges, g))
+    for n, pairs, g in corpus:
+        order, rows = _ranked(g)
+        tracker = oracles._Tracker("greedy", None)
+        colors = oracles._k_colorable(rows, order, n, tracker)
+        assert tracker.nodes == n + 1
+        assert _proper(colors, n, n, pairs)
 
 
 def test_chromatic_search_backtracks_to_a_proper_coloring_at_chi():
@@ -853,6 +869,20 @@ def test_partition_sums_end_in_bounded_time_at_a_million():
     started = time.process_time()
     assert verify_partition_sums(part).passed
     assert time.process_time() - started < 5
+
+
+def test_partition_sums_at_a_large_modulus_hold_runs_not_residues():
+    # each class is walked once into runs of consecutive residues and only
+    # the top layer of sums is kept, so the largest class's p/6 residues are
+    # never held at once, as a set and a sorted list of them took 17.5 MiB
+    part = residue_partition(999983, 6)
+    tracemalloc.start()
+    try:
+        assert verify_partition_sums(part).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("seed", range(40))
