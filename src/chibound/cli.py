@@ -29,7 +29,7 @@ from .formats import canonical_json, graph_json_dict, read_edgelist, write_dimac
 from .graphs import LabeledGraph
 from .oracles import Budget, VerificationReport
 from .power import BUILTIN_F, build_power_graph, growth_witness, is_prime
-from .zykov import DEFAULT_SIZE_CAP, build_zykov, capped_size, provenance_json_dict, zykov_closure
+from .zykov import DEFAULT_SIZE_CAP, build_zykov, predict_size, provenance_json_dict, zykov_closure
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -192,24 +192,20 @@ def _resolve_power_params(args):
 def cmd_construct(args, variant) -> int:
     if args.kind == "zykov":
         config = _make_config(args, variant)
-        pv, pe = capped_size(args.k, args.size_cap)
+        pv, pe = predict_size(args.k, args.size_cap)
         print(f"predicted size: {pv} vertices, {pe} edges", file=sys.stderr)
         zg = build_zykov(args.k, size_cap=args.size_cap)
         if (zg.graph.n, zg.graph.m) != (pv, pe):
             raise AssertionError(f"built size {(zg.graph.n, zg.graph.m)} != predicted {(pv, pe)}")
-        graph, labels, p = zg.graph, None, None
-        extra = {"provenance": provenance_json_dict(args.k)}
+        graph, labels, p, params_json = zg.graph, None, None, None
     else:
         k, p, params_json = _resolve_power_params(args)
         # k = g(p) of a fast-growing f may be too long to print; refuse it first
-        pv, pe = capped_size(k, args.size_cap)
+        pv, pe = predict_size(k, args.size_cap)
         config = _make_config(args, variant, k=k, p=p)
         print(f"predicted base size: {pv} vertices, {pe} edges", file=sys.stderr)
         pg = _tower_power(k, p, args.size_cap)
         graph, labels = pg.graph, pg.labels
-        extra = {}
-        if params_json is not None:
-            extra["class_parameters"] = params_json
 
     meta = {
         "config": json.dumps(config, sort_keys=True),
@@ -219,14 +215,17 @@ def cmd_construct(args, variant) -> int:
         meta["p"] = p
     if args.format == "edgelist":
         _write_text(args.out, write_edgelist(graph, labels, metadata=meta))
-        if args.out is not None and "provenance" in extra:
-            _write_text(args.out + ".provenance.json", canonical_json(extra["provenance"]))
+        if args.out is not None and args.kind == "zykov":
+            _write_text(args.out + ".provenance.json", canonical_json(provenance_json_dict(args.k)))
     elif args.format == "dimacs":
         comments = "".join(f"c {k}: {v}\n" for k, v in meta.items())
         _write_text(args.out, comments + write_dimacs(graph))
     else:
         doc = {"config": config, "graph": graph_json_dict(graph, labels, p)}
-        doc.update(extra)
+        if params_json is not None:
+            doc["class_parameters"] = params_json
+        if args.kind == "zykov":  # the provenance is built only where it is written
+            doc["provenance"] = provenance_json_dict(args.k)
         _write_text(args.out, canonical_json(doc))
     print(f"built: {graph.n} vertices, {graph.m} edges", file=sys.stderr)
     return 0

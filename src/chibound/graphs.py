@@ -31,6 +31,13 @@ from typing import Iterable
 from .errors import CycleFound, MultiplePaths, UnknownVertex
 
 
+def _vertex(v) -> int:
+    """v as a vertex id or count: an integer, and not a bool, else TypeError."""
+    if isinstance(v, bool):
+        raise TypeError(f"vertex ids are integers, not bools: got {v}")
+    return index(v)  # a float or a string raises TypeError
+
+
 class OrientedGraph:
     """A finite simple graph together with an orientation of its edges.
 
@@ -46,12 +53,12 @@ class OrientedGraph:
     __slots__ = ("n", "tails", "heads", "_first", "_desc")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        n = index(n)  # vertex ids are integers: a float or a string raises TypeError
+        n = _vertex(n)
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         # ascending input sorts in linear time (a set would hand it hash order);
         # duplicates end up adjacent, and rebinding drops the sorted copy
-        pairs = sorted([(index(u), index(v)) for u, v in edges])
+        pairs = sorted([(_vertex(u), _vertex(v)) for u, v in edges])
         pairs = [e for e, nxt in zip(pairs, pairs[1:]) if e != nxt] + pairs[-1:]
         for u, v in pairs:
             if not (0 <= u < n) or not (0 <= v < n):
@@ -254,7 +261,7 @@ def induced_subgraph(parent, vs: Iterable[int]) -> LabeledGraph:
     subgraph of a descending parent descends."""
     parent = as_labeled(parent)
     g, labels = parent.graph, parent.labels
-    chosen = sorted(set(map(index, vs)))
+    chosen = sorted(set(map(_vertex, vs)))
     if chosen and not (0 <= chosen[0] and chosen[-1] < g.n):
         raise UnknownVertex(next(v for v in chosen if not 0 <= v < g.n), g.n)
     at = [-1] * g.n

@@ -267,7 +267,7 @@ def exact_chromatic_number(g, budget: Budget | None = None) -> int:
     index. BudgetExceeded carries the bracketing bounds proven so far.
     """
     graph = oriented_view(g)
-    if not graph._descends():
+    if not all(map(gt, graph.tails, graph.heads)):
         graph = _descending(graph)
     n = graph.n
     if n == 0:

@@ -12,6 +12,8 @@ Vertex numbering is deterministic: copies are laid out consecutively in level
 order, then apexes in lexicographic transversal order, so runs are
 reproducible bit-for-bit. Apexes come after the copies they point into, so
 every edge descends (u -> v, u > v), and power graphs and subgraphs inherit it.
+Both builders take each level's apex rows from flattened products of its
+copies; ``predict_size(k, size_cap)`` refuses a level above the cap first.
 
 ``build_zykov`` returns a plain ``LabeledGraph`` that fills ``graph`` only.
 The layout fixes where every vertex came from, so nothing is recorded per
@@ -22,6 +24,7 @@ creation level, top-level copy and transversal from k alone, for output.
 from __future__ import annotations
 
 from itertools import chain, count, product, repeat
+from math import prod
 from typing import Iterator
 
 from .errors import SizeBudgetExceeded
@@ -49,56 +52,36 @@ def _level_sizes(k: int) -> Iterator[tuple[int, int]]:
         yield v, e
 
 
-def predict_size(k: int) -> tuple[int, int]:
-    """Exact (vertices, edges) of build_zykov(k) from the size recurrence.
-    Pure big-integer arithmetic; grows superexponentially."""
-    *_, size = _level_sizes(k)
-    return size
-
-
-def capped_size(k: int, size_cap: int) -> tuple[int, int]:
-    """predict_size(k), refused with SizeBudgetExceeded at the first level
-    whose vertex count is above size_cap, so a tower far above the cap is
-    refused without computing its size. Below level k that count is a lower
-    bound, and the message says "at least"."""
+def predict_size(k: int, size_cap: int | None = None) -> tuple[int, int]:
+    """Exact (vertices, edges) of build_zykov(k) from the size recurrence, in
+    big-integer arithmetic; grows superexponentially. Given a size_cap, it
+    raises SizeBudgetExceeded at the first level whose vertex count is above
+    the cap, so a tower far above it is refused without computing its size.
+    Below level k that count is a lower bound, and the message says "at least"."""
     for level, (pv, pe) in enumerate(_level_sizes(k), start=1):
-        if pv > size_cap:
+        if size_cap is not None and pv > size_cap:
             raise SizeBudgetExceeded(pv, size_cap, exact=level == k)
     return pv, pe
 
 
 def build_zykov(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> LabeledGraph:
-    """Build the level-k tower graph with its acyclic orientation."""
-    capped_size(k, size_cap)
-
+    """Build the level-k tower graph with its acyclic orientation. A level is
+    copies of every built level, edges shifted by each copy's offset, then one
+    apex per transversal, edges flattened from the copies' product: canonical."""
+    predict_size(k, size_cap)
     levels = [OrientedGraph._canonical(1, (), ())]
     while len(levels) < k:
-        levels.append(_compose(levels))
+        tails, heads, copies, offset = [], [], [], 0
+        for g in levels:
+            tails += map(offset.__add__, g.tails)
+            heads += map(offset.__add__, g.heads)
+            copies.append(range(offset, offset + g.n))
+            offset += g.n
+        apexes = range(offset, offset + prod(map(len, copies)))
+        tails += chain.from_iterable(map(repeat, apexes, repeat(len(copies))))
+        heads += chain.from_iterable(product(*copies))
+        levels.append(OrientedGraph._canonical(apexes.stop, tails, heads))
     return LabeledGraph(levels[k - 1])
-
-
-def _compose(levels: list[OrientedGraph]) -> OrientedGraph:
-    """One tower step: copies of every built level, plus one apex per transversal.
-    Copies in level order, then apexes in order, emit the edges canonically."""
-    ranges: list[range] = []  # each copy's vertices
-    total = 0
-    for g in levels:
-        ranges.append(range(total, total + g.n))
-        total += g.n
-
-    tails: list[int] = []
-    heads: list[int] = []
-    for r, g in zip(ranges, levels):
-        tails += map(r.start.__add__, g.tails)
-        heads += map(r.start.__add__, g.heads)
-
-    apex = total
-    for transversal in product(*ranges):
-        tails += repeat(apex, len(transversal))
-        heads += transversal
-        apex += 1
-
-    return OrientedGraph._canonical(apex, tails, heads)
 
 
 def zykov_closure(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> LabeledGraph:
@@ -107,9 +90,9 @@ def zykov_closure(k: int, size_cap: int = DEFAULT_SIZE_CAP) -> LabeledGraph:
     disjoint closures, so its row is, copy by copy in layout order, the chosen
     vertex's row shifted by the copy's offset with each length + 1, then the
     chosen vertex at length 1; a copy's rows are its level's rows, shifted.
-    Every row comes out sorted. The layout is trusted as ``_compose`` trusts
-    it; ``verify_unique_paths`` certifies the tower on its own."""
-    n, _ = capped_size(k, size_cap)
+    Every row comes out sorted. The layout is trusted as ``build_zykov``
+    trusts it; ``verify_unique_paths`` certifies the tower on its own."""
+    n, _ = predict_size(k, size_cap)
     flat = chain.from_iterable
     # (heads, lengths) of each row of the levels below; level 1 is the apex of no copies
     levels: list[tuple[list, list]] = []

@@ -64,6 +64,17 @@ def test_construct_zykov_stdout(capsys):
     assert "n 2 1\n" in out and "\n1 0\n" in out  # apex 1 points into copy 0
 
 
+@pytest.mark.parametrize("fmt", [["--format", "dimacs"], []])
+def test_construct_zykov_builds_no_provenance_it_does_not_write(monkeypatch, capsys, fmt):
+    # only the json document and the --out sidecar of an edge list hold it
+    def refuse(k):
+        raise AssertionError("provenance built for an output that drops it")
+
+    monkeypatch.setattr(cli, "provenance_json_dict", refuse)
+    code, out, _ = run(capsys, "construct", "zykov", "--k", "3", *fmt)
+    assert code == PASS and out
+
+
 def test_construct_power_json(capsys):
     code, doc, _ = run_json(
         capsys, "construct", "power", "--k", "3", "--p", "2", "--format", "json"
@@ -752,6 +763,15 @@ def test_sample_hereditary_at_a_large_modulus_stays_small(capsys):
         tracemalloc.stop()
     assert code == PASS and json.loads(out)["reports"]
     assert peak < 4 * 2**20
+
+
+def test_sample_hereditary_skips_the_coloring_of_a_budget_stopped_sample(capsys):
+    code, doc, _ = run_json(
+        capsys, "sample-hereditary", "--k", "5", "--p", "3", "--count", "3", "--budget-nodes", "1"
+    )
+    assert code == OPERATIONAL
+    assert [(r["check"], r["verdict"]) for r in doc["reports"]] == [("clique-bound", "budget-exceeded")] * 3
+    assert all(r["witness"]["nodes"] >= 1 for r in doc["reports"])
 
 
 def test_sample_hereditary_zero_count(capsys):

@@ -116,6 +116,21 @@ def test_bulk_reader_leaves_edges_out_of_order_to_the_line_parser(edges, labeled
     assert read_outcome(read_edgelist, text) == read_outcome(_read_lines, text)
 
 
+def test_bulk_reader_leaves_a_header_count_past_the_int_digit_limit_to_the_line_parser():
+    text = f"n {'1' * 4301} 1\n0 1\n"  # int() converts at most 4,300 digits
+    assert _read_bulk(text, None) is None
+    with pytest.raises(ValueError, match="line 1: expected integers"):
+        read_edgelist(text)
+
+
+def test_bulk_reader_leaves_leading_zeros_to_the_line_parser():
+    # a JSON array refuses 01; the line parser reads it as 1
+    text = "# p: 5\nn 3 2\n01 0 1\n2 1 3\n"
+    plain = text.replace("01 0", "1 0")
+    assert _read_bulk(text, None) is None and _read_bulk(plain, None) is not None
+    assert read_outcome(read_edgelist, text) == read_outcome(read_edgelist, plain)
+
+
 def test_bulk_reader_peaks_no_higher_than_the_line_parser():
     pg = build_power_graph(build_zykov(5), 7)
     text = write_edgelist(pg.graph, pg.labels, metadata={"p": 7})

@@ -49,10 +49,20 @@ def test_rejects_out_of_range_edge():
 
 @pytest.mark.parametrize(
     "n, edges",
-    [(3.9, [(1.7, 0.2), ("2", True)]), (3.0, []), ("3", []), (3, [(1.0, 0)]), (3, [(2, "1")])],
+    [
+        (3.9, [(1.7, 0.2), ("2", True)]),
+        (3.0, []),
+        ("3", []),
+        (3, [(1.0, 0)]),
+        (3, [(2, "1")]),
+        (True, []),
+        (3, [(True, 0)]),
+        (3, [(2, 1), (2, False)]),
+    ],
 )
 def test_vertex_count_and_edge_ends_must_be_integers(n, edges):
-    # int() would truncate 1.7 to 1 and parse "2" with no error
+    # int() would truncate 1.7 to 1 and parse "2" with no error, and
+    # operator.index() would read True as vertex 1
     with pytest.raises(TypeError):
         OrientedGraph(n, edges)
 
@@ -215,9 +225,10 @@ def test_induced_subgraph_unknown_vertex():
         assert (exc.value.vertex, exc.value.n_vertices) == (bad, 5)
 
 
-@pytest.mark.parametrize("vs", [[0.9, 1.2, "4"], [0, 1.0], ["4"]])
+@pytest.mark.parametrize("vs", [[0.9, 1.2, "4"], [0, 1.0], ["4"], [True, 2], [0, False]])
 def test_induced_subgraph_vertices_must_be_integers(vs):
-    # int() would keep vertices 0, 1 and 4 of [0.9, 1.2, "4"]
+    # int() would keep vertices 0, 1 and 4 of [0.9, 1.2, "4"], and
+    # operator.index() vertices 1 and 2 of [True, 2]
     with pytest.raises(TypeError):
         induced_subgraph(build_power_graph(build_zykov(3), 3), vs)
 

@@ -64,6 +64,15 @@ def test_oracles_reuse_no_pipeline_code():
         ("graphs", "OrientedGraph"),
         ("graphs", "oriented_view"),
     }
+    # nor do they read the descent fact the pipeline caches on a graph, which
+    # an induced subgraph copies from its parent: they test the edges themselves
+    path = SOURCES[0].parent / "oracles.py"
+    reads = [
+        f"oracles.py:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("_descends", "_desc")
+    ]
+    assert reads == []
 
 
 def test_cli_decides_no_verdict():

@@ -827,6 +827,14 @@ def test_partition_sums_failure_with_repeats():
     assert r.witness["multiset"] == [1, 1, 1, 1, 1]
 
 
+def test_partition_sums_reduce_hand_built_members_outside_the_residues():
+    # 8 is residue 1 mod 7: with 2 no sum of at most two members is 0, with 6 one is
+    assert verify_partition_sums(ResiduePartition(p=7, n=2, classes=((8, 2),))).passed
+    r = verify_partition_sums(ResiduePartition(p=7, n=2, classes=((8, 6),)))
+    assert r.verdict == "fail"
+    assert r.witness == {"class_index": 1, "multiset": [6, 8]}
+
+
 _SMALL_PRIMES = [p for p in range(2, 62) if all(p % d for d in range(2, p))]
 
 
