@@ -9,7 +9,9 @@ bitset row (undirected rows for the searches, lower-neighbour rows for
 triangles, reach rows for unique paths) are built from them here; ``_rows``
 builds the undirected rows of any induced subgraph, the whole graph
 included, from its vertices' out-rows alone. On a graph whose edges all
-descend the longest-path DPs walk the two tuples and need no offsets. A
+descend the longest-path DPs walk the two tuples and need no offsets.
+``max_clique`` first tries one longest directed path: if its rows show it is
+a clique, the height coloring and that path certify ω with no search. A
 row is as wide as its highest bit, so rows cost up to n²/8 bytes on a
 sparse graph whose edges join far-apart indices. None of it reuses the
 pipeline's distance or coloring code, so a pipeline bug and an oracle bug
@@ -352,14 +354,11 @@ def _heights(graph: OrientedGraph, order: range | list[int]) -> list[int]:
     return h
 
 
-def _path_heights(graph: OrientedGraph) -> tuple[list[int], list[int]] | None:
-    """(h, d): h is ``_heights``, d[v] counts the vertices of the longest
-    path entering v, by its DP run forwards; None on a cyclic orientation.
-    h falls and d rises along every edge, so both properly color the
+def _depths(graph: OrientedGraph, order: range | list[int]) -> list[int]:
+    """d[v] counts the vertices of the longest directed path entering v, by
+    the DP of ``_heights`` run forwards, tails in ``_kahn`` ``order``. h
+    falls and d rises along every edge, so both properly color the
     undirected view."""
-    order = _kahn(graph)
-    if len(order) < graph.n:
-        return None
     if isinstance(order, range):
         pairs = zip(reversed(graph.tails), reversed(graph.heads))
     else:
@@ -369,7 +368,7 @@ def _path_heights(graph: OrientedGraph) -> tuple[list[int], list[int]] | None:
     for u, v in pairs:
         if d[v] <= d[u]:
             d[v] = d[u] + 1
-    return _heights(graph, order), d
+    return d
 
 
 class _Split:
@@ -411,6 +410,30 @@ class _Split:
         return count
 
 
+def _longest_path(graph: OrientedGraph, h: list[int]) -> list[int]:
+    """One longest directed path of an acyclic graph with heights h
+    (``_heights``): from the lowest vertex of greatest h, each step to the
+    lowest out-neighbour one lower."""
+    path, first, heads = [h.index(max(h))], graph._row_starts(), graph.heads
+    while h[path[-1]] > 1:
+        u = path[-1]
+        path.append(next(v for v in heads[first[u] : first[u + 1]] if h[v] == h[u] - 1))
+    return path
+
+
+def _path_clique(graph: OrientedGraph, dag: OrientedGraph, h: list[int]) -> list[int] | None:
+    """``_longest_path`` of ``dag``, an acyclic orientation of graph's
+    undirected view with heights h, if its vertices are pairwise adjacent;
+    else None. Each vertex's row in ``_rows(graph, path)`` must hold every
+    other vertex of the path: one bitset test per vertex, not one adjacency
+    test per pair."""
+    path = _longest_path(dag, h)
+    full = (1 << len(path)) - 1
+    if all(row | 1 << i == full for i, row in enumerate(_rows(graph, path))):
+        return path
+    return None
+
+
 # A level whose core holds more than this share of the vertices runs on the
 # whole graph. At 0.5, power(6, 3) and power(6, 5) search only level 6 on its
 # core (9.7% of the vertices) and level 5 (58.6%) on the whole graph. A share
@@ -423,22 +446,28 @@ _CORE_SHARE = 0.5
 def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact maximum clique of the undirected view, with one witness clique.
 
-    Bron-Kerbosch with greatest-cover pivoting on bitset rows, run on an
-    explicit stack; candidates are consumed in ascending vertex order.
-
     The longest-path heights h of an acyclic orientation color the undirected
-    view, so ω is at most t = max h; Mirsky's theorem makes that tight when
-    the graph is the comparability graph of its reachability order. The
-    search descends over targets from t. Each level looks for a clique of t
-    vertices and cuts a branch when its candidates cannot complete one: by
-    their count, then by the split bound (see ``_Split``), then by a greedy
-    coloring of them (Tomita and Seki's MCQ bound). A level that ends
-    without a t-clique proves ω < t, and the witness is the first t-clique
-    the last level meets in pivot order.
+    view, so ω is at most t = max h. A cyclic orientation takes h of
+    ``_descending(graph)``, which has the same undirected view. Mirsky's
+    theorem makes the bound tight when the graph is the comparability graph
+    of its reachability order, and then a longest directed path is a
+    t-clique. So one longest path is tried first (``_path_clique``); if it
+    is a clique, h and the path certify ω = t. The path is the witness, and
+    no search node is counted, whatever the budget.
+
+    Otherwise Bron-Kerbosch with greatest-cover pivoting on bitset rows, run
+    on an explicit stack, decides; candidates are consumed in ascending
+    vertex order. The search descends over targets from t, reusing the Kahn
+    order and h. Each level looks for a clique of t vertices and cuts a
+    branch when its candidates cannot complete one: by their count, then by
+    the split bound (see ``_Split``), then by a greedy coloring of them
+    (Tomita and Seki's MCQ bound). A level that ends without a t-clique
+    proves ω < t, and the witness is the first t-clique the last level meets
+    in pivot order.
 
     A clique of an acyclic orientation is a transitive tournament, so it
     lies on one directed path, and each of its t vertices v has
-    h(v) + d(v) - 1 >= t (d as in ``_path_heights``). A level whose core,
+    h(v) + d(v) - 1 >= t (d as in ``_depths``). A level whose core,
     the vertices that pass that test, is at most ``_CORE_SHARE`` of the
     graph searches only the core, with rows built for it alone; h and d
     still color it, so the split bound holds there. Its root coloring
@@ -446,17 +475,24 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
     sought is t - 1. Any other level searches the whole graph, as the list
     ``range(n)``. A level on the whole graph whose root the greedy coloring
     cuts, with c classes, proves ω <= c, so the next level sought is c; the
-    levels between would each be cut at the root the same way.
-    A cyclic orientation takes h and d of ``_descending(graph)``, which has
-    the same undirected view. A budget stop reports the bracket [largest
-    clique met, t].
+    levels between would each be cut at the root the same way. A budget
+    stop reports the bracket [largest clique met, t].
     """
     graph = oriented_view(g)
     n = graph.n
     if n == 0:
         return 0, ()
     tracker = _Tracker("max-clique", budget)
-    h, d = _path_heights(graph) or _path_heights(_descending(graph))
+    dag, order = graph, _kahn(graph)
+    if len(order) < n:
+        dag = _descending(graph)
+        order = _kahn(dag)
+    h = _heights(dag, order)
+    t = max(h)
+    path = _path_clique(graph, dag, h)
+    if path:
+        return t, tuple(sorted(path))
+    d = _depths(dag, order)
     best: list[int] = []  # in the graph's own vertex indices
     # the vertex set searched: `keep` lists its vertices (range(n) for the
     # whole graph), `und` holds its rows and `hd` its h and d for the split bound
@@ -531,7 +567,6 @@ def max_clique(g, budget: Budget | None = None) -> tuple[int, tuple[int, ...]]:
         finally:
             tracker.nodes = nodes
 
-    t = max(h)
     try:
         while True:
             if len(keep) < n:
@@ -818,11 +853,7 @@ def verify_no_long_path(g, n: int, instance: str | None = None) -> VerificationR
         raise CycleFound(_cycle_witness(graph, order))
     h = _heights(graph, order)
     if graph.n > 0 and max(h) > n:
-        # from the lowest vertex of greatest h, step to the lowest out-neighbour one lower
-        path = [h.index(max(h))]
-        while h[path[-1]] > 1:
-            u = path[-1]
-            path.append(next(v for v in graph.out_neighbors(u) if h[v] == h[u] - 1))
+        path = _longest_path(graph, h)
         ok = len(path) - 1 >= n and all(
             graph.has_edge(a, b) for a, b in zip(path, path[1:])
         )

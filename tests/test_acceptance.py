@@ -268,7 +268,7 @@ CRITERION_8_RUNS = [
     (["color", "--k", "4", "--p", "5"],
      "ccb3cfaf9fa269f2ab89ba4d148ee50de14d81dfdbb4703ba1d11ee5ac74869d"),
     (["sample-hereditary", "--k", "4", "--p", "3", "--count", "50", "--seed", "11"],
-     "c6e6c5917089c1d81e52d9e6307b35283ea554d103d55f10e25331c069f6fc01"),
+     "dbb96aa950253ad42a510959aeb933d2a81dd184333781083364f8d3ee1fbb28"),
 ]
 
 

@@ -9,11 +9,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -427,6 +431,17 @@ def test_verify_missing_flags(capsys):
     assert code == OPERATIONAL and "needs --k" in err
 
 
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-m", "chibound", "verify", "lemma24", "--p", "5"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == PASS, done.stderr
+    assert json.loads(done.stdout)["reports"]
+
+
 def test_verify_budget_exceeded_exit_code(capsys):
     code, doc, _ = run_json(
         capsys, "verify", "lemma21", "--k", "4", "--budget-nodes", "1"
@@ -440,9 +455,10 @@ def test_verify_budget_exceeded_exit_code(capsys):
 
 def test_verify_all_keeps_its_reports_when_the_clique_search_stops(tmp_path, capsys):
     # without --n the clique order comes from the search; when it stops on
-    # its budget the checks that need it are skipped, and the rest is written
+    # its budget the checks that need it are skipped, and the rest is written.
+    # At p = 3 < k = 4 no longest path is a clique, so the search runs
     out = tmp_path / "all.json"
-    code, stdout, err = run(capsys, "verify", "all", "--k", "4", "--p", "5", "--budget-nodes", "1", "--out", str(out))
+    code, stdout, err = run(capsys, "verify", "all", "--k", "4", "--p", "3", "--budget-nodes", "1", "--out", str(out))
     assert code == OPERATIONAL and stdout == "" and "error" not in err
     assert "stopped on its budget; skipping class-path checks" in err
     assert "stopped on its budget; skipping partition checks" in err
@@ -455,8 +471,23 @@ def test_verify_all_keeps_its_reports_when_the_clique_search_stops(tmp_path, cap
 
 
 def test_verify_claim26_still_refuses_a_stopped_clique_search(capsys):
-    code, out, err = run(capsys, "verify", "claim26", "--k", "4", "--p", "5", "--budget-nodes", "1")
+    code, out, err = run(capsys, "verify", "claim26", "--k", "4", "--p", "3", "--budget-nodes", "1")
     assert code == OPERATIONAL and out == "" and err.startswith("error: max-clique: budget exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "claim26", "--k", "4", "--p", "5", "--budget-nodes", "1"],
+        ["verify", "lemma22", "--k", "5", "--p", "7", "--budget-nodes", "0"],
+    ],
+)
+def test_a_clique_on_a_longest_path_is_certified_under_any_node_budget(capsys, argv):
+    # at p above every distance of the base a longest path of the power graph
+    # is a clique, which certifies ω with no search node
+    code, out, err = run(capsys, *argv)
+    assert code == PASS and json.loads(out)["reports"]
+    assert "budget" not in err
 
 
 def test_verify_budget_exceeded_report_has_wall_time(capsys):

@@ -324,8 +324,10 @@ def test_max_clique_edgeless_and_empty():
 
 
 def test_max_clique_budget():
+    # ω(power(5, 3)) = 3 is below max h = 5, so no longest path is a clique
+    # and the search runs
     with pytest.raises(BudgetExceeded) as exc:
-        max_clique(K(6), Budget(max_nodes=2))
+        max_clique(build_power_graph(build_zykov(5), 3), Budget(max_nodes=2))
     assert exc.value.what == "max-clique"
 
 
@@ -350,8 +352,9 @@ def _clique_corpus():
 
 
 # sha256 of repr([(n, m, omega, witness), ...]) over _clique_corpus(), recorded
-# from the search without a coloring bound
-PINNED_CLIQUES_SHA256 = "10f54f35c9cdec0cc3ea789961f48bf1f6a2a0a3635c4b7c1099bce983d1f3e9"
+# when a certified graph's witness became its longest path; every omega is
+# the search's (test_certified_omega_equals_the_search_on_towers_and_samples)
+PINNED_CLIQUES_SHA256 = "899cd89b56e8e2106a91432b3aece74e98da702653c87e6b1c34c96d46ccdfd7"
 
 
 def test_max_clique_witnesses_are_pinned():
@@ -362,8 +365,10 @@ def test_max_clique_witnesses_are_pinned():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == PINNED_CLIQUES_SHA256
 
 
-def test_max_clique_bound_finishes_within_a_small_budget():
-    # the search without a coloring bound needs 1,540 nodes here
+def test_max_clique_bound_finishes_within_a_small_budget(monkeypatch):
+    # the search without a coloring bound needs 1,540 nodes here; the
+    # certificate would answer with no node, so it is switched off
+    monkeypatch.setattr(oracles, "_path_clique", lambda graph, dag, h: None)
     assert max_clique(build_power_graph(build_zykov(5), 7), Budget(max_nodes=700)) == (
         5,
         (12, 13, 15, 20, 38),
@@ -374,13 +379,13 @@ def test_max_clique_bound_finishes_within_a_small_budget():
     "p, nodes, bracket, witness",
     [
         (3, 32, (2, 3), (1, 2, 116)),
-        (5, 6, (4, 5), (12, 13, 15, 20, 38)),
-        (7, 6, (4, 5), (12, 13, 15, 20, 38)),
+        (2, 58, (1, 2), (0, 26)),
     ],
 )
 def test_max_clique_nodes_and_budget_brackets_are_pinned(p, nodes, bracket, witness):
     # the search finishes within exactly `nodes` nodes; one fewer stops it
-    # with the largest clique met and the target of the level it was in
+    # with the largest clique met and the target of the level it was in. At
+    # p < k no longest path is a clique, so every row searches
     pg = build_power_graph(build_zykov(5), p)
     assert max_clique(pg, Budget(max_nodes=nodes)) == (len(witness), witness)
     with pytest.raises(BudgetExceeded) as exc:
@@ -485,16 +490,28 @@ def k1100():
     return K(1100)
 
 
-def test_max_clique_of_a_large_clique_needs_no_recursion(k1100):
+def test_max_clique_of_a_large_clique_needs_no_recursion(k1100, monkeypatch):
+    # the search, not the certificate, descends 1,100 levels on its explicit stack
+    monkeypatch.setattr(oracles, "_path_clique", lambda graph, dag, h: None)
     assert max_clique(k1100) == (1100, tuple(range(1100)))
 
 
-def test_max_clique_budget_stop_on_a_large_clique_has_an_upper_bound(k1100):
+def test_max_clique_certifies_a_large_clique_with_no_search_node(k1100):
+    started = time.perf_counter()
+    assert max_clique(k1100, Budget(max_nodes=0)) == (1100, tuple(range(1100)))
+    assert time.perf_counter() - started < 1
+
+
+def test_max_clique_budget_stop_on_a_large_clique_has_an_upper_bound():
+    # without the edge 0 -> 1099 the longest path 0 -> ... -> 1099 is no
+    # clique; the root of level 1100 is cut by 1,099 greedy classes, and
+    # level 1099 stops deep in its first descent
+    g = OrientedGraph(1100, [(i, j) for i in range(1100) for j in range(i + 1, 1100) if (i, j) != (0, 1099)])
     with pytest.raises(BudgetExceeded) as exc:
-        max_clique(k1100, Budget(max_nodes=500))
+        max_clique(g, Budget(max_nodes=500))
     assert exc.value.nodes == 501
-    assert (exc.value.best_lower, exc.value.best_upper) == (499, 1100)
-    assert exc.value.witness == tuple(range(499))
+    assert (exc.value.best_lower, exc.value.best_upper) == (498, 1099)
+    assert exc.value.witness == tuple(range(1, 499))
 
 
 def _omega_by_enumeration(g: OrientedGraph) -> int:
@@ -513,7 +530,7 @@ def test_max_clique_on_cyclic_orientations_matches_enumeration(seed):
     n, density = rng.randint(3, 10), rng.uniform(0.3, 1.0)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
     g = OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs])
-    assume(oracles._path_heights(g) is None)
+    assume(len(oracles._kahn(g)) < g.n)
     size, clique = max_clique(g)
     assert size == len(clique) == _omega_by_enumeration(g)
     for a, b in itertools.combinations(clique, 2):
@@ -526,7 +543,7 @@ def test_max_clique_budget_stop_on_a_cyclic_orientation_brackets_omega(seed, nod
     n = rng.randint(6, 14)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
     g = OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs])
-    assume(oracles._path_heights(g) is None)
+    assume(len(oracles._kahn(g)) < g.n)
     try:
         max_clique(g, Budget(max_nodes=nodes))
     except BudgetExceeded as exc:
@@ -535,6 +552,83 @@ def test_max_clique_budget_stop_on_a_cyclic_orientation_brackets_omega(seed, nod
         assert all(g.has_und_edge(a, b) for a, b in itertools.combinations(exc.witness, 2))
     else:
         assume(False)
+
+
+def _certified(g):
+    """max_clique's answer when a longest path certifies it, else None: a
+    certified answer costs no search node, so it returns under a budget of 0."""
+    try:
+        return max_clique(g, Budget(max_nodes=0))
+    except BudgetExceeded:
+        return None
+
+
+def test_certified_omega_equals_the_search_on_towers_and_samples(monkeypatch):
+    # every induced subgraph of power(5, 7) is the comparability graph of a
+    # reachability order, so a longest path is always a clique; at p = 3 < 5
+    # the full graph never is, and a sample sometimes is
+    graphs = _clique_corpus()
+    for p in (7, 3):
+        pg = build_power_graph(build_zykov(5), p)
+        rng = random.Random(p)
+        samples = [induced_subgraph(pg, [v for v in range(pg.graph.n) if rng.random() < 0.5]) for _ in range(300)]
+        if p == 7:
+            assert all(map(_certified, samples))
+        graphs += samples
+    found = [max_clique(g) for g in graphs]
+    certified = list(map(_certified, graphs))
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "_path_clique", lambda graph, dag, h: None)
+        searched = [max_clique(g) for g in graphs]
+    assert [size for size, _ in found] == [size for size, _ in searched]
+    assert [a for a in certified if a] == [a for a, c in zip(found, certified) if c]
+    assert 0 < sum(map(bool, certified)) < len(graphs)
+
+
+@given(st.integers(0, 5_000), st.booleans(), st.booleans())
+def test_certified_omega_matches_enumeration(seed, closed, cyclic):
+    # a DAG of up to 10 vertices, made transitive or not, then oriented at
+    # random or not; a transitive DAG's longest path is always a clique
+    rng = random.Random(seed)
+    n, density = rng.randint(1, 10), rng.uniform(0.2, 0.9)
+    reach = [0] * n
+    for u in range(n):
+        for v in range(u):
+            if rng.random() < density:
+                reach[u] |= 1 << v | (reach[v] if closed else 0)
+    pairs = [(u, v) for u in range(n) for v in range(u) if reach[u] >> v & 1]
+    g = OrientedGraph(n, [(v, u) if cyclic and rng.random() < 0.5 else (u, v) for u, v in pairs])
+    answer = _certified(g)
+    if closed and not cyclic:
+        assert answer is not None
+    if answer is not None:
+        size, clique = answer
+        assert size == len(clique) == _omega_by_enumeration(g)
+        assert all(g.has_und_edge(a, b) for a, b in itertools.combinations(clique, 2))
+
+
+def test_a_path_missing_one_edge_is_not_certified_and_the_search_decides():
+    # delete the edge 38 -> 12 between the ends of power(5, 7)'s certified
+    # 5-clique: the walk takes the same path, which is no clique now, and the
+    # search finds another 5-clique in 6 nodes; 5 stop it on its top level
+    pg = build_power_graph(build_zykov(5), 7)
+    assert _certified(pg) == (5, (12, 13, 15, 20, 38))
+    g = OrientedGraph(pg.graph.n, [e for e in pg.graph.edges if e != (38, 12)])
+    assert _certified(g) is None
+    size, clique = max_clique(g, Budget(max_nodes=6))
+    assert (size, clique) == (5, (12, 13, 15, 20, 56))
+    assert all(g.has_und_edge(a, b) for a, b in itertools.combinations(clique, 2))
+    with pytest.raises(BudgetExceeded) as exc:
+        max_clique(g, Budget(max_nodes=5))
+    assert (exc.value.best_lower, exc.value.best_upper, exc.value.witness) == (4, 5, (12, 13, 15, 20))
+
+
+@pytest.mark.parametrize("k, p", [(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)])
+def test_a_tower_power_graph_below_its_height_is_never_certified(k, p):
+    # ω(power(k, p)) = p < k = max h there, so no longest path is a clique
+    pg = build_power_graph(build_zykov(k), p)
+    assert _certified(pg) is None
+    assert max_clique(pg)[0] == p
 
 
 @given(st.integers(0, 5_000))
@@ -986,9 +1080,10 @@ def test_any_topological_order_gives_the_heap_orders_results(seed, monkeypatch):
         assert sorted(order) == list(range(g.n))
         assert all(pos[u] < pos[v] for u, v in g.edges)
 
-        def run():  # _path_heights returns _heights too
+        def run():
+            order = oracles._kahn(g)
             return (
-                oracles._path_heights(g),
+                (oracles._heights(g, order), oracles._depths(g, order)),
                 verify_unique_paths(g).to_json_dict(),
                 verify_no_long_path(g, bound).to_json_dict(),
             )
@@ -1044,7 +1139,9 @@ def test_edge_walk_dps_equal_the_kahn_order_row_walk(seed, monkeypatch):
     bound = random.Random(seed).randint(1, 5)
 
     def run(graph):
-        return oracles._path_heights(graph), verify_no_long_path(graph, bound).to_json_dict()
+        order = oracles._kahn(graph)
+        heights = oracles._heights(graph, order), oracles._depths(graph, order)
+        return heights, verify_no_long_path(graph, bound).to_json_dict()
 
     (h, d), report = got = run(g)
     kahn = oracles._kahn
